@@ -33,13 +33,8 @@ class Xoshiro256StarStar:
     __slots__ = ("_s",)
 
     def __init__(self, seed: int):
-        x = seed & MASK64
-        state = []
-        for _ in range(4):
-            x = (x + _GOLDEN) & MASK64
-            z = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-            state.append(z ^ (z >> 31))
+        # word i is output i + 1 of a splitmix64 stream started at seed
+        state = [splitmix64_mix((seed + i * _GOLDEN) & MASK64) for i in range(4)]
         if not any(state):  # all-zero state is the one invalid seed
             state[0] = 1
         self._s = state

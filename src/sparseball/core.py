@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -68,6 +69,17 @@ def safe_div_arr(num, den) -> np.ndarray:
     return out
 
 
+def as_int(value, name: str) -> int:
+    """Plain int from any integral number, numpy integers included.
+
+    bool and non-integral values raise ValueError naming the type, so a
+    caller can tell a wrong type from an out-of-range value.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r} of type {type(value).__name__}")
+    return int(value)
+
+
 def as_vector(v, name: str = "vector") -> np.ndarray:
     """Copy input into a finite 1-D float array or raise ValueError."""
     arr = np.array(v, dtype=float, copy=True)
@@ -111,14 +123,18 @@ class ZFamily:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown family kind {self.kind!r}; expected one of {_KINDS}")
-        if not (isinstance(self.n, int) and self.n >= 1):
-            raise ValueError("n must be a positive integer")
+        n = as_int(self.n, "n")
+        if n < 1:
+            raise ValueError(f"n must be at least 1, got n={n}")
+        object.__setattr__(self, "n", n)
         if self.kind == FREE:
             if self.k is not None:
                 raise ValueError("k only applies to cardinality families")
         else:
-            if not (isinstance(self.k, int) and 1 <= self.k <= self.n):
-                raise ValueError(f"cardinality families need 1 <= k <= n, got k={self.k}, n={self.n}")
+            k = as_int(self.k, "k")
+            if not 1 <= k <= n:
+                raise ValueError(f"cardinality families need 1 <= k <= n, got k={k}, n={n}")
+            object.__setattr__(self, "k", k)
 
     @classmethod
     def free(cls, n: int) -> "ZFamily":
@@ -240,6 +256,12 @@ def satisfies_bigM(p: MixedPoint, tol: Tolerance = DEFAULT_TOL) -> bool:
     return bool(np.all(np.abs(p.x) <= p.z + tol.feas_abs))
 
 
+def check_enumeration_guard(n: int) -> None:
+    """Raise ValueError when n exceeds the enumeration guard."""
+    if n > ENUMERATION_GUARD:
+        raise ValueError(f"enumeration is guarded to n <= {ENUMERATION_GUARD}, got n = {n}")
+
+
 def enumerate_Z(zfam: ZFamily) -> np.ndarray:
     """All members of the family as an (m, n) 0/1 matrix, rows lexicographic.
 
@@ -247,8 +269,7 @@ def enumerate_Z(zfam: ZFamily) -> np.ndarray:
     solving and tests; cost is proportional to the member count.
     """
     n = zfam.n
-    if n > ENUMERATION_GUARD:
-        raise ValueError(f"enumeration is guarded to n <= {ENUMERATION_GUARD}, got n = {n}")
+    check_enumeration_guard(n)
     if zfam.kind == FREE:
         # counting order over n-bit integers equals lexicographic vector order
         shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)
@@ -288,18 +309,18 @@ def loads_strict(text: str):
 def parse_problem_instance(obj: dict) -> ProblemInstance:
     """Build a ProblemInstance from its JSON object form."""
     try:
-        n = int(obj["n"])
+        n = obj["n"]
         a = obj["a"]
         c = obj["c"]
         fam = obj["zfam"]
         kind = fam["kind"]
         k = fam.get("k")
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed problem instance: missing field ({exc})") from exc
-    zfam = ZFamily(kind, n, int(k) if k is not None else None)
+    zfam = ZFamily(kind, n, k)
     a = as_vector(a, "a")
     c = as_vector(c, "c")
-    if a.size != n or c.size != n:
+    if a.size != zfam.n or c.size != zfam.n:
         raise ValueError("a and c must have length n")
     return ProblemInstance(a, c, zfam)
 

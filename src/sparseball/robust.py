@@ -17,12 +17,21 @@ each other and deterministic for a fixed instance and configuration.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import DEFAULT_TOL, SolverError, as_vector, loads_strict, safe_div, safe_div_arr
+from .core import (
+    DEFAULT_TOL,
+    SolverError,
+    as_int,
+    as_vector,
+    loads_strict,
+    safe_div,
+    safe_div_arr,
+)
 
 METHODS = ("nominal", "budgeted", "ellipsoidal", "perspective")
 
@@ -40,33 +49,40 @@ class RobustInstance:
     n: int
 
     def __post_init__(self):
+        n = as_int(self.n, "n")
+        if n < 1:
+            raise ValueError(f"n must be at least 1, got n={n}")
         a = as_vector(self.a_tilde, "a_tilde")
         d = as_vector(self.d, "d")
-        if a.size != self.n or d.size != self.n:
+        if a.size != n or d.size != n:
             raise ValueError("a_tilde and d must have length n")
         if np.any(d <= 0.0):
             raise ValueError("d must be strictly positive")
+        if isinstance(self.b, bool) or not isinstance(self.b, numbers.Real):
+            raise ValueError(f"budget b must be a real number, got {self.b!r} of type {type(self.b).__name__}")
         if not (math.isfinite(self.b) and self.b >= 0.0):
-            raise ValueError("budget b must be a nonnegative real")
-        if not (isinstance(self.k, int) and 1 <= self.k <= self.n):
-            raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
+            raise ValueError(f"budget b must be finite and nonnegative, got b={self.b}")
+        k = as_int(self.k, "k")
+        if not 1 <= k <= n:
+            raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
         a.setflags(write=False)
         d.setflags(write=False)
         object.__setattr__(self, "a_tilde", a)
         object.__setattr__(self, "d", d)
+        object.__setattr__(self, "b", float(self.b))
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "n", n)
 
 
 def parse_robust_instance(obj: dict) -> RobustInstance:
     try:
-        n = int(obj["n"])
+        n = obj["n"]
         a_tilde = obj["a_tilde"]
         d = obj["d"]
-        b = float(obj["b"])
-        k = int(obj["k"])
+        b = obj["b"]
+        k = obj["k"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed robust instance: missing field ({exc})") from exc
-    if not math.isfinite(b):
-        raise ValueError("budget b must be finite")
     return RobustInstance(as_vector(a_tilde, "a_tilde"), as_vector(d, "d"), b, k, n)
 
 
@@ -394,7 +410,8 @@ def solve_counterpart(method: str, inst: RobustInstance,
     rtol * |objective| across one window) and a periodic certificate test
     (the polished incumbent's linearization gap over the simplex falls
     below gap_rtol * |objective|).  Exhausting max_iter without either
-    raises SolverError with the best iterate and gap estimate.
+    raises SolverError with the best iterate and its simplex linearization
+    gap, an upper bound on its suboptimality.
     Deterministic segment line searches polish the incumbent afterwards.
     """
     if method not in METHODS:
@@ -441,9 +458,10 @@ def solve_counterpart(method: str, inst: RobustInstance,
                     stalled = True
                     break
     if not stalled:
+        g = _subgradient(method, best_y, inst)
         raise SolverError(
             f"{method} counterpart did not stall within {config.max_iter} iterations",
-            best=best_y, best_value=best_f, gap=window_best - best_f,
+            best=best_y, best_value=best_f, gap=float(g @ best_y - g.min()),
         )
     best_y, best_f = _polish(method, inst, best_y, best_f, config.polish_rounds)
     return CounterpartResult(PortfolioPoint(best_y), best_f, method, iterations)

@@ -65,6 +65,41 @@ class TestZFamily:
         with pytest.raises(ValueError):
             ZFamily("free", 3, k=1)
 
+    @given(st.integers(-3, 30), st.integers(-3, 30),
+           st.sampled_from([int, np.int8, np.int32, np.int64]),
+           st.sampled_from(["card_le", "card_eq"]))
+    def test_accepts_any_integral_and_stores_int(self, n, k, to_int, kind):
+        if n < 1:
+            with pytest.raises(ValueError, match="n must be at least 1"):
+                ZFamily.free(to_int(n))
+            return
+        free = ZFamily.free(to_int(n))
+        assert type(free.n) is int and free == ZFamily.free(n)
+        if not 1 <= k <= n:
+            with pytest.raises(ValueError, match="1 <= k <= n"):
+                ZFamily(kind, to_int(n), to_int(k))
+            return
+        fam = ZFamily(kind, to_int(n), to_int(k))
+        assert type(fam.n) is int and type(fam.k) is int
+        assert fam == ZFamily(kind, n, k) and hash(fam) == hash(ZFamily(kind, n, k))
+
+    @given(st.one_of(st.booleans(), st.floats(allow_nan=False), st.text(max_size=3),
+                     st.none(), st.just(np.bool_(True)), st.just(np.float64(3.0))))
+    def test_non_integers_are_named_as_type_errors(self, bad):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            ZFamily.free(bad)
+        with pytest.raises(ValueError, match="k must be an integer"):
+            ZFamily.card_le(5, bad)
+        with pytest.raises(ValueError, match="k must be an integer"):
+            ZFamily.card_eq(5, bad)
+
+    def test_reported_numpy_cases(self):
+        assert ZFamily("card_le", 5, np.int64(2)) == ZFamily.card_le(5, 2)
+        assert ZFamily("free", np.int64(3)).n == 3
+        assert ZFamily.card_eq(np.uint16(4), np.uint8(4)) == ZFamily.card_eq(4, 4)
+        with pytest.raises(ValueError, match="k must be an integer.*bool"):
+            ZFamily("card_le", 5, True)
+
     @pytest.mark.parametrize("n", range(1, 11))
     def test_member_counts_match_enumeration(self, n):
         fams = [ZFamily.free(n)]
@@ -211,6 +246,28 @@ class TestInstanceIO:
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
             parse_problem_instance({"n": 2, "a": [1.0], "c": [0.0, 0.0], "zfam": {"kind": "free"}})
+
+    @given(st.integers(1, 6), st.sampled_from(["free", "card_le", "card_eq"]), st.data())
+    def test_parse_round_trips_and_names_bad_fields(self, n, kind, data):
+        k = None if kind == "free" else data.draw(st.integers(1, n))
+        entries = st.floats(-1e6, 1e6, allow_nan=False)
+        a = data.draw(st.lists(entries, min_size=n, max_size=n))
+        c = data.draw(st.lists(entries, min_size=n, max_size=n))
+        obj = problem_instance_to_dict(ProblemInstance(a, c, ZFamily(kind, n, k)))
+        back = parse_problem_instance(json.loads(json.dumps(obj)))
+        assert back.zfam == ZFamily(kind, n, k)
+        assert np.array_equal(back.a, a) and np.array_equal(back.c, c)
+        bad = data.draw(st.one_of(st.booleans(), st.text(max_size=2),
+                                  st.floats(allow_nan=False, allow_infinity=False)))
+        with pytest.raises(ValueError, match="n must be an integer"):
+            parse_problem_instance({**obj, "n": bad})
+        if k is not None:
+            with pytest.raises(ValueError, match="k must be an integer"):
+                parse_problem_instance({**obj, "zfam": {"kind": kind, "k": bad}})
+            with pytest.raises(ValueError, match="1 <= k <= n"):
+                parse_problem_instance({**obj, "zfam": {"kind": kind, "k": n + 1}})
+        with pytest.raises(ValueError, match="malformed"):
+            parse_problem_instance({key: v for key, v in obj.items() if key != "zfam"})
 
     def test_as_vector_rejects_matrix(self):
         with pytest.raises(ValueError):

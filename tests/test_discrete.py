@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sparseball.core import MixedPoint, ProblemInstance, ZFamily, is_in_X
+from sparseball.core import ENUMERATION_GUARD, MixedPoint, ProblemInstance, ZFamily, is_in_X
 from sparseball.discrete import (
     discrete_objective,
     solve_discrete_bruteforce,
@@ -126,6 +127,71 @@ class TestBruteforce:
                 assert sol.value <= best + 1e-12
 
 
+@st.composite
+def _tied_instances(draw):
+    """Instances on a half-integer grid, so every sum is exact and ties are
+    exact too; zeroed and duplicated coordinates make them common."""
+    n = draw(st.integers(1, 10))
+    kind = draw(st.sampled_from(["free", "card_le", "card_eq"]))
+    k = None if kind == "free" else draw(st.integers(1, n))
+    entries = st.integers(-4, 4).map(lambda v: v / 2.0)
+    a = draw(st.lists(entries, min_size=n, max_size=n))
+    c = draw(st.lists(entries, min_size=n, max_size=n))
+    for vec in (a, c):
+        for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+            vec[i] = 0.0
+        for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3)):
+            vec[i] = vec[j]
+    return ProblemInstance(a, c, ZFamily(kind, n, k))
+
+
+def _first_lexicographic_minimizer(inst):
+    best_z, best = None, math.inf
+    for z in oracles.family_members(inst.zfam.kind, inst.n, inst.zfam.k):
+        value = discrete_objective(z, inst.a, inst.c)
+        if value < best:
+            best_z, best = z, value
+    return best_z
+
+
+class TestBruteforceScan:
+    @given(_tied_instances())
+    @settings(max_examples=300)
+    def test_returns_first_lexicographic_minimizer(self, inst):
+        sol = solve_discrete_bruteforce(inst)
+        assert np.array_equal(sol.z_opt, _first_lexicographic_minimizer(inst))
+        assert is_in_X(MixedPoint(sol.x_opt, sol.z_opt), inst.zfam)
+
+    @pytest.mark.parametrize("fam", [
+        ZFamily.free(ENUMERATION_GUARD),
+        ZFamily.card_le(ENUMERATION_GUARD, ENUMERATION_GUARD // 2),
+        ZFamily.card_eq(ENUMERATION_GUARD, ENUMERATION_GUARD // 2),
+    ], ids=lambda fam: fam.kind)
+    def test_guard_limit_is_safe_in_memory(self, fam, rng):
+        n = fam.n
+        a = rng.normal(size=n)
+        tracemalloc.start()
+        try:
+            sol = solve_discrete_bruteforce(_inst(a, rng.normal(size=n), fam))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert is_in_X(MixedPoint(sol.x_opt, sol.z_opt), fam)
+        # with zero activation costs the optimum is known in closed form:
+        # every coordinate (free) or the k largest |a_i| (cardinality)
+        ref = solve_discrete_bruteforce(_inst(a, np.zeros(n), fam))
+        if fam.kind == "free":
+            assert np.array_equal(ref.z_opt, np.ones(n))
+        else:
+            assert np.array_equal(ref.z_opt, solve_discrete_sort(a, fam.k).z_opt)
+
+    def test_guard(self):
+        n = ENUMERATION_GUARD + 1
+        with pytest.raises(ValueError, match="guarded to n <= 24"):
+            solve_discrete_bruteforce(_inst(np.ones(n), np.zeros(n)))
+
+
 class TestSort:
     def test_single_largest(self):
         sol = solve_discrete_sort([3.0, 4.0, 0.0], 1)
@@ -143,6 +209,11 @@ class TestSort:
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
             solve_discrete_sort([1.0, 2.0], 3)
+
+    def test_k_accepts_numpy_integers_and_rejects_bool(self):
+        assert np.array_equal(solve_discrete_sort([1.0, 2.0], np.int64(1)).z_opt, [0.0, 1.0])
+        with pytest.raises(ValueError, match="k must be an integer"):
+            solve_discrete_sort([1.0, 2.0], True)
 
     def test_matches_bruteforce(self, rng):
         for _ in range(40):

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from sparseball.core import SolverError
 from sparseball.robust import (
     METHODS,
+    _subgradient,
     PortfolioPoint,
     RobustInstance,
     SubgradientConfig,
@@ -47,6 +48,44 @@ class TestRobustInstance:
             RobustInstance([1.0], [1.0], 1.0, 2, 1)  # k > n
         with pytest.raises(ValueError):
             RobustInstance([1.0, 1.0], [1.0], 1.0, 1, 2)  # length mismatch
+
+    @given(st.integers(1, 6), st.sampled_from([int, np.int16, np.int64, np.uint8]), st.data())
+    def test_accepts_any_integral_and_stores_int(self, n, to_int, data):
+        k = data.draw(st.integers(1, n))
+        inst = RobustInstance(np.ones(n), np.ones(n), np.float32(2.0), to_int(k), to_int(n))
+        assert type(inst.n) is int and type(inst.k) is int and type(inst.b) is float
+        assert (inst.n, inst.k, inst.b) == (n, k, 2.0)
+        with pytest.raises(ValueError, match="1 <= k <= n"):
+            RobustInstance(np.ones(n), np.ones(n), 1.0, to_int(n + 1), to_int(n))
+        bad = data.draw(st.one_of(st.booleans(), st.just(np.bool_(False)), st.text(max_size=2),
+                                  st.floats(allow_nan=False, allow_infinity=False)))
+        with pytest.raises(ValueError, match="k must be an integer"):
+            RobustInstance(np.ones(n), np.ones(n), 1.0, bad, n)
+        with pytest.raises(ValueError, match="n must be an integer"):
+            RobustInstance(np.ones(n), np.ones(n), 1.0, k, bad)
+
+    @given(st.integers(1, 6), st.data())
+    def test_parse_round_trips_and_names_bad_fields(self, n, data):
+        k = data.draw(st.integers(1, n))
+        b = data.draw(st.floats(0.0, 1e6))
+        a = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n))
+        d = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n))
+        obj = robust_instance_to_dict(RobustInstance(a, d, b, k, n))
+        back = parse_robust_instance(json.loads(json.dumps(obj)))
+        assert (back.n, back.k, back.b) == (n, k, b)
+        assert np.array_equal(back.a_tilde, a) and np.array_equal(back.d, d)
+        bad = data.draw(st.one_of(st.booleans(), st.text(max_size=2), st.just(2.5)))
+        for key in ("n", "k"):
+            with pytest.raises(ValueError, match=f"{key} must be an integer"):
+                parse_robust_instance({**obj, key: bad})
+        with pytest.raises(ValueError, match="budget b must be a real number"):
+            parse_robust_instance({**obj, "b": data.draw(st.one_of(st.booleans(), st.text(max_size=2)))})
+        with pytest.raises(ValueError, match="budget b must be finite and nonnegative"):
+            parse_robust_instance({**obj, "b": data.draw(st.sampled_from([-1.0, math.inf]))})
+        with pytest.raises(ValueError, match="1 <= k <= n"):
+            parse_robust_instance({**obj, "k": n + 1})
+        with pytest.raises(ValueError, match="malformed"):
+            parse_robust_instance({key: v for key, v in obj.items() if key != "d"})
 
     def test_json_round_trip(self, tmp_path):
         inst = RobustInstance([0.25, 0.5], [1.0, 2.0], 5.0, 1, 2)
@@ -344,6 +383,15 @@ class TestSolveCounterpart:
             solve_counterpart("perspective", inst, config)
         assert info.value.best is not None
         assert info.value.best_value is not None
+        # the gap is the simplex linearization gap at the best iterate, an
+        # upper bound on its suboptimality, not the progress of one window
+        y = info.value.best
+        g = _subgradient("perspective", y, inst)
+        assert info.value.gap == pytest.approx(float(g @ y - g.min()), rel=1e-12, abs=1e-15)
+        assert info.value.best_value == pytest.approx(method_value("perspective", y, inst), rel=1e-12)
+        assert info.value.gap >= 0.0
+        optimum = solve_counterpart("perspective", inst).objective
+        assert info.value.best_value - optimum <= info.value.gap + 1e-9
 
     def test_perspective_tightness_against_worst_case(self, rng):
         for _ in range(5):
