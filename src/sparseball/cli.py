@@ -19,6 +19,8 @@ from .core import (
     DEFAULT_TOL,
     MixedPoint,
     SolverError,
+    ZFamily,
+    enumerate_Z,
     load_problem_instance,
     loads_strict,
 )
@@ -30,7 +32,7 @@ from .harness import (
     load_experiment_config,
     run_experiment,
 )
-from .hull import submodular_cut_1, submodular_cut_2
+from .hull import SEPARATION_EXACT_GUARD, submodular_cut_1, submodular_cut_2
 from .robust import (
     METHODS,
     SubgradientConfig,
@@ -109,11 +111,9 @@ def _cmd_cuts(args) -> int:
         order = np.argsort(-point.z, kind="stable")
         subsets = [order[:size] for size in range(n + 1)]
     else:
-        if n > 16:
-            raise _UsageError("exact mode is guarded to n <= 16")
-        subsets = []
-        for mask in range(2 ** n):
-            subsets.append([i for i in range(n) if mask >> (n - 1 - i) & 1])
+        if n > SEPARATION_EXACT_GUARD:
+            raise _UsageError(f"exact mode is guarded to n <= {SEPARATION_EXACT_GUARD}")
+        subsets = [np.flatnonzero(row) for row in enumerate_Z(ZFamily.free(n))]
     seen = []
     for S in subsets:
         # only the two globally valid families; the base inequality holds

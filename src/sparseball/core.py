@@ -31,10 +31,13 @@ ENUMERATION_GUARD = 24
 
 
 class SolverError(RuntimeError):
-    """An iterative solver exhausted its iteration budget.
+    """A solver could not return an answer.
 
+    Raised by the robust counterpart solver when it exhausts its iteration
+    budget, and by edge rounding when no rounding is a family member.
     Carries the best iterate found so far and a gap estimate so callers can
-    still inspect partial progress.
+    still inspect partial progress.  The conv(Z) relaxation is exact and
+    never raises it.
     """
 
     def __init__(self, message: str, best=None, best_value=None, gap=None):

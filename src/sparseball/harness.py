@@ -19,12 +19,13 @@ import numpy as np
 
 from . import __version__
 from ._rng import Xoshiro256StarStar, splitmix64_mix
-from .core import SolverError, loads_strict
+from .core import SolverError, as_int, loads_strict
 from .robust import (
     DEFAULT_SUBGRADIENT,
     METHODS,
     RobustInstance,
     SubgradientConfig,
+    as_budget,
     nominal_value,
     solve_counterpart,
     worst_case,
@@ -70,37 +71,51 @@ class ExperimentConfig:
     solver: SubgradientConfig = field(default_factory=lambda: DEFAULT_SUBGRADIENT)
 
     def __post_init__(self):
-        if self.n < 1 or self.instances_per_cell < 1:
+        n = as_int(self.n, "n")
+        instances_per_cell = as_int(self.instances_per_cell, "instances_per_cell")
+        seed = as_int(self.seed, "seed")
+        if n < 1 or instances_per_cell < 1:
             raise ValueError("n and instances_per_cell must be positive")
-        if not self.k_list or not self.b_list:
+        k_list = tuple(as_int(k, "k") for k in _as_tuple(self.k_list, "k_list"))
+        b_list = tuple(as_budget(b) for b in _as_tuple(self.b_list, "b_list"))
+        methods = _as_tuple(self.methods, "methods")
+        if not k_list or not b_list:
             raise ValueError("k_list and b_list must be nonempty")
-        if any(not 1 <= int(k) <= self.n for k in self.k_list):
+        if any(not 1 <= k <= n for k in k_list):
             raise ValueError("every k must satisfy 1 <= k <= n")
-        if any(b < 0 for b in self.b_list):
-            raise ValueError("budgets must be nonnegative")
-        if not self.methods:
+        if not methods:
             raise ValueError("methods must be nonempty")
-        for m in self.methods:
+        for m in methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")
-        object.__setattr__(self, "k_list", tuple(int(k) for k in self.k_list))
-        object.__setattr__(self, "b_list", tuple(float(b) for b in self.b_list))
-        object.__setattr__(self, "methods", tuple(self.methods))
+        if not isinstance(self.record_wall_time, bool):
+            raise ValueError(f"record_wall_time must be a bool, got {self.record_wall_time!r} "
+                             f"of type {type(self.record_wall_time).__name__}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "instances_per_cell", instances_per_cell)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "k_list", k_list)
+        object.__setattr__(self, "b_list", b_list)
+        object.__setattr__(self, "methods", methods)
+
+
+def _as_tuple(value, name: str) -> tuple:
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ValueError(f"{name} must be a list, got {value!r}") from None
 
 
 def parse_experiment_config(obj: dict) -> ExperimentConfig:
-    kwargs = {}
-    for key in ("n", "instances_per_cell", "seed"):
-        if key in obj:
-            kwargs[key] = int(obj[key])
-    if "k_list" in obj:
-        kwargs["k_list"] = tuple(int(k) for k in obj["k_list"])
-    if "b_list" in obj:
-        kwargs["b_list"] = tuple(float(b) for b in obj["b_list"])
-    if "methods" in obj:
-        kwargs["methods"] = tuple(obj["methods"])
-    if "record_wall_time" in obj:
-        kwargs["record_wall_time"] = bool(obj["record_wall_time"])
+    """Build an ExperimentConfig from its JSON object form.
+
+    Fields pass through unconverted, so the constructor's checks see the
+    file's own types: 16.9 or true for an integer field is an error.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"experiment config must be a JSON object, got {type(obj).__name__}")
+    keys = ("n", "k_list", "b_list", "instances_per_cell", "seed", "methods", "record_wall_time")
+    kwargs = {key: obj[key] for key in keys if key in obj}
     if "solver" in obj:
         kwargs["solver"] = SubgradientConfig(**obj["solver"])
     return ExperimentConfig(**kwargs)

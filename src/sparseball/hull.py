@@ -13,7 +13,12 @@ turns a perspective violation into an explicit violated weight vector.
 
 Also included: the natural convex relaxation of the support-reduced problem
 over conv(Z) with edge rounding, and the lifting of a general convex
-quadratic row into indicator-ball form.
+quadratic row into indicator-ball form.  The relaxation is solved exactly,
+with no iteration cap: writing -sqrt(s) = max_{t>0} (-t s - 1/(4t)) makes
+it a concave problem in the one scalar t whose inner minimizer is the LP
+vertex of c - t a^2 (ties to the smallest index), so a bisection on t
+brackets the optimum between two vertices, and the optimum is the
+closed-form minimizer on the segment (an edge of conv(Z)) joining them.
 """
 
 from __future__ import annotations
@@ -380,154 +385,63 @@ def _segment_argmin(z0: np.ndarray, z1: np.ndarray, c: np.ndarray, asq: np.ndarr
     return z0 + best_g * d, best_v
 
 
-def _relax_free(inst: ProblemInstance):
-    """Exact threshold scan for the free-box relaxation.
-
-    Coordinates with c_i <= 0 are fixed to 1.  The rest are ordered by the
-    ratio a_i^2 / c_i descending; every prefix and every prefix-plus-one
-    fractional stationary point is a candidate, and an optimum always has
-    this threshold shape, so the scan is exact with no iteration.
-    """
-    a, c = inst.a, inst.c
-    n = inst.n
-    asq = a * a
-    fixed = c <= 0.0
-    sigma0 = float(asq[fixed].sum())
-    cost0 = float(c[fixed].sum())
-    pos = np.flatnonzero(~fixed)
-    ratios = asq[pos] / c[pos]
-    order = pos[np.argsort(-ratios, kind="stable")]
-
-    base = fixed.astype(float)
-    best_z = base.copy()
-    best_val = cost0 - math.sqrt(sigma0)
-    sigma = sigma0
-    cost = cost0
-    for m in range(order.size + 1):
-        if m > 0:
-            j = int(order[m - 1])
-            sigma += asq[j]
-            cost += c[j]
-            val = cost - math.sqrt(sigma)
-            if val < best_val:
-                best_val = val
-                best_z = base.copy()
-                best_z[order[:m]] = 1.0
-        if m < order.size:
-            j = int(order[m])
-            if asq[j] > 0.0:
-                root = asq[j] / (2.0 * c[j])
-                t = (root * root - sigma) / asq[j]
-                if 0.0 < t < 1.0:
-                    val = cost + c[j] * t - root
-                    if val < best_val:
-                        best_val = val
-                        best_z = base.copy()
-                        best_z[order[:m]] = 1.0
-                        best_z[j] = t
-    return best_z, best_val
-
-
 def _lp_vertex(g: np.ndarray, zfam: ZFamily) -> np.ndarray:
-    """Vertex of conv(Z) minimizing the linear function g (stable ties)."""
-    n = zfam.n
-    v = np.zeros(n)
-    order = np.argsort(g, kind="stable")
-    if zfam.kind == CARD_EQ:
-        v[order[: zfam.k]] = 1.0
-    else:
-        limit = n if zfam.kind == FREE else zfam.k
-        chosen = [int(i) for i in order[:limit] if g[int(i)] < 0.0]
-        v[chosen] = 1.0
+    """Vertex of conv(Z) minimizing the linear function g.
+
+    Ties go to the smallest index, and a coordinate with g_i = 0 is left
+    off unless the exactly-k family needs it.
+    """
+    if zfam.kind == FREE:
+        return (g < 0.0).astype(float)
+    take = np.argsort(g, kind="stable")[: zfam.k]
+    if zfam.kind == CARD_LE:
+        take = take[g[take] < 0.0]
+    v = np.zeros(zfam.n)
+    v[take] = 1.0
     return v
 
 
-def _grad_phi(z: np.ndarray, c: np.ndarray, asq: np.ndarray) -> np.ndarray:
-    sigma = float(asq @ z)
-    if sigma <= 0.0:
-        # steepest improvement is unbounded on coordinates with a_i != 0
-        return np.where(asq > 0.0, -math.inf, c)
-    return c - asq / (2.0 * math.sqrt(sigma))
+def _relax(inst: ProblemInstance):
+    """Exact minimizer of phi over conv(Z) by bisection on the dual scalar.
 
-
-def _relax_card(inst: ProblemInstance, tol: Tolerance, max_iter: int):
-    """Conditional-gradient solve over the cardinality polytope.
-
-    Iterations use the exact segment minimizer as line search; each round an
-    edge candidate built from the current gradient ordering is polished
-    exactly, and the linearization gap certifies optimality to solver_rel.
+    With -sqrt(sigma) = max_{t>0} (-t sigma - 1/(4t)) the relaxation is
+    max_t min_z (c - t a^2)'z - 1/(4t).  The inner minimizer v(t) is an LP
+    vertex whose a^2 mass does not decrease in t, and the optimal t is where
+    4 t^2 a^2'v(t) crosses 1.  Bracket it by doubling or halving from t = 1,
+    bisect until both ends give the same vertex or t cannot be split, and
+    take the exact minimizer on the segment between the two vertices.
     """
-    a, c, zfam = inst.a, inst.c, inst.zfam
-    asq = a * a
-    k = zfam.k
+    c, asq, zfam = inst.c, inst.a * inst.a, inst.zfam
+    if not np.any(asq > 0.0):
+        v = _lp_vertex(c, zfam)
+        return v, _phi(v, c, asq)
 
-    def gap_at(z: np.ndarray) -> float:
-        g = _grad_phi(z, c, asq)
-        v = _lp_vertex(g, zfam)
-        finite = np.isfinite(g)
-        if not np.all(finite):
-            return math.inf
-        return float(g @ (z - v))
+    def vertex(t: float):
+        v = _lp_vertex(c - t * asq, zfam)
+        return v, 4.0 * t * t * float(asq @ v) >= 1.0
 
-    # start from the vertex with the largest curvature mass
-    start_order = np.argsort(-asq, kind="stable")
-    z = np.zeros(zfam.n)
-    if zfam.kind == CARD_EQ:
-        z[start_order[:k]] = 1.0
+    t, (v, above) = 1.0, vertex(1.0)
+    step = 0.5 if above else 2.0
+    while True:
+        t_next = t * step
+        v_next, above_next = vertex(t_next)
+        if above_next != above:
+            break
+        t, v = t_next, v_next
+    if above:
+        (lo, v_lo), (hi, v_hi) = (t_next, v_next), (t, v)
     else:
-        lead = [int(i) for i in start_order[:k] if asq[int(i)] > 0.0 or c[int(i)] < 0.0]
-        z[lead] = 1.0
-    best_z = z.copy()
-    best_val = _phi(z, c, asq)
-
-    target = tol.solver_rel
-    for it in range(1, max_iter + 1):
-        g = _grad_phi(z, c, asq)
-        v = _lp_vertex(g, zfam)
-        z, val = _segment_argmin(z, v, c, asq)
-        if val < best_val:
-            best_val, best_z = val, z.copy()
-
-        # edge polish from the gradient ordering at the incumbent
-        gb = _grad_phi(best_z, c, asq)
-        if np.all(np.isfinite(gb)):
-            order = np.argsort(gb, kind="stable")
-            v1 = _lp_vertex(gb, zfam)
-            edge_partners = []
-            if zfam.kind == CARD_EQ:
-                if zfam.n > k:  # swap the marginal member for the next candidate
-                    v2 = np.zeros(zfam.n)
-                    v2[order[: k - 1]] = 1.0
-                    v2[order[k]] = 1.0
-                    edge_partners.append(v2)
-            else:
-                nnz = int(v1.sum())
-                if nnz < k:
-                    extra = [int(i) for i in order if v1[int(i)] == 0.0]
-                    if extra:
-                        v2 = v1.copy()
-                        v2[extra[0]] = 1.0
-                        edge_partners.append(v2)
-                if nnz > 0:
-                    weakest = max((int(i) for i in np.flatnonzero(v1 > 0.5)), key=lambda i: (gb[i], -i))
-                    v2 = v1.copy()
-                    v2[weakest] = 0.0
-                    edge_partners.append(v2)
-            cval = _phi(v1, c, asq)
-            if cval < best_val:
-                best_val, best_z = cval, v1.copy()
-            for w in edge_partners:
-                cand, cval = _segment_argmin(v1, w, c, asq)
-                if cval < best_val:
-                    best_val, best_z = cval, cand.copy()
-
-        gap = gap_at(best_z)
-        if gap <= target * max(1.0, abs(best_val)):
-            return best_z, best_val
-    raise SolverError(
-        f"relaxation solve did not converge within {max_iter} iterations",
-        best=best_z, best_value=best_val, gap=gap_at(best_z),
-    )
+        (lo, v_lo), (hi, v_hi) = (t, v), (t_next, v_next)
+    while not np.array_equal(v_lo, v_hi):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        v, above = vertex(mid)
+        if above:
+            hi, v_hi = mid, v
+        else:
+            lo, v_lo = mid, v
+    return _segment_argmin(v_lo, v_hi, c, asq)
 
 
 def _round_candidates(z: np.ndarray, zfam: ZFamily) -> list:
@@ -585,21 +499,19 @@ def _round_candidates(z: np.ndarray, zfam: ZFamily) -> list:
     return dedup
 
 
-def solve_relaxation(inst: ProblemInstance, tol: Tolerance = DEFAULT_TOL,
-                     max_iter: int = 50_000) -> RelaxationSolution:
+def solve_relaxation(inst: ProblemInstance) -> RelaxationSolution:
     """Minimize c'z - sqrt(sum a_i^2 z_i) over conv(Z), with edge rounding.
 
-    The free-box case is solved by an exact threshold scan (at most one
-    fractional coordinate by construction).  Cardinality families use
-    conditional-gradient iterations with exact line search, edge
-    identification and a linearization-gap stopping rule at solver_rel;
-    exhausting max_iter raises SolverError carrying the best iterate.
+    One exact finite algorithm serves every family: a bisection on the
+    dual scalar t over the LP vertices of c - t a^2 (see ``_relax``), then
+    the closed-form minimizer on the segment between the two bracketing
+    vertices.  There is no iteration cap and no tolerance to set.  LP ties
+    go to the smallest index, so repeated calls return the same z_bar.  The
+    optimum lies on an edge of conv(Z): at most one fractional coordinate
+    in the free family and two in the cardinality families, for data in
+    general position (exactly tied coordinates may share the fraction).
     """
-    asq = inst.a * inst.a
-    if inst.zfam.kind == FREE:
-        z_bar, value = _relax_free(inst)
-    else:
-        z_bar, value = _relax_card(inst, tol, max_iter)
+    z_bar, value = _relax(inst)
     frac = _fractional_indices(z_bar)
     best_round, best_round_val = None, math.inf
     for cand in _round_candidates(z_bar, inst.zfam):

@@ -38,6 +38,18 @@ METHODS = ("nominal", "budgeted", "ellipsoidal", "perspective")
 GOLDEN_INV = (math.sqrt(5.0) - 1.0) / 2.0
 
 
+def as_budget(value) -> float:
+    """Ellipsoid budget b as a float: any finite nonnegative real number.
+
+    bool and non-real values raise ValueError naming the type.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"budget b must be a real number, got {value!r} of type {type(value).__name__}")
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"budget b must be finite and nonnegative, got b={value}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class RobustInstance:
     """Nominal costs a_tilde, scalings d > 0, ellipsoid budget b, cardinality k."""
@@ -58,10 +70,7 @@ class RobustInstance:
             raise ValueError("a_tilde and d must have length n")
         if np.any(d <= 0.0):
             raise ValueError("d must be strictly positive")
-        if isinstance(self.b, bool) or not isinstance(self.b, numbers.Real):
-            raise ValueError(f"budget b must be a real number, got {self.b!r} of type {type(self.b).__name__}")
-        if not (math.isfinite(self.b) and self.b >= 0.0):
-            raise ValueError(f"budget b must be finite and nonnegative, got b={self.b}")
+        b = as_budget(self.b)
         k = as_int(self.k, "k")
         if not 1 <= k <= n:
             raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
@@ -69,7 +78,7 @@ class RobustInstance:
         d.setflags(write=False)
         object.__setattr__(self, "a_tilde", a)
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "b", float(self.b))
+        object.__setattr__(self, "b", b)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "n", n)
 

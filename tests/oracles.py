@@ -139,3 +139,32 @@ def sample_simplex(n, rng, count=1):
     mat = rng.exponential(size=(count, n))
     mat /= mat.sum(axis=1, keepdims=True)
     return mat if count > 1 else mat[0]
+
+
+def relaxation_gap(z, a, c, kind, k=None):
+    """Linearization gap of phi(z) = c'z - sqrt(sum a_i^2 z_i) at z over conv(Z).
+
+    phi is convex, so grad'z - min over conv(Z) of grad'v bounds phi(z)
+    minus the relaxed optimum.  The linear minimum is summed from a sorted
+    gradient (the most negative entries, at most k of them, or exactly the
+    k smallest), not from any vertex the library builds.  The gradient is
+    unbounded at a^2'z = 0 when some a_i != 0, so the gap is then inf.
+    """
+    z = np.asarray(z, dtype=float)
+    asq = np.asarray(a, dtype=float) ** 2
+    c = np.asarray(c, dtype=float)
+    sigma = float(asq @ z)
+    if sigma <= 0.0:
+        if np.any(asq > 0.0):
+            return math.inf
+        g = c
+    else:
+        g = c - asq / (2.0 * math.sqrt(sigma))
+    ascending = np.sort(g)
+    if kind == "free":
+        linear_min = float(np.minimum(g, 0.0).sum())
+    elif kind == "card_le":
+        linear_min = float(np.minimum(ascending[:k], 0.0).sum())
+    else:
+        linear_min = float(ascending[:k].sum())
+    return float(g @ z) - linear_min

@@ -93,6 +93,17 @@ class TestCuts:
         ])
         assert code == EXIT_USAGE
 
+    def test_exact_mode_past_the_guard_is_usage(self, capsys):
+        n = 17
+        code = main([
+            "cuts", "--point", json.dumps({"x": [0.1] * n, "z": [0.5] * n}),
+            "--alpha", json.dumps([1.0] * n), "--mode", "exact",
+        ])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert "n <= 16" in captured.err
+
     def test_top_limits_output(self, capsys):
         code, out = _run(capsys, [
             "cuts", "--point", '{"x": [0.9, 0.9], "z": [0.0, 0.1]}',

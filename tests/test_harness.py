@@ -1,8 +1,10 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sparseball._rng import MASK64, Xoshiro256StarStar, splitmix64_mix
 from sparseball.harness import (
@@ -114,6 +116,99 @@ class TestConfig:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(experiment_config_to_dict(config)))
         assert load_experiment_config(path) == config
+
+
+DEFAULT_CONFIG_JSON = (
+    '{"b_list": [5.0, 10.0, 20.0], "instances_per_cell": 10, "k_list": [5, 10, 20], '
+    '"methods": ["nominal", "budgeted", "ellipsoidal", "perspective"], "n": 200, '
+    '"record_wall_time": true, "seed": 0, "solver": {"eta0": 1.0, "gap_rtol": 0.0001, '
+    '"max_iter": 200000, "polish_rounds": 2, "rtol": 1e-06, "window": 500}}'
+)
+
+NOT_INTEGERS = st.one_of(st.booleans(), st.floats(allow_nan=False), st.text(max_size=3),
+                         st.none(), st.just(np.bool_(True)), st.just(np.float64(3.0)))
+NOT_REALS = st.one_of(st.booleans(), st.text(max_size=3), st.none(), st.just(np.bool_(False)),
+                      st.just(1j), st.just([1.0]))
+INTEGER_TYPES = st.sampled_from([int, np.int16, np.int32, np.int64, np.uint32])
+
+
+class TestConfigTypes:
+    def test_default_config_is_unchanged(self):
+        text = json.dumps(experiment_config_to_dict(ExperimentConfig()), sort_keys=True)
+        assert text == DEFAULT_CONFIG_JSON
+        assert parse_experiment_config(json.loads(text)) == ExperimentConfig()
+
+    def test_reported_casting_case_is_rejected(self):
+        with pytest.raises(ValueError, match="n must be an integer, got 16.9 of type float"):
+            parse_experiment_config({"n": 16.9, "k_list": [2.7, True], "instances_per_cell": True})
+        with pytest.raises(ValueError, match="k must be an integer, got 2.7"):
+            parse_experiment_config({"n": 16, "k_list": [2.7]})
+        with pytest.raises(ValueError, match="k must be an integer, got True of type bool"):
+            parse_experiment_config({"n": 16, "k_list": [2, True]})
+        with pytest.raises(ValueError, match="instances_per_cell must be an integer"):
+            parse_experiment_config({"n": 16, "k_list": [2], "instances_per_cell": True})
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 50), st.lists(st.integers(1, 50), min_size=1, max_size=3),
+           st.integers(1, 20), st.integers(0, 2**15 - 1), INTEGER_TYPES)
+    def test_integral_fields_accept_any_integer_type(self, n, k_list, per_cell, seed, to_int):
+        kwargs = {"n": n, "k_list": tuple(k_list), "instances_per_cell": per_cell, "seed": seed}
+        if any(k > n for k in k_list):
+            with pytest.raises(ValueError, match="1 <= k <= n"):
+                ExperimentConfig(**kwargs)
+            return
+        plain = ExperimentConfig(**kwargs)
+        typed = ExperimentConfig(n=to_int(n), k_list=tuple(to_int(k) for k in k_list),
+                                 instances_per_cell=to_int(per_cell), seed=to_int(seed))
+        assert typed == plain
+        assert all(type(v) is int for v in (typed.n, typed.instances_per_cell, typed.seed))
+        assert all(type(k) is int for k in typed.k_list)
+        assert parse_experiment_config(kwargs | {"k_list": k_list}) == plain
+
+    @settings(max_examples=60, deadline=None)
+    @given(NOT_INTEGERS, st.sampled_from(["n", "instances_per_cell", "seed", "k"]))
+    def test_non_integers_are_rejected_by_name(self, bad, field_name):
+        obj = {"n": 8, "k_list": [2]}
+        if field_name == "k":
+            obj["k_list"] = [2, bad]
+        else:
+            obj[field_name] = bad
+        with pytest.raises(ValueError, match=f"{field_name} must be an integer"):
+            parse_experiment_config(obj)
+        kwargs = dict(obj, k_list=tuple(obj["k_list"]))
+        with pytest.raises(ValueError, match=f"{field_name} must be an integer"):
+            ExperimentConfig(**kwargs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(NOT_REALS)
+    def test_budgets_must_be_real(self, bad):
+        with pytest.raises(ValueError, match="budget b must be a real number"):
+            parse_experiment_config({"n": 8, "k_list": [2], "b_list": [1.0, bad]})
+        with pytest.raises(ValueError, match="budget b must be a real number"):
+            ExperimentConfig(n=8, k_list=(2,), b_list=(bad,))
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_budgets_must_be_finite_and_nonnegative(self, bad):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            ExperimentConfig(n=8, k_list=(2,), b_list=(1.0, bad))
+
+    def test_budgets_accept_integers_and_numpy_reals(self):
+        config = ExperimentConfig(n=8, k_list=(2,), b_list=(1, np.float32(2.5), np.int64(3)))
+        assert config.b_list == (1.0, 2.5, 3.0)
+        assert all(type(b) is float for b in config.b_list)
+
+    @pytest.mark.parametrize("bad", [1, 0, "true", None, np.bool_(True)])
+    def test_record_wall_time_must_be_bool(self, bad):
+        with pytest.raises(ValueError, match="record_wall_time must be a bool"):
+            parse_experiment_config({"record_wall_time": bad})
+        with pytest.raises(ValueError, match="record_wall_time must be a bool"):
+            ExperimentConfig(record_wall_time=bad)
+
+    def test_non_list_fields_and_non_objects_are_value_errors(self):
+        with pytest.raises(ValueError, match="k_list must be a list"):
+            parse_experiment_config({"n": 8, "k_list": 2})
+        with pytest.raises(ValueError, match="experiment config must be a JSON object"):
+            parse_experiment_config([8])
 
 
 class TestRunExperiment:

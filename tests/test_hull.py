@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sparseball.core import MixedPoint, ProblemInstance, SolverError, ZFamily
+from sparseball.core import MixedPoint, ProblemInstance, ZFamily
 from sparseball.discrete import discrete_objective, solve_discrete_bruteforce
 from sparseball.hull import (
+    _phi,
     LinearCut,
     base_inequality,
     c_alpha_membership,
@@ -404,11 +405,16 @@ class TestSolveRelaxationCardinality:
         assert np.array_equal(sol.z_bar, np.ones(n))
         assert sol.fractional_count == 0
 
-    def test_iteration_cap_raises_with_best_iterate(self):
-        inst = ProblemInstance([1.0, 2.0, 0.5], [0.3, -0.4, 0.2], ZFamily.card_eq(3, 2))
-        with pytest.raises(SolverError) as info:
-            solve_relaxation(inst, max_iter=0)
-        assert info.value.best is not None
+    def test_sandwich_against_bruteforce_mixed_sign_costs(self, rng):
+        for kind in ("card_le", "card_eq"):
+            for _ in range(30):
+                n = int(rng.integers(2, 10))
+                k = int(rng.integers(1, n + 1))
+                inst = ProblemInstance(rng.normal(size=n), rng.normal(size=n), ZFamily(kind, n, k))
+                relax = solve_relaxation(inst)
+                exact = solve_discrete_bruteforce(inst)
+                assert relax.value <= exact.value + 1e-9
+                assert exact.value <= relax.rounded_value + 1e-9
 
     def test_rounded_point_is_family_member(self, rng):
         for kind in ("card_le", "card_eq"):
@@ -421,6 +427,143 @@ class TestSolveRelaxationCardinality:
                 assert fam.contains(sol.rounded_z)
                 assert sol.rounded_value == pytest.approx(
                     discrete_objective(sol.rounded_z, inst.a, inst.c), abs=1e-12)
+
+
+FRACTIONAL_BOUND = {"free": 1, "card_le": 2, "card_eq": 2}
+
+
+def _certify(inst, sol):
+    """Checks every relaxation answer must pass, whatever the data."""
+    kind, k = inst.zfam.kind, inst.zfam.k
+    assert inst.zfam.conv_contains(sol.z_bar)
+    assert sol.value == _phi(sol.z_bar, inst.c, inst.a * inst.a)
+    gap = oracles.relaxation_gap(sol.z_bar, inst.a, inst.c, kind, k)
+    assert gap <= 1e-9 * max(1.0, abs(sol.value))
+    assert sol.value <= sol.rounded_value + 1e-9 * max(1.0, abs(sol.value))
+
+
+# hull_oracles benchmark instances, card_le(16, 4): seed 206 pool index 592
+# stopped a conditional-gradient solve at its 50 000-iteration cap; 206/628
+# and 101/889 took seconds, the last with six fractional coordinates
+REGRESSION_CASES = {
+    "seed206-592": (
+        [-0.972624945000833, 0.6959648322018755, 0.6683389877598693, -0.5597693483585191,
+         0.5640471740571753, -0.7438408436406596, -0.06782099209782833, 0.09573427075981573,
+         0.2850112532571645, 2.032496202026524, -0.10424707416453327, -0.8269988399333769,
+         0.7489584453169053, 0.4134503736744219, 0.2612763314470488, 0.4054072168192203],
+        [0.15465986852064562, 0.10766571194999874, 0.01187572787117952, 0.6774813723661886,
+         0.9771631713977237, 0.060088618901309676, 0.9171326496861033, 0.13885755510263176,
+         0.2625186314709158, 0.9855093514971477, 0.07368995897903252, 0.7445081336762045,
+         0.7912367825971531, 0.35457782410315153, 0.19028389744488794, 0.7738390118834206],
+    ),
+    "seed206-628": (
+        [0.001028057705723344, -0.1840297891350215, -1.7112930716277837, 1.5877129606790137,
+         0.2614404145111181, -0.3427150835432386, -0.24356939312918846, 1.370907569379035,
+         -0.8178647222808983, 0.8389902950248463, 0.8398425174643817, 0.5015603911937841,
+         -0.025363162527526774, 0.9393885301451006, 0.7865885168823346, 1.6702514474783494],
+        [0.5089247570875454, 0.005666033218789779, 0.7200842843115963, 0.3306464532282727,
+         0.8509071066360505, 0.9127631764848347, 0.6966163452669792, 0.9286602290756685,
+         0.8292106644763368, 0.004876239084022682, 0.03062826631865423, 0.4262649861527994,
+         0.9942178733644649, 0.6064320957261413, 0.7632281728827386, 0.6315536294795482],
+    ),
+    "seed101-889": (
+        [-1.9003239349094794, -0.43868631761242616, 0.3152581386579026, -0.42236843790532874,
+         0.9819488509791365, -0.10532179482828041, 1.4097977956415333, -0.3042468289099698,
+         -0.1322536481142176, -0.6938986685684482, 0.5045555008845267, -1.1496251339691768,
+         1.2348386178518092, -0.31852131655324883, -1.6598839702984909, -0.7497043399969749],
+        [0.8362376941374976, 0.6379319198977333, 0.017002648062595327, 0.31452576675158084,
+         0.16442020606725805, 0.7498116242916957, 0.24401581394677951, 0.9826927218424434,
+         0.6203255021433515, 0.03488923015145773, 0.14496273725264652, 0.7136014589605649,
+         0.4132351535695322, 0.6954724938521206, 0.9582907890302789, 0.7565782026125784],
+    ),
+}
+
+
+class TestRelaxationCertificate:
+    @pytest.mark.parametrize("n", [5, 16, 200])
+    @pytest.mark.parametrize("kind", ["free", "card_le", "card_eq"])
+    def test_gap_value_and_edge_property(self, rng, n, kind):
+        for _ in range(25):
+            k = None if kind == "free" else int(rng.integers(1, n + 1))
+            inst = ProblemInstance(rng.normal(size=n), rng.normal(size=n), ZFamily(kind, n, k))
+            sol = solve_relaxation(inst)
+            _certify(inst, sol)
+            assert sol.fractional_count <= FRACTIONAL_BOUND[kind]
+
+    @pytest.mark.parametrize("name", sorted(REGRESSION_CASES))
+    def test_benchmark_regression_cases(self, name):
+        a, c = REGRESSION_CASES[name]
+        inst = ProblemInstance(a, c, ZFamily.card_le(16, 4))
+        sol = solve_relaxation(inst)
+        _certify(inst, sol)
+        assert sol.fractional_count <= 2
+        exact = solve_discrete_bruteforce(inst)
+        assert sol.value <= exact.value + 1e-9
+        assert exact.value <= sol.rounded_value + 1e-9
+
+
+def _degenerate_instances():
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=8)
+    c = rng.normal(size=8)
+    some_zero_a = a.copy()
+    some_zero_a[[1, 4, 6]] = 0.0
+    zero_c = c.copy()
+    zero_c[[0, 3, 5]] = 0.0
+    dup_a = np.repeat(a[:4], 2)
+    dup_c = np.repeat(c[:4], 2)
+    cases = []
+    for fam in (ZFamily.free(8), ZFamily.card_le(8, 3), ZFamily.card_eq(8, 3)):
+        cases += [
+            (f"some-a-zero-{fam.kind}", some_zero_a, c, fam),
+            (f"all-a-zero-{fam.kind}", np.zeros(8), c, fam),
+            (f"all-zero-{fam.kind}", np.zeros(8), np.zeros(8), fam),
+            (f"c-zero-entries-{fam.kind}", a, zero_c, fam),
+            (f"c-all-zero-{fam.kind}", a, np.zeros(8), fam),
+            (f"duplicated-{fam.kind}", dup_a, dup_c, fam),
+            (f"duplicated-c-positive-{fam.kind}", dup_a, np.abs(dup_c), fam),
+        ]
+    for kind in ("card_le", "card_eq"):
+        cases.append((f"k-equals-n-{kind}", a, c, ZFamily(kind, 8, 8)))
+        cases.append((f"n-one-{kind}", a[:1], c[:1], ZFamily(kind, 1, 1)))
+    for a1, c1 in ((1.5, 0.4), (1.5, -0.4), (0.0, 0.4), (0.0, -0.4), (2.0, 0.0), (0.0, 0.0)):
+        cases.append((f"n-one-free-{a1}-{c1}", [a1], [c1], ZFamily.free(1)))
+    return cases
+
+
+DEGENERATE = _degenerate_instances()
+
+
+class TestRelaxationDegenerateAndTies:
+    @pytest.mark.parametrize("name,a,c,fam", DEGENERATE, ids=[case[0] for case in DEGENERATE])
+    def test_repeatable_feasible_and_certified(self, name, a, c, fam):
+        inst = ProblemInstance(a, c, fam)
+        first = solve_relaxation(inst)
+        again = solve_relaxation(ProblemInstance(a, c, fam))
+        assert first.z_bar.tobytes() == again.z_bar.tobytes()
+        assert first.value == again.value
+        _certify(inst, first)
+        exact = solve_discrete_bruteforce(inst)
+        assert first.value <= exact.value + 1e-9
+        assert exact.value <= first.rounded_value + 1e-9
+
+    def test_all_zero_weights_return_the_lp_vertex_of_c(self):
+        c = np.array([0.5, -1.0, 0.0, -0.25, -1.0])
+        expected = {
+            ZFamily.free(5): [0.0, 1.0, 0.0, 1.0, 1.0],
+            ZFamily.card_le(5, 2): [0.0, 1.0, 0.0, 0.0, 1.0],
+            ZFamily.card_eq(5, 4): [0.0, 1.0, 1.0, 1.0, 1.0],
+        }
+        for fam, z in expected.items():
+            sol = solve_relaxation(ProblemInstance(np.zeros(5), c, fam))
+            assert np.array_equal(sol.z_bar, z)
+            assert sol.value == float(c @ np.array(z))
+
+    def test_tied_coordinates_prefer_the_smallest_index(self):
+        # two identical coordinates; card_le(2, 1) can take only one whole
+        inst = ProblemInstance([1.0, 1.0], [-1.0, -1.0], ZFamily.card_le(2, 1))
+        sol = solve_relaxation(inst)
+        assert np.array_equal(sol.z_bar, [1.0, 0.0])
 
 
 class TestQuadReformulate:
