@@ -57,6 +57,7 @@ from .hull import (
     solve_relaxation,
     submodular_cut_1,
     submodular_cut_2,
+    violated_cuts,
 )
 from .robust import (
     CounterpartResult,

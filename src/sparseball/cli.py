@@ -19,8 +19,6 @@ from .core import (
     DEFAULT_TOL,
     MixedPoint,
     SolverError,
-    ZFamily,
-    enumerate_Z,
     load_problem_instance,
     loads_strict,
 )
@@ -32,7 +30,7 @@ from .harness import (
     load_experiment_config,
     run_experiment,
 )
-from .hull import SEPARATION_EXACT_GUARD, submodular_cut_1, submodular_cut_2
+from .hull import SEPARATION_EXACT_GUARD, submodular_cut_1, submodular_cut_2, violated_cuts
 from .robust import (
     METHODS,
     SubgradientConfig,
@@ -102,39 +100,35 @@ def _cmd_cuts(args) -> int:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"point file must carry x and z arrays ({exc})") from exc
     alpha = _vector_arg(args.alpha)
-    tol = DEFAULT_TOL
     n = point.n
     if alpha.size != n:
         raise _UsageError("alpha must match the point dimension")
-    # collect every violated cut among the scanned candidates
-    if args.mode == "heuristic":
-        order = np.argsort(-point.z, kind="stable")
-        subsets = [order[:size] for size in range(n + 1)]
-    else:
-        if n > SEPARATION_EXACT_GUARD:
-            raise _UsageError(f"exact mode is guarded to n <= {SEPARATION_EXACT_GUARD}")
-        subsets = [np.flatnonzero(row) for row in enumerate_Z(ZFamily.free(n))]
+    if args.mode == "exact" and n > SEPARATION_EXACT_GUARD:
+        raise _UsageError(f"exact mode is guarded to n <= {SEPARATION_EXACT_GUARD}")
+    if args.top is not None and args.top < 0:
+        raise _UsageError(f"--top must be nonnegative, got {args.top}")
+    # only the two globally valid families; the base inequality holds just
+    # on the restricted face and cannot be reported as violated
+    members, violations = violated_cuts(point, alpha, args.mode)
+    flat = violations.ravel()
+    order = np.argsort(-flat, kind="stable")
+    order = order[flat[order] > DEFAULT_TOL.feas_abs][: args.top]
     seen = []
-    for S in subsets:
-        # only the two globally valid families; the base inequality holds
-        # just on the restricted face and cannot be reported as violated
-        for make in (submodular_cut_1, submodular_cut_2):
-            cut = make(S, alpha)
-            violation = cut.violation_at(point)
-            if violation > tol.feas_abs:
-                entry = cut.to_dict()
-                entry["violation"] = violation
-                seen.append(entry)
-    seen.sort(key=lambda e: -e["violation"])
-    if args.top is not None:
-        seen = seen[: args.top]
+    for index in order:
+        row, family = divmod(int(index), 2)
+        make = (submodular_cut_1, submodular_cut_2)[family]
+        entry = make(np.flatnonzero(members[row]), alpha).to_dict()
+        seen.append({**entry, "violation": float(flat[index])})
     _emit(seen)
     return EXIT_OK
 
 
 def _cmd_robust(args) -> int:
     inst = load_robust_instance(args.instance)
-    config = SubgradientConfig(rtol=args.tol, max_iter=args.max_iter)
+    try:
+        config = SubgradientConfig(rtol=args.tol, max_iter=args.max_iter)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
     result = solve_counterpart(args.method, inst, config)
     _emit({
         "y": result.y_star.y.tolist(),

@@ -12,7 +12,6 @@ always broken toward the smallest index so results are reproducible.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import numbers
@@ -28,6 +27,7 @@ _KINDS = (FREE, CARD_LE, CARD_EQ)
 
 # enumeration of an activation family is an oracle for small n only
 ENUMERATION_GUARD = 24
+_ENUMERATION_CHUNK = 1 << 16
 
 
 class SolverError(RuntimeError):
@@ -266,34 +266,30 @@ def check_enumeration_guard(n: int) -> None:
 
 
 def enumerate_Z(zfam: ZFamily) -> np.ndarray:
-    """All members of the family as an (m, n) 0/1 matrix, rows lexicographic.
+    """All members of the family as an (m, n) 0/1 int8 matrix, rows lexicographic.
 
-    Guarded to n <= 24.  Intended as an enumeration oracle for brute-force
-    solving and tests; cost is proportional to the member count.
+    Guarded to n <= 24.  One path serves every family: the ids 0 .. 2^n - 1
+    are walked in chunks of 2^16 (counting order is lexicographic order), a
+    cardinality family keeps the ids whose popcount fits, and their bits
+    are unpacked into an output preallocated at ``member_count()`` rows.
+    The scan costs time proportional to 2^n, not to the member count; no
+    library path enumerates a cardinality family above n = 12, because
+    brute force splits z into halves.
     """
     n = zfam.n
     check_enumeration_guard(n)
-    if zfam.kind == FREE:
-        # counting order over n-bit integers equals lexicographic vector order
-        shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)
-        total = 2 ** n
-        out = np.empty((total, n), dtype=np.int8)
-        chunk = 1 << 18
-        for start in range(0, total, chunk):
-            stop = min(start + chunk, total)
-            ids = np.arange(start, stop, dtype=np.uint64)[:, None]
-            out[start:stop] = ((ids >> shifts) & np.uint64(1)).astype(np.int8)
-        return out
-    sizes = range(zfam.k + 1) if zfam.kind == CARD_LE else (zfam.k,)
-    rows = []
-    for size in sizes:
-        for support in itertools.combinations(range(n), size):
-            row = [0] * n
-            for i in support:
-                row[i] = 1
-            rows.append(tuple(row))
-    rows.sort()
-    return np.array(rows, dtype=np.int8)
+    out = np.empty((zfam.member_count(), n), dtype=np.int8)
+    filled = 0
+    total = 1 << n
+    for start in range(0, total, _ENUMERATION_CHUNK):
+        ids = np.arange(start, min(start + _ENUMERATION_CHUNK, total), dtype=np.uint32)
+        if zfam.kind != FREE:
+            ones = np.bitwise_count(ids)
+            ids = ids[ones <= zfam.k if zfam.kind == CARD_LE else ones == zfam.k]
+        bits = np.unpackbits(ids.astype(">u4").view(np.uint8).reshape(-1, 4), axis=1)
+        out[filled:filled + ids.size] = bits[:, 32 - n:]
+        filled += ids.size
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -110,14 +110,22 @@ def parse_experiment_config(obj: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from its JSON object form.
 
     Fields pass through unconverted, so the constructor's checks see the
-    file's own types: 16.9 or true for an integer field is an error.
+    file's own types: 16.9 or true for an integer field is an error.  The
+    ``solver`` object may carry only ``SubgradientConfig`` field names.
     """
     if not isinstance(obj, dict):
         raise ValueError(f"experiment config must be a JSON object, got {type(obj).__name__}")
     keys = ("n", "k_list", "b_list", "instances_per_cell", "seed", "methods", "record_wall_time")
     kwargs = {key: obj[key] for key in keys if key in obj}
     if "solver" in obj:
-        kwargs["solver"] = SubgradientConfig(**obj["solver"])
+        solver = obj["solver"]
+        if not isinstance(solver, dict):
+            raise ValueError(f"solver must be a JSON object, got {type(solver).__name__}")
+        known = [f.name for f in fields(SubgradientConfig)]
+        for key in solver:
+            if key not in known:
+                raise ValueError(f"unknown solver key {key!r}; expected one of {known}")
+        kwargs["solver"] = SubgradientConfig(**solver)
     return ExperimentConfig(**kwargs)
 
 

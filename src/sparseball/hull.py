@@ -4,7 +4,8 @@ Polyhedral side: for a weight vector alpha the mixed-binary inequality
 ``sum_i |alpha_i x_i| <= sqrt(sum_i alpha_i^2 z_i)`` has a submodular
 right-hand side in the activation set, so the classic marginal-based cut
 families apply; this module generates them, evaluates them on ``|x|``
-coefficients directly, and separates over them.
+coefficients directly, and scores them over candidate sets in one place,
+``violated_cuts``, which separation and ``sparseball cuts`` share.
 
 Nonlinear side: the perspective inequality ``sum_i x_i^2 / z_i <= 1``
 (under the shared zero-division convention) is exactly the condition for a
@@ -46,24 +47,23 @@ from .discrete import discrete_objective
 
 SEPARATION_EXACT_GUARD = 16
 
+# rows of candidate sets scored at once by violated_cuts
+_SCORE_BLOCK = 1 << 12
+
 # a coordinate counts as fractional when it is at least this far from 0/1
 FRACTIONAL_EPS = 1e-7
 
 
 @dataclass(frozen=True)
 class CutVector:
-    """A weight vector alpha with its cached |alpha|-descending index order."""
+    """A weight vector alpha, frozen read-only."""
 
     alpha: np.ndarray
-    abs_order: np.ndarray = None
 
     def __post_init__(self):
         alpha = as_vector(self.alpha, "alpha")
         alpha.setflags(write=False)
-        order = np.argsort(-np.abs(alpha), kind="stable")
-        order.setflags(write=False)
         object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "abs_order", order)
 
     @property
     def n(self) -> int:
@@ -202,60 +202,67 @@ def base_inequality(S, alpha) -> LinearCut:
     return LinearCut(np.abs(a), rho_z, rhs)
 
 
-def separate_submodular(p: MixedPoint, alpha, mode: str = "heuristic",
-                        tol: Tolerance = DEFAULT_TOL):
-    """Most violated submodular cut at p, or None when none is violated.
+def violated_cuts(p: MixedPoint, alpha, mode: str):
+    """Candidate sets and the violations at p of both submodular cuts on each.
 
-    heuristic: scans the n+1 nested prefix sets of coordinates ordered by
-    z descending (stable, so smallest index wins ties) under both cut
-    families.  exact: scans every subset; guarded to n <= 16.  The most
-    violated cut is returned; exact ties keep the earliest candidate in
-    scan order (subsets ascending as bit patterns, first family first).
+    Returns ``(members, violations)``: ``members`` is the (m, n) 0/1 int8
+    matrix of candidate sets in scan order (heuristic: the n + 1 nested
+    prefixes of the coordinates by z descending, stable; exact: the rows of
+    ``enumerate_Z(ZFamily.free(n))``, guarded to n <= 16), and
+    ``violations[r, f]`` is the violation at p of ``submodular_cut_1``
+    (f = 0) or ``submodular_cut_2`` (f = 1) on row r.  No cut is built:
+    rows are scored in blocks of 2^12 from closed forms in q = M a^2,
+    drop_i = sqrt(q - a_i^2) and grow_i = sqrt(q + a_i^2) - sqrt(q).
     """
     a = _alpha_of(alpha)
     n = a.size
     if p.n != n:
         raise ValueError("dimension mismatch between point and alpha")
-    if mode not in ("heuristic", "exact"):
-        raise ValueError(f"unknown separation mode {mode!r}")
-
     if mode == "heuristic":
-        order = np.argsort(-p.z, kind="stable")
-        best_cut, best_viol = None, 0.0
-        for size in range(n + 1):
-            S = order[:size]
-            for make in (submodular_cut_1, submodular_cut_2):
-                cut = make(S, a)
-                v = cut.violation_at(p)
-                if v > best_viol:
-                    best_cut, best_viol = cut, v
-        if best_cut is not None and best_viol > tol.feas_abs:
-            return best_cut
-        return None
-
-    if n > SEPARATION_EXACT_GUARD:
-        raise ValueError(f"exact separation is guarded to n <= {SEPARATION_EXACT_GUARD}")
-    members = enumerate_Z(ZFamily.free(n)).astype(float)
+        members = np.empty((n + 1, n), dtype=np.int8)
+        members[:, np.argsort(-p.z, kind="stable")] = np.tri(n + 1, n, k=-1, dtype=np.int8)
+    elif mode == "exact":
+        if n > SEPARATION_EXACT_GUARD:
+            raise ValueError(f"exact separation is guarded to n <= {SEPARATION_EXACT_GUARD}")
+        members = enumerate_Z(ZFamily.free(n))
+    else:
+        raise ValueError(f"unknown separation mode {mode!r}")
     asq = a * a
-    q = members @ asq
-    sq = np.sqrt(q)
-    rho_self = sq[:, None] - np.sqrt(np.clip(q[:, None] - members * asq[None, :], 0.0, None))
-    rho_add = np.sqrt(q[:, None] + asq[None, :]) - sq[:, None]
     full = float(asq.sum())
     rho_last = math.sqrt(full) - np.sqrt(np.clip(full - asq, 0.0, None))
-    lhs_abs = float(np.abs(a * p.x).sum())
+    lhs = float(np.abs(a) @ np.abs(p.x))
     one_minus_z = 1.0 - p.z
-    rhs_a = sq - (members * rho_self) @ one_minus_z + ((1.0 - members) * np.abs(a)[None, :]) @ p.z
-    rhs_b = sq - (members * rho_last[None, :]) @ one_minus_z + ((1.0 - members) * rho_add) @ p.z
-    seq = np.stack([lhs_abs - rhs_a, lhs_abs - rhs_b], axis=1).ravel()
-    best = int(np.argmax(seq))
-    if seq[best] <= tol.feas_abs:
-        return None
-    S = np.flatnonzero(members[best // 2] > 0.5)
-    cut = submodular_cut_1(S, a) if best % 2 == 0 else submodular_cut_2(S, a)
-    if cut.violation_at(p) <= tol.feas_abs:
-        return None
-    return cut
+    abs_a_z = np.abs(a) * p.z
+    last_one_minus_z = rho_last * one_minus_z
+    violations = np.empty((members.shape[0], 2))
+    for start in range(0, members.shape[0], _SCORE_BLOCK):
+        M = members[start:start + _SCORE_BLOCK].astype(float)
+        out = violations[start:start + _SCORE_BLOCK]
+        q = M @ asq
+        sq = np.sqrt(q)
+        drop = np.sqrt(np.clip(q[:, None] - asq, 0.0, None))
+        grow = np.sqrt(q[:, None] + asq) - sq[:, None]
+        outside = 1.0 - M
+        out[:, 0] = lhs - (sq - (M * (sq[:, None] - drop)) @ one_minus_z + outside @ abs_a_z)
+        out[:, 1] = lhs - (sq - M @ last_one_minus_z + (outside * grow) @ p.z)
+    return members, violations
+
+
+def separate_submodular(p: MixedPoint, alpha, mode: str = "heuristic",
+                        tol: Tolerance = DEFAULT_TOL):
+    """Most violated submodular cut at p, or None when none is violated.
+
+    Builds the one cut at the maximum of :func:`violated_cuts` (heuristic:
+    nested prefixes by z descending; exact: every subset, n <= 16).  Exact
+    ties keep the earliest candidate in scan order, first family first.
+    The cut is returned only when its ``violation_at(p)`` exceeds feas_abs.
+    """
+    a = _alpha_of(alpha)
+    members, violations = violated_cuts(p, a, mode)
+    row, family = divmod(int(np.argmax(violations)), 2)
+    make = (submodular_cut_1, submodular_cut_2)[family]
+    cut = make(np.flatnonzero(members[row]), a)
+    return cut if cut.violation_at(p) > tol.feas_abs else None
 
 
 # ---------------------------------------------------------------------------

@@ -314,7 +314,10 @@ class SubgradientConfig:
     tested against gap_rtol, which ends smooth solves whose raw iterates
     keep creeping.  polish_rounds adds exact line searches along simplex
     segments after the subgradient phase.  Everything is iteration-based
-    (never wall clock) so solves are bit-reproducible under load."""
+    (never wall clock) so solves are bit-reproducible under load.  Fields
+    are checked on construction: max_iter and window are integers >= 1,
+    polish_rounds an integer >= 0, and eta0, rtol and gap_rtol finite
+    positive reals (bool is neither)."""
 
     eta0: float = 1.0
     max_iter: int = 200_000
@@ -322,6 +325,21 @@ class SubgradientConfig:
     rtol: float = DEFAULT_TOL.solver_rel
     gap_rtol: float = 1e-4
     polish_rounds: int = 2
+
+    def __post_init__(self):
+        for name, least in (("max_iter", 1), ("window", 1), ("polish_rounds", 0)):
+            value = as_int(getattr(self, name), name)
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, got {name}={value}")
+            object.__setattr__(self, name, value)
+        for name in ("eta0", "rtol", "gap_rtol"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r} "
+                                 f"of type {type(value).__name__}")
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {name}={value}")
+            object.__setattr__(self, name, float(value))
 
 
 DEFAULT_SUBGRADIENT = SubgradientConfig()

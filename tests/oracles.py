@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 
+from sparseball.hull import submodular_cut_1, submodular_cut_2
+
 
 def min_linear_on_ball(a, offset=0.0, angular_step=0.01):
     """Grid minimum of offset + a'x over the unit ball, dimension <= 3.
@@ -168,3 +170,21 @@ def relaxation_gap(z, a, c, kind, k=None):
     else:
         linear_min = float(ascending[:k].sum())
     return float(g @ z) - linear_min
+
+
+def cut_violations(p, alpha, subsets):
+    """(m, 2) violations at p of both submodular cuts on each subset.
+
+    The per-subset reference for the vectorized scorer: each cut is built
+    by ``submodular_cut_1``/``submodular_cut_2`` and evaluated with
+    ``violation_at``.
+    """
+    makers = (submodular_cut_1, submodular_cut_2)
+    return np.array([[make(S, alpha).violation_at(p) for make in makers]
+                     for S in subsets]).reshape(-1, 2)
+
+
+def prefix_sets(z):
+    """The n + 1 nested prefixes of the indices sorted by (-z_i, i), smallest first."""
+    order = sorted(range(len(z)), key=lambda i: (-z[i], i))
+    return [order[:size] for size in range(len(z) + 1)]

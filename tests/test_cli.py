@@ -1,8 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
 from sparseball.cli import EXIT_IO, EXIT_OK, EXIT_SOLVER, EXIT_USAGE, main
+from sparseball.core import DEFAULT_TOL, MixedPoint
+from sparseball.hull import submodular_cut_1, submodular_cut_2
+
+import oracles
 
 
 @pytest.fixture
@@ -112,6 +117,58 @@ class TestCuts:
         assert code == EXIT_OK
         assert len(json.loads(out)) == 1
 
+    def test_top_zero_emits_nothing(self, capsys):
+        code, out = _run(capsys, [
+            "cuts", "--point", '{"x": [0.9, 0.9], "z": [0.0, 0.1]}',
+            "--alpha", "[1.0, 2.0]", "--mode", "exact", "--top", "0",
+        ])
+        assert code == EXIT_OK
+        assert json.loads(out) == []
+
+    def test_negative_top_is_usage(self, capsys):
+        code = main([
+            "cuts", "--point", '{"x": [0.9, 0.9], "z": [0.0, 0.1]}',
+            "--alpha", "[1.0, 2.0]", "--mode", "exact", "--top", "-1",
+        ])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert "--top" in captured.err
+
+    @pytest.mark.parametrize("mode", ["heuristic", "exact"])
+    def test_emits_the_oracle_violated_set_in_order(self, capsys, mode):
+        rng = np.random.default_rng(17)
+        for n in (1, 3, 6):
+            x = np.round(rng.normal(size=n), 1)
+            z = np.round(rng.uniform(size=n), 1)
+            alpha = np.round(rng.normal(size=n))
+            code, out = _run(capsys, [
+                "cuts", "--point", json.dumps({"x": x.tolist(), "z": z.tolist()}),
+                "--alpha", json.dumps(alpha.tolist()), "--mode", mode,
+            ])
+            assert code == EXIT_OK
+            cuts = json.loads(out)
+            p = MixedPoint(x, z)
+            if mode == "heuristic":
+                subsets = oracles.prefix_sets(z.tolist())
+            else:
+                subsets = [np.flatnonzero(m) for m in oracles.family_members("free", n)]
+            reference = oracles.cut_violations(p, alpha, subsets)
+            violated = []
+            for row, family in zip(*np.nonzero(reference > DEFAULT_TOL.feas_abs)):
+                make = (submodular_cut_1, submodular_cut_2)[family]
+                violated.append(make(subsets[row], alpha))
+            expected_cuts = sorted((tuple(c.pi_abs.tolist()), tuple(c.rho_z.tolist()), c.rhs)
+                                   for c in violated)
+            assert sorted((tuple(e["pi_abs"]), tuple(e["rho_z"]), e["rhs"]) for e in cuts) == expected_cuts
+            emitted = sorted(e["violation"] for e in cuts)
+            expected = np.sort(reference[reference > DEFAULT_TOL.feas_abs])
+            assert np.allclose(emitted, expected, rtol=1e-12, atol=1e-12)
+            assert all(a["violation"] >= b["violation"] for a, b in zip(cuts, cuts[1:]))
+            for e in cuts:
+                lhs = np.abs(x) @ np.array(e["pi_abs"]) + z @ np.array(e["rho_z"])
+                assert lhs - e["rhs"] == pytest.approx(e["violation"], rel=1e-12, abs=1e-12)
+
 
 class TestRobust:
     def test_solves_and_reports(self, capsys, robust_file):
@@ -127,6 +184,13 @@ class TestRobust:
         code, _ = _run(capsys, ["robust", "--method", "perspective",
                                 "--instance", str(robust_file), "--max-iter", "50"])
         assert code == EXIT_SOLVER
+
+    @pytest.mark.parametrize("flags", [["--max-iter", "0"], ["--tol", "-1"], ["--tol", "nan"]])
+    def test_bad_solver_settings_are_usage(self, capsys, robust_file, flags):
+        code = main(["robust", "--method", "perspective", "--instance", str(robust_file), *flags])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
 
     def test_bad_method_is_usage(self, capsys, robust_file):
         code, _ = _run(capsys, ["robust", "--method", "psychic",
@@ -173,6 +237,18 @@ class TestExperiment:
         assert (out_dir / "metadata.json").exists()
         assert (out_dir / "cell_k2_b1.svg").exists()
         assert "wrote 4 records" in out
+
+    @pytest.mark.parametrize("solver", [{"window": 0}, {"bogus": 1}, {"max_iter": True},
+                                        {"rtol": -1}, [1]])
+    def test_bad_solver_config_is_input_error(self, capsys, tmp_path, solver):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"n": 10, "k_list": [2], "b_list": [1.0],
+                                           "instances_per_cell": 1, "solver": solver}))
+        code = main(["experiment", "--config", str(config_path), "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == EXIT_IO
+        assert "Traceback" not in captured.err
+        assert not (tmp_path / "out").exists()
 
 
 class TestUsage:

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -211,14 +212,27 @@ class TestEnumerate:
             enumerate_Z(ZFamily.free(25))
 
     def test_matches_independent_enumeration(self):
-        for fam, kind, k in [
-            (ZFamily.free(4), "free", None),
-            (ZFamily.card_le(5, 2), "card_le", 2),
-            (ZFamily.card_eq(5, 3), "card_eq", 3),
-        ]:
-            ours = [tuple(r) for r in enumerate_Z(fam).tolist()]
-            theirs = sorted(tuple(int(v) for v in m) for m in oracles.family_members(kind, fam.n, k))
-            assert ours == theirs
+        for n in range(1, 9):
+            families = [(ZFamily.free(n), "free", None)]
+            for k in range(1, n + 1):
+                families += [(ZFamily.card_le(n, k), "card_le", k), (ZFamily.card_eq(n, k), "card_eq", k)]
+            for fam, kind, k in families:
+                members = enumerate_Z(fam)
+                assert members.dtype == np.int8 and members.shape == (fam.member_count(), n)
+                ours = [tuple(r) for r in members.tolist()]
+                theirs = [tuple(int(v) for v in m) for m in oracles.family_members(kind, n, k)]
+                assert ours == theirs
+
+    def test_cardinality_at_the_guard_stays_small(self):
+        fam = ZFamily.card_le(20, 10)
+        tracemalloc.start()
+        try:
+            members = enumerate_Z(fam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert members.shape == (fam.member_count(), 20)
+        assert peak < 32 * 2**20
 
 
 class TestInstanceIO:

@@ -283,3 +283,16 @@ class TestReporting:
                                           "instances_per_cell": 1, "seed": 3,
                                           "solver": {"max_iter": 1000}})
         assert config.solver.max_iter == 1000
+
+    @pytest.mark.parametrize("solver, message", [
+        ([1], "solver must be a JSON object"),
+        ("fast", "solver must be a JSON object"),
+        ({"bogus": 1}, "unknown solver key 'bogus'"),
+        ({"max_iter": 10, "maxiter": 10}, "unknown solver key 'maxiter'"),
+        ({"window": 0}, "window must be at least 1"),
+        ({"max_iter": True}, "max_iter must be an integer"),
+        ({"rtol": -1}, "rtol must be finite and positive"),
+    ])
+    def test_config_solver_errors_name_the_key(self, solver, message):
+        with pytest.raises(ValueError, match=message):
+            parse_experiment_config({"n": 8, "k_list": [2], "solver": solver})

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sparseball.core import MixedPoint, ProblemInstance, ZFamily
+from sparseball.core import DEFAULT_TOL, MixedPoint, ProblemInstance, ZFamily
 from sparseball.discrete import discrete_objective, solve_discrete_bruteforce
 from sparseball.hull import (
     _phi,
@@ -23,6 +24,7 @@ from sparseball.hull import (
     solve_relaxation,
     submodular_cut_1,
     submodular_cut_2,
+    violated_cuts,
 )
 
 import oracles
@@ -196,6 +198,105 @@ class TestSeparation:
         p = MixedPoint([0.0], [0.0])
         with pytest.raises(ValueError):
             separate_submodular(p, [1.0], mode="fast")
+
+    def test_returns_the_oracle_maximum(self):
+        for mode, n, p, alpha in _scorer_cases():
+            subsets = _oracle_subsets(mode, p)
+            reference = oracles.cut_violations(p, alpha, subsets)
+            cut = separate_submodular(p, alpha, mode=mode)
+            best = float(reference.max())
+            if best <= DEFAULT_TOL.feas_abs:
+                assert cut is None
+                continue
+            assert cut is not None
+            assert abs(cut.violation_at(p) - best) <= 1e-12 * max(1.0, abs(best))
+            # ties keep the first candidate in scan order, first family first
+            members, violations = violated_cuts(p, alpha, mode)
+            row, family = divmod(int(np.argmax(violations)), 2)
+            first = (submodular_cut_1, submodular_cut_2)[family](np.flatnonzero(members[row]), alpha)
+            assert np.array_equal(cut.rho_z, first.rho_z) and cut.rhs == first.rhs
+
+    def test_exact_at_the_guard_stays_small(self, rng):
+        n = 16
+        p = MixedPoint(rng.normal(size=n) * 0.5, rng.uniform(size=n))
+        alpha = rng.normal(size=n)
+        separate_submodular(p, alpha, mode="exact")
+        tracemalloc.start()
+        try:
+            cut = separate_submodular(p, alpha, mode="exact")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cut is not None
+        assert peak < 16 * 2**20
+
+
+def _scorer_cases():
+    """(mode, n, point, alpha) cases with ties, zeros and 0/1 activations."""
+    rng = np.random.default_rng(5)
+    cases = []
+    sizes = [("heuristic", n) for n in (1, 2, 5, 40)] + [("exact", n) for n in range(1, 11)]
+    for mode, n in sizes:
+        for variant in range(8):
+            x = rng.normal(size=n)
+            z = rng.uniform(size=n)
+            alpha = rng.normal(size=n)
+            if variant == 1:  # tied z and rounded data, so exact ties occur
+                z = np.round(z * 2.0) / 2.0
+                x = np.round(x)
+                alpha = np.round(alpha)
+            elif variant == 2:  # zero and duplicated alpha
+                alpha[rng.random(n) < 0.3] = 0.0
+                alpha[rng.random(n) < 0.3] = alpha[0]
+            elif variant == 3:
+                x = np.zeros(n)
+            elif variant == 4:
+                z = rng.integers(0, 2, size=n).astype(float)
+            elif variant == 5:
+                alpha = np.zeros(n)
+            elif variant == 6:  # a feasible point: no cut is violated
+                x, z = oracles.sample_X_point("free", n, None, rng)
+            cases.append((mode, n, MixedPoint(x, z), alpha))
+    return cases
+
+
+def _oracle_subsets(mode, p):
+    if mode == "heuristic":
+        return oracles.prefix_sets(p.z.tolist())
+    return [np.flatnonzero(z) for z in oracles.family_members("free", p.n)]
+
+
+class TestViolatedCuts:
+    def test_matches_the_per_subset_oracle(self):
+        for mode, n, p, alpha in _scorer_cases():
+            subsets = _oracle_subsets(mode, p)
+            members, violations = violated_cuts(p, alpha, mode)
+            expected = np.zeros((len(subsets), n), dtype=np.int8)
+            for row, S in zip(expected, subsets):
+                row[list(S)] = 1
+            assert members.dtype == np.int8
+            assert np.array_equal(members, expected)
+            reference = oracles.cut_violations(p, alpha, subsets)
+            assert violations.shape == reference.shape
+            assert np.all(np.abs(violations - reference) <= 1e-12 * np.maximum(1.0, np.abs(reference)))
+
+    def test_scores_past_one_block(self, rng):
+        n = 13  # 2^13 rows, two scoring blocks
+        p = MixedPoint(rng.normal(size=n), rng.uniform(size=n))
+        alpha = rng.normal(size=n)
+        members, violations = violated_cuts(p, alpha, "exact")
+        rows = rng.choice(members.shape[0], size=50, replace=False)
+        reference = oracles.cut_violations(p, alpha, [np.flatnonzero(members[r]) for r in rows])
+        assert np.all(np.abs(violations[rows] - reference) <= 1e-12 * np.maximum(1.0, np.abs(reference)))
+
+    def test_rejects_bad_input(self):
+        p = MixedPoint([0.5, 0.5], [0.0, 0.0])
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            violated_cuts(p, [1.0], "heuristic")
+        with pytest.raises(ValueError, match="unknown separation mode"):
+            violated_cuts(p, [1.0, 1.0], "fast")
+        with pytest.raises(ValueError, match="n <= 16"):
+            violated_cuts(MixedPoint(np.zeros(17), np.zeros(17)), np.ones(17), "exact")
 
 
 class TestMemberships:

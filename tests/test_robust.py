@@ -376,6 +376,28 @@ class TestSolveCounterpart:
         assert r1.objective == r2.objective
         assert r1.iterations == r2.iterations
 
+    @pytest.mark.parametrize("name, least", [("max_iter", 1), ("window", 1), ("polish_rounds", 0)])
+    def test_config_integer_fields(self, name, least):
+        config = SubgradientConfig(**{name: np.int32(least)})
+        assert getattr(config, name) == least and type(getattr(config, name)) is int
+        with pytest.raises(ValueError, match=f"{name} must be at least {least}"):
+            SubgradientConfig(**{name: least - 1})
+        for bad in (True, 2.0, "3", None):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                SubgradientConfig(**{name: bad})
+
+    @pytest.mark.parametrize("name", ["eta0", "rtol", "gap_rtol"])
+    def test_config_real_fields(self, name):
+        config = SubgradientConfig(**{name: np.float32(0.5)})
+        assert getattr(config, name) == 0.5 and type(getattr(config, name)) is float
+        assert getattr(SubgradientConfig(**{name: 2}), name) == 2.0
+        for bad in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+                SubgradientConfig(**{name: bad})
+        for bad in (True, np.bool_(True), "1e-6", None):
+            with pytest.raises(ValueError, match=f"{name} must be a real number"):
+                SubgradientConfig(**{name: bad})
+
     def test_iteration_cap_raises_with_best_iterate(self, rng):
         inst = _random_instance(rng, n=4)
         config = SubgradientConfig(max_iter=100, window=500)
