@@ -64,7 +64,6 @@ from .robust import (
     DualCertificate,
     PortfolioPoint,
     RobustInstance,
-    SubgradientConfig,
     budgeted_value,
     ellipsoidal_value,
     fenchel_identity,

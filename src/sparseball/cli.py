@@ -19,6 +19,7 @@ from .core import (
     DEFAULT_TOL,
     MixedPoint,
     SolverError,
+    as_vector,
     load_problem_instance,
     loads_strict,
 )
@@ -33,7 +34,6 @@ from .harness import (
 from .hull import SEPARATION_EXACT_GUARD, submodular_cut_1, submodular_cut_2, violated_cuts
 from .robust import (
     METHODS,
-    SubgradientConfig,
     load_robust_instance,
     nominal_value,
     robust_instance_to_dict,
@@ -66,11 +66,16 @@ def _load_json_or_path(arg: str):
     return loads_strict(text)
 
 
-def _vector_arg(arg: str, key: str | None = None) -> np.ndarray:
+def _vector_arg(arg: str, name: str, key: str | None = None) -> np.ndarray:
+    """A finite 1-D vector from inline JSON or a file; with a key, an object
+    holding the vector under that key is accepted too.  Malformed input is a
+    ValueError (exit 3)."""
     obj = _load_json_or_path(arg)
     if isinstance(obj, dict) and key is not None:
+        if key not in obj:
+            raise ValueError(f"{name} must be a JSON array or an object with a {key!r} array")
         obj = obj[key]
-    return np.asarray(obj, dtype=float)
+    return as_vector(obj, name)
 
 
 def _emit(obj) -> None:
@@ -99,7 +104,7 @@ def _cmd_cuts(args) -> int:
         point = MixedPoint(np.asarray(obj["x"], dtype=float), np.asarray(obj["z"], dtype=float))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"point file must carry x and z arrays ({exc})") from exc
-    alpha = _vector_arg(args.alpha)
+    alpha = _vector_arg(args.alpha, "alpha")
     n = point.n
     if alpha.size != n:
         raise _UsageError("alpha must match the point dimension")
@@ -125,11 +130,7 @@ def _cmd_cuts(args) -> int:
 
 def _cmd_robust(args) -> int:
     inst = load_robust_instance(args.instance)
-    try:
-        config = SubgradientConfig(rtol=args.tol, max_iter=args.max_iter)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
-    result = solve_counterpart(args.method, inst, config)
+    result = solve_counterpart(args.method, inst)
     _emit({
         "y": result.y_star.y.tolist(),
         "objective": result.objective,
@@ -170,7 +171,7 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_eval(args) -> int:
     inst = load_robust_instance(args.instance)
-    y = _vector_arg(args.y, key="y")
+    y = _vector_arg(args.y, "y", key="y")
     if y.size != inst.n:
         raise _UsageError("y must match the instance dimension")
     _emit({"worst_case": worst_case(y, inst), "nominal_value": nominal_value(y, inst)})
@@ -197,8 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("robust", help="solve a robust counterpart")
     p.add_argument("--method", choices=METHODS, required=True)
     p.add_argument("--instance", required=True)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL.solver_rel)
-    p.add_argument("--max-iter", type=int, default=200_000)
     p.set_defaults(func=_cmd_robust)
 
     p = sub.add_parser("gen", help="generate a robust instance file")

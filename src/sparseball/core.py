@@ -33,8 +33,8 @@ _ENUMERATION_CHUNK = 1 << 16
 class SolverError(RuntimeError):
     """A solver could not return an answer.
 
-    Raised by the robust counterpart solver when it exhausts its iteration
-    budget, and by edge rounding when no rounding is a family member.
+    Raised by the robust counterpart solver when it reaches its fixed
+    iteration cap, and by edge rounding when no rounding is a family member.
     Carries the best iterate found so far and a gap estimate so callers can
     still inspect partial progress.  The conv(Z) relaxation is exact and
     never raises it.
@@ -85,7 +85,10 @@ def as_int(value, name: str) -> int:
 
 def as_vector(v, name: str = "vector") -> np.ndarray:
     """Copy input into a finite 1-D float array or raise ValueError."""
-    arr = np.array(v, dtype=float, copy=True)
+    try:
+        arr = np.array(v, dtype=float, copy=True)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} must be an array of real numbers ({exc})") from None
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
     if not np.all(np.isfinite(arr)):
@@ -95,21 +98,17 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Shared numeric tolerances.
+    """Shared numeric tolerance.
 
-    feas_abs is the absolute slack for feasibility predicates, solver_rel
-    the relative tolerance of iterative solvers, and oracle_abs the looser
-    slack used when comparing against grid/enumeration oracles.
+    feas_abs is the absolute slack of the feasibility, membership and
+    cut-violation tests.
     """
 
     feas_abs: float = 1e-9
-    solver_rel: float = 1e-6
-    oracle_abs: float = 1e-4
 
     def __post_init__(self):
-        for name in ("feas_abs", "solver_rel", "oracle_abs"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be strictly positive")
+        if not self.feas_abs > 0.0:
+            raise ValueError("feas_abs must be strictly positive")
 
 
 DEFAULT_TOL = Tolerance()

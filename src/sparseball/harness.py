@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -21,10 +21,8 @@ from . import __version__
 from ._rng import Xoshiro256StarStar, splitmix64_mix
 from .core import SolverError, as_int, loads_strict
 from .robust import (
-    DEFAULT_SUBGRADIENT,
     METHODS,
     RobustInstance,
-    SubgradientConfig,
     as_budget,
     nominal_value,
     solve_counterpart,
@@ -39,14 +37,26 @@ CSV_HEADER = ("cell", "k", "b", "instance", "method", "nominal", "worst_case", "
 
 
 def instance_seed(base_seed: int, k_index: int, b_index: int, instance: int) -> int:
-    """Per-instance seed derived by splitting the base seed (positional counters)."""
+    """Per-instance seed derived by splitting the base seed (positional counters).
+
+    Every argument may be any integral number, numpy integers included.
+    """
+    base_seed = as_int(base_seed, "base_seed")
+    k_index = as_int(k_index, "k_index")
+    b_index = as_int(b_index, "b_index")
+    instance = as_int(instance, "instance")
     counter = ((k_index + 1) << 40) | ((b_index + 1) << 20) | instance
     return splitmix64_mix((base_seed ^ splitmix64_mix(counter)) & ((1 << 64) - 1))
 
 
 def generate_instance(n: int, k: int, b: float, seed: int) -> RobustInstance:
-    """Draw a_tilde and d entrywise from U[0,1]; d entries below 1e-6 are redrawn."""
-    rng = Xoshiro256StarStar(seed)
+    """Draw a_tilde and d entrywise from U[0,1]; d entries below 1e-6 are redrawn.
+
+    n and seed may be any integral number, numpy integers included; k and b
+    go to RobustInstance unconverted, so its checks name a wrong type.
+    """
+    n = as_int(n, "n")
+    rng = Xoshiro256StarStar(as_int(seed, "seed"))
     a_tilde = np.array(rng.uniforms(n))
     d = np.empty(n)
     for i in range(n):
@@ -54,12 +64,15 @@ def generate_instance(n: int, k: int, b: float, seed: int) -> RobustInstance:
         while value < D_FLOOR:
             value = rng.uniform()
         d[i] = value
-    return RobustInstance(a_tilde=a_tilde, d=d, b=float(b), k=int(k), n=int(n))
+    return RobustInstance(a_tilde=a_tilde, d=d, b=b, k=k, n=n)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Grid settings; defaults reproduce the full experiment."""
+    """Grid settings; defaults reproduce the full experiment.
+
+    k_list, b_list and methods must be nonempty and free of duplicates.
+    """
 
     n: int = 200
     k_list: tuple = (5, 10, 20)
@@ -68,7 +81,6 @@ class ExperimentConfig:
     seed: int = 0
     methods: tuple = METHODS
     record_wall_time: bool = True
-    solver: SubgradientConfig = field(default_factory=lambda: DEFAULT_SUBGRADIENT)
 
     def __post_init__(self):
         n = as_int(self.n, "n")
@@ -88,6 +100,9 @@ class ExperimentConfig:
         for m in methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")
+        for name, values in (("k_list", k_list), ("b_list", b_list), ("methods", methods)):
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} must not repeat an entry, got {list(values)}")
         if not isinstance(self.record_wall_time, bool):
             raise ValueError(f"record_wall_time must be a bool, got {self.record_wall_time!r} "
                              f"of type {type(self.record_wall_time).__name__}")
@@ -109,24 +124,21 @@ def _as_tuple(value, name: str) -> tuple:
 def parse_experiment_config(obj: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from its JSON object form.
 
-    Fields pass through unconverted, so the constructor's checks see the
-    file's own types: 16.9 or true for an integer field is an error.  The
-    ``solver`` object may carry only ``SubgradientConfig`` field names.
+    The keys are the ExperimentConfig field names; any other key is an
+    error naming it.  Fields pass through unconverted, so the constructor's
+    checks see the file's own types: 16.9 or true for an integer field is
+    an error.
     """
     if not isinstance(obj, dict):
         raise ValueError(f"experiment config must be a JSON object, got {type(obj).__name__}")
-    keys = ("n", "k_list", "b_list", "instances_per_cell", "seed", "methods", "record_wall_time")
-    kwargs = {key: obj[key] for key in keys if key in obj}
-    if "solver" in obj:
-        solver = obj["solver"]
-        if not isinstance(solver, dict):
-            raise ValueError(f"solver must be a JSON object, got {type(solver).__name__}")
-        known = [f.name for f in fields(SubgradientConfig)]
-        for key in solver:
-            if key not in known:
-                raise ValueError(f"unknown solver key {key!r}; expected one of {known}")
-        kwargs["solver"] = SubgradientConfig(**solver)
-    return ExperimentConfig(**kwargs)
+    known = [f.name for f in fields(ExperimentConfig)]
+    for key in obj:
+        if key == "solver":
+            raise ValueError("the counterpart solver settings were removed; "
+                             "delete the 'solver' object from the config")
+        if key not in known:
+            raise ValueError(f"unknown experiment config key {key!r}; expected one of {known}")
+    return ExperimentConfig(**obj)
 
 
 def load_experiment_config(path) -> ExperimentConfig:
@@ -134,24 +146,11 @@ def load_experiment_config(path) -> ExperimentConfig:
 
 
 def experiment_config_to_dict(config: ExperimentConfig) -> dict:
-    solver = config.solver
-    return {
-        "n": config.n,
-        "k_list": list(config.k_list),
-        "b_list": list(config.b_list),
-        "instances_per_cell": config.instances_per_cell,
-        "seed": config.seed,
-        "methods": list(config.methods),
-        "record_wall_time": config.record_wall_time,
-        "solver": {
-            "eta0": solver.eta0,
-            "max_iter": solver.max_iter,
-            "window": solver.window,
-            "rtol": solver.rtol,
-            "gap_rtol": solver.gap_rtol,
-            "polish_rounds": solver.polish_rounds,
-        },
-    }
+    out = {}
+    for f in fields(ExperimentConfig):
+        value = getattr(config, f.name)
+        out[f.name] = list(value) if isinstance(value, tuple) else value
+    return out
 
 
 @dataclass(frozen=True)
@@ -208,7 +207,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentRun:
                 for method in config.methods:
                     begin = time.perf_counter()
                     try:
-                        result = solve_counterpart(method, inst, config.solver)
+                        result = solve_counterpart(method, inst)
                     except SolverError as exc:
                         failures.append(SolveFailure(k, b, inst_idx, method, str(exc)))
                         continue

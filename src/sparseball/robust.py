@@ -11,7 +11,7 @@ problem, since for a fixed support the inner maximum is a scaled norm and
 the best support is the top-k set.
 
 Objective oracles are pure and thread safe; solver calls are independent of
-each other and deterministic for a fixed instance and configuration.
+each other and deterministic for a fixed instance.
 """
 
 from __future__ import annotations
@@ -33,9 +33,17 @@ from .core import (
     safe_div_arr,
 )
 
-METHODS = ("nominal", "budgeted", "ellipsoidal", "perspective")
-
 GOLDEN_INV = (math.sqrt(5.0) - 1.0) / 2.0
+
+# Fixed schedule of solve_counterpart's projected-subgradient loop (see its
+# docstring).  It counts iterations, never wall clock, so solves are
+# bit-reproducible under load.
+_ETA0 = 1.0
+_MAX_ITER = 200_000
+_WINDOW = 500
+_RTOL = 1e-6
+_GAP_RTOL = 1e-4
+_POLISH_ROUNDS = 2
 
 
 def as_budget(value) -> float:
@@ -168,6 +176,24 @@ def nominal_value(y, inst: RobustInstance) -> float:
     return float(inst.a_tilde @ y)
 
 
+_METHOD_VALUES = {
+    "nominal": nominal_value,
+    "budgeted": budgeted_value,
+    "ellipsoidal": ellipsoidal_value,
+    "perspective": perspective_value,
+}
+
+METHODS = tuple(_METHOD_VALUES)
+
+
+def _method_oracle(method: str):
+    """The objective oracle of a counterpart method; ValueError if unknown."""
+    try:
+        return _METHOD_VALUES[method]
+    except KeyError:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}") from None
+
+
 def worst_case(y, inst: RobustInstance) -> float:
     """Exact worst-case cost of y under the discrete uncertainty set.
 
@@ -257,19 +283,15 @@ def certificate_objective(cert: DualCertificate, y, inst: RobustInstance) -> flo
 
 
 def method_value(method: str, y, inst: RobustInstance) -> float:
-    if method == "nominal":
-        return nominal_value(y, inst)
-    if method == "budgeted":
-        return budgeted_value(y, inst)
-    if method == "ellipsoidal":
-        return ellipsoidal_value(y, inst)
-    if method == "perspective":
-        return perspective_value(y, inst)
-    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    return _method_oracle(method)(y, inst)
 
 
 def _subgradient(method: str, y: np.ndarray, inst: RobustInstance) -> np.ndarray:
-    """One subgradient of the method objective at y (lexicographic top-k set on ties)."""
+    """One subgradient of the method objective at y (lexicographic top-k set on ties).
+
+    method must be one of METHODS (solve_counterpart checks it); the last
+    branch is the perspective objective's.
+    """
     if method == "nominal":
         return inst.a_tilde.copy()
     if method == "budgeted":
@@ -283,15 +305,13 @@ def _subgradient(method: str, y: np.ndarray, inst: RobustInstance) -> np.ndarray
         if norm == 0.0:
             return inst.a_tilde.copy()
         return inst.a_tilde + math.sqrt(inst.b) * y / (inst.d ** 2 * norm)
-    if method == "perspective":
-        r = (y / inst.d) ** 2
-        top = _topk_set(r, inst.k)
-        s = float(r[top].sum())
-        g = inst.a_tilde.copy()
-        if s > 0.0 and inst.b > 0.0:
-            g[top] += math.sqrt(inst.b) * (y[top] / inst.d[top] ** 2) / math.sqrt(s)
-        return g
-    raise ValueError(f"unknown method {method!r}")
+    r = (y / inst.d) ** 2
+    top = _topk_set(r, inst.k)
+    s = float(r[top].sum())
+    g = inst.a_tilde.copy()
+    if s > 0.0 and inst.b > 0.0:
+        g[top] += math.sqrt(inst.b) * (y[top] / inst.d[top] ** 2) / math.sqrt(s)
+    return g
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
@@ -303,46 +323,6 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     rho = int(np.nonzero(cond)[0][-1])
     theta = (css[rho] - 1.0) / (rho + 1.0)
     return np.maximum(v - theta, 0.0)
-
-
-@dataclass(frozen=True)
-class SubgradientConfig:
-    """Projected-subgradient settings: eta_t = eta0 / sqrt(t), iterate
-    averaging, and stall-based stopping over fixed windows.  Every ten
-    windows the incumbent is polished and its simplex linearization gap
-    (an upper bound on suboptimality for these convex objectives) is
-    tested against gap_rtol, which ends smooth solves whose raw iterates
-    keep creeping.  polish_rounds adds exact line searches along simplex
-    segments after the subgradient phase.  Everything is iteration-based
-    (never wall clock) so solves are bit-reproducible under load.  Fields
-    are checked on construction: max_iter and window are integers >= 1,
-    polish_rounds an integer >= 0, and eta0, rtol and gap_rtol finite
-    positive reals (bool is neither)."""
-
-    eta0: float = 1.0
-    max_iter: int = 200_000
-    window: int = 500
-    rtol: float = DEFAULT_TOL.solver_rel
-    gap_rtol: float = 1e-4
-    polish_rounds: int = 2
-
-    def __post_init__(self):
-        for name, least in (("max_iter", 1), ("window", 1), ("polish_rounds", 0)):
-            value = as_int(getattr(self, name), name)
-            if value < least:
-                raise ValueError(f"{name} must be at least {least}, got {name}={value}")
-            object.__setattr__(self, name, value)
-        for name in ("eta0", "rtol", "gap_rtol"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {value!r} "
-                                 f"of type {type(value).__name__}")
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and positive, got {name}={value}")
-            object.__setattr__(self, name, float(value))
-
-
-DEFAULT_SUBGRADIENT = SubgradientConfig()
 
 
 @dataclass(frozen=True)
@@ -392,7 +372,7 @@ def _golden_segment_min(f, iters: int = 60):
     return best_t, best_f
 
 
-def _polish(method: str, inst: RobustInstance, y: np.ndarray, value: float, rounds: int):
+def _polish(objective, inst: RobustInstance, y: np.ndarray, value: float, rounds: int):
     """Exact line searches along segments from y toward each vertex and away
     from each supported coordinate.  Never worsens the incumbent; at n = 2
     the vertex segments cover the whole simplex so the result is the global
@@ -415,7 +395,7 @@ def _polish(method: str, inst: RobustInstance, y: np.ndarray, value: float, roun
                 direction = w - y
                 if not np.any(direction):
                     continue
-                t, f_t = _golden_segment_min(lambda t: method_value(method, y + t * direction, inst))
+                t, f_t = _golden_segment_min(lambda t: objective(y + t * direction, inst))
                 if f_t < value - 1e-15:
                     y = y + t * direction
                     value = f_t
@@ -425,24 +405,23 @@ def _polish(method: str, inst: RobustInstance, y: np.ndarray, value: float, roun
     return y, value
 
 
-def solve_counterpart(method: str, inst: RobustInstance,
-                      config: SubgradientConfig = DEFAULT_SUBGRADIENT) -> CounterpartResult:
+def solve_counterpart(method: str, inst: RobustInstance) -> CounterpartResult:
     """Minimize the chosen counterpart objective over the unit simplex.
 
     The nominal method is a linear program over the simplex and is solved
     exactly (vertex at the smallest nominal cost, smallest index on ties).
     The other objectives are nonsmooth convex and are solved by projected
-    subgradient with eta_t = eta0/sqrt(t), iterate averaging and two stop
+    subgradient with eta_t = 1/sqrt(t), iterate averaging and two stop
     tests: a stall test (the best objective improves by less than
-    rtol * |objective| across one window) and a periodic certificate test
-    (the polished incumbent's linearization gap over the simplex falls
-    below gap_rtol * |objective|).  Exhausting max_iter without either
-    raises SolverError with the best iterate and its simplex linearization
-    gap, an upper bound on its suboptimality.
-    Deterministic segment line searches polish the incumbent afterwards.
+    1e-6 * |objective| across a window of 500 iterations) and a certificate
+    test every 5000 iterations (the polished incumbent's linearization gap
+    over the simplex falls below 1e-4 * |objective|).  Reaching the fixed
+    cap of 200 000 iterations without either raises SolverError with the
+    best iterate and its simplex linearization gap, an upper bound on its
+    suboptimality.  Two rounds of deterministic segment line searches
+    polish the incumbent afterwards.  The solver has no settings.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    objective = _method_oracle(method)
     n = inst.n
     if method == "nominal":
         j = int(np.argmin(inst.a_tilde))
@@ -453,42 +432,42 @@ def solve_counterpart(method: str, inst: RobustInstance,
     y = np.full(n, 1.0 / n)
     y_avg = y.copy()
     best_y = y.copy()
-    best_f = method_value(method, y, inst)
+    best_f = objective(y, inst)
     window_best = best_f
     stalled = False
     iterations = 0
-    for t in range(1, config.max_iter + 1):
+    for t in range(1, _MAX_ITER + 1):
         iterations = t
         g = _subgradient(method, y, inst)
-        y = project_simplex(y - (config.eta0 / math.sqrt(t)) * g)
+        y = project_simplex(y - (_ETA0 / math.sqrt(t)) * g)
         y_avg += (y - y_avg) / t
-        f_y = method_value(method, y, inst)
+        f_y = objective(y, inst)
         if f_y < best_f:
             best_f = f_y
             best_y = y.copy()
         if t % 32 == 0:
-            f_avg = method_value(method, y_avg, inst)
+            f_avg = objective(y_avg, inst)
             if f_avg < best_f:
                 best_f = f_avg
                 best_y = y_avg.copy()
-        if t % config.window == 0:
-            if window_best - best_f < config.rtol * (abs(best_f) + 1e-9):
+        if t % _WINDOW == 0:
+            if window_best - best_f < _RTOL * (abs(best_f) + 1e-9):
                 stalled = True
                 break
             window_best = best_f
-            if t % (10 * config.window) == 0:
+            if t % (10 * _WINDOW) == 0:
                 # certificate test: f(y) - min f <= g'y - min_i g_i on the simplex
-                best_y, best_f = _polish(method, inst, best_y, best_f, rounds=1)
+                best_y, best_f = _polish(objective, inst, best_y, best_f, rounds=1)
                 g = _subgradient(method, best_y, inst)
                 gap = float(g @ best_y - g.min())
-                if gap <= config.gap_rtol * (abs(best_f) + 1e-9):
+                if gap <= _GAP_RTOL * (abs(best_f) + 1e-9):
                     stalled = True
                     break
     if not stalled:
         g = _subgradient(method, best_y, inst)
         raise SolverError(
-            f"{method} counterpart did not stall within {config.max_iter} iterations",
+            f"{method} counterpart did not stall within {_MAX_ITER} iterations",
             best=best_y, best_value=best_f, gap=float(g @ best_y - g.min()),
         )
-    best_y, best_f = _polish(method, inst, best_y, best_f, config.polish_rounds)
+    best_y, best_f = _polish(objective, inst, best_y, best_f, _POLISH_ROUNDS)
     return CounterpartResult(PortfolioPoint(best_y), best_f, method, iterations)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from sparseball import robust
 from sparseball.cli import EXIT_IO, EXIT_OK, EXIT_SOLVER, EXIT_USAGE, main
 from sparseball.core import DEFAULT_TOL, MixedPoint
 from sparseball.hull import submodular_cut_1, submodular_cut_2
@@ -92,6 +93,17 @@ class TestCuts:
         assert code == EXIT_OK
         assert json.loads(out) == []
 
+    @pytest.mark.parametrize("alpha, message", [
+        ('{"a": 1}', "alpha must be an array of real numbers"),
+        ("[[1.0]]", "alpha must be one-dimensional"),
+    ])
+    def test_malformed_alpha_is_input_error(self, capsys, alpha, message):
+        code = main(["cuts", "--point", '{"x": [0.5], "z": [0]}', "--alpha", alpha])
+        captured = capsys.readouterr()
+        assert code == EXIT_IO
+        assert captured.out == ""
+        assert captured.err.startswith("input error: ") and message in captured.err
+
     def test_dimension_mismatch_is_usage(self, capsys):
         code, _ = _run(capsys, [
             "cuts", "--point", '{"x": [0.5], "z": [0.0]}', "--alpha", "[1.0, 1.0]",
@@ -180,17 +192,19 @@ class TestRobust:
         assert abs(sum(payload["y"]) - 1.0) < 1e-9
         assert payload["worst_case"] >= payload["nominal_value"]
 
-    def test_iteration_cap_is_solver_failure(self, capsys, robust_file):
+    def test_iteration_cap_is_solver_failure(self, capsys, robust_file, monkeypatch):
+        monkeypatch.setattr(robust, "_MAX_ITER", 50)
         code, _ = _run(capsys, ["robust", "--method", "perspective",
-                                "--instance", str(robust_file), "--max-iter", "50"])
+                                "--instance", str(robust_file)])
         assert code == EXIT_SOLVER
 
-    @pytest.mark.parametrize("flags", [["--max-iter", "0"], ["--tol", "-1"], ["--tol", "nan"]])
-    def test_bad_solver_settings_are_usage(self, capsys, robust_file, flags):
+    @pytest.mark.parametrize("flags", [["--max-iter", "50"], ["--tol", "1e-3"]])
+    def test_solver_flags_are_gone(self, capsys, robust_file, flags):
         code = main(["robust", "--method", "perspective", "--instance", str(robust_file), *flags])
         captured = capsys.readouterr()
         assert code == EXIT_USAGE
         assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
 
     def test_bad_method_is_usage(self, capsys, robust_file):
         code, _ = _run(capsys, ["robust", "--method", "psychic",
@@ -220,6 +234,26 @@ class TestGenEval:
         code, _ = _run(capsys, ["eval", "--instance", str(robust_file), "--y", "[1.0]"])
         assert code == EXIT_USAGE
 
+    def test_eval_accepts_an_object_with_y(self, capsys, robust_file):
+        y = [1.0 / 6] * 6
+        _, plain = _run(capsys, ["eval", "--instance", str(robust_file), "--y", json.dumps(y)])
+        code, wrapped = _run(capsys, ["eval", "--instance", str(robust_file),
+                                      "--y", json.dumps({"y": y})])
+        assert code == EXIT_OK and wrapped == plain
+
+    @pytest.mark.parametrize("y, message", [
+        ('{"w": [1, 0, 0, 0, 0, 0]}', "y must be a JSON array or an object with a 'y' array"),
+        ('{"y": {"a": 1}}', "y must be an array of real numbers"),
+        ("[[0.5, 0.5, 0], [0, 0, 0]]", "y must be one-dimensional"),
+        ('[0.5, "x", 0, 0, 0, 0.5]', "y must be an array of real numbers"),
+    ])
+    def test_malformed_y_is_input_error(self, capsys, robust_file, y, message):
+        code = main(["eval", "--instance", str(robust_file), "--y", y])
+        captured = capsys.readouterr()
+        assert code == EXIT_IO
+        assert captured.out == ""
+        assert captured.err.startswith("input error: ") and message in captured.err
+
 
 class TestExperiment:
     def test_small_grid(self, capsys, tmp_path):
@@ -238,17 +272,47 @@ class TestExperiment:
         assert (out_dir / "cell_k2_b1.svg").exists()
         assert "wrote 4 records" in out
 
-    @pytest.mark.parametrize("solver", [{"window": 0}, {"bogus": 1}, {"max_iter": True},
-                                        {"rtol": -1}, [1]])
-    def test_bad_solver_config_is_input_error(self, capsys, tmp_path, solver):
+    @pytest.mark.parametrize("extra, message", [
+        ({"solver": {"max_iter": 10}}, "counterpart solver settings were removed"),
+        ({"k_lsit": [2]}, "unknown experiment config key 'k_lsit'"),
+        ({"methods": ["nominal", "nominal"]}, "methods must not repeat an entry"),
+    ])
+    def test_bad_config_is_input_error(self, capsys, tmp_path, extra, message):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({"n": 10, "k_list": [2], "b_list": [1.0],
-                                           "instances_per_cell": 1, "solver": solver}))
+                                           "instances_per_cell": 1, **extra}))
         code = main(["experiment", "--config", str(config_path), "--out", str(tmp_path / "out")])
         captured = capsys.readouterr()
         assert code == EXIT_IO
         assert "Traceback" not in captured.err
+        assert captured.err.startswith("input error: ") and message in captured.err
         assert not (tmp_path / "out").exists()
+
+    def test_failed_solves_exit_2_and_keep_the_rest(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(robust, "_MAX_ITER", 10)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"n": 10, "k_list": [2], "b_list": [1.0],
+                                           "instances_per_cell": 2, "record_wall_time": False}))
+        out_dir = tmp_path / "out"
+        code, out = _run(capsys, ["experiment", "--config", str(config_path),
+                                  "--out", str(out_dir)])
+        assert code == EXIT_SOLVER
+        assert "wrote 2 records" in out and "6 solves failed" in out
+        rows = (out_dir / "results.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[4] for row in rows] == ["nominal", "nominal"]
+        failures = json.loads((out_dir / "metadata.json").read_text())["failures"]
+        assert sorted(f["method"] for f in failures) == sorted(["budgeted", "ellipsoidal",
+                                                                "perspective"] * 2)
+
+    def test_every_solve_failing_exits_2(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(robust, "_MAX_ITER", 10)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"n": 10, "k_list": [2], "b_list": [1.0],
+                                           "instances_per_cell": 1, "methods": ["perspective"]}))
+        code = main(["experiment", "--config", str(config_path), "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == EXIT_SOLVER
+        assert "every solve in the grid failed" in captured.err
 
 
 class TestUsage:

@@ -47,8 +47,7 @@ class TestSafeDiv:
 
 class TestTolerance:
     def test_defaults(self):
-        tol = Tolerance()
-        assert tol.feas_abs == 1e-9 and tol.solver_rel == 1e-6 and tol.oracle_abs == 1e-4
+        assert Tolerance().feas_abs == 1e-9
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -286,3 +285,8 @@ class TestInstanceIO:
     def test_as_vector_rejects_matrix(self):
         with pytest.raises(ValueError):
             as_vector([[1.0, 2.0]], "a")
+
+    @pytest.mark.parametrize("bad", [{"a": 1}, [1.0, {"a": 1}], [[1.0], [1.0, 2.0]], ["x"]])
+    def test_as_vector_non_numeric_is_value_error(self, bad):
+        with pytest.raises(ValueError, match="a must be an array of real numbers"):
+            as_vector(bad, "a")

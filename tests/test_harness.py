@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sparseball import robust
 from sparseball._rng import MASK64, Xoshiro256StarStar, splitmix64_mix
 from sparseball.harness import (
     CSV_HEADER,
@@ -24,7 +25,6 @@ from sparseball.harness import (
     records_to_csv,
     run_experiment,
 )
-from sparseball.robust import SubgradientConfig
 
 
 SMOKE = ExperimentConfig(
@@ -33,7 +33,6 @@ SMOKE = ExperimentConfig(
     b_list=(2.0,),
     instances_per_cell=2,
     seed=7,
-    solver=SubgradientConfig(),
 )
 
 
@@ -93,6 +92,33 @@ class TestGenerateInstance:
         seeds = {instance_seed(0, ki, bi, i) for ki in range(3) for bi in range(3) for i in range(10)}
         assert len(seeds) == 90
 
+    @pytest.mark.parametrize("to_int", [np.int64, np.uint64, np.int32, np.uint8])
+    def test_numpy_integer_seeds_match_plain_ints(self, to_int):
+        plain = generate_instance(6, 2, 1.0, 5)
+        typed = generate_instance(to_int(6), to_int(2), 1.0, to_int(5))
+        assert np.array_equal(plain.a_tilde, typed.a_tilde) and np.array_equal(plain.d, typed.d)
+        assert (typed.n, typed.k) == (6, 2) and type(typed.n) is int and type(typed.k) is int
+        assert instance_seed(to_int(3), to_int(0), to_int(1), to_int(2)) == instance_seed(3, 0, 1, 2)
+
+    @pytest.mark.parametrize("n, k, b, seed, message", [
+        (6, 2.7, 1.0, 1, "k must be an integer, got 2.7"),
+        (6, True, 1.0, 1, "k must be an integer, got True of type bool"),
+        (6, 2, True, 1, "budget b must be a real number, got True"),
+        (6, 2, "1", 1, "budget b must be a real number"),
+        (6.0, 2, 1.0, 1, "n must be an integer, got 6.0"),
+        (6, 2, 1.0, 1.5, "seed must be an integer, got 1.5"),
+        (6, 2, 1.0, True, "seed must be an integer, got True of type bool"),
+    ])
+    def test_wrong_types_are_not_cast(self, n, k, b, seed, message):
+        with pytest.raises(ValueError, match=message):
+            generate_instance(n, k, b, seed)
+
+    def test_instance_seed_rejects_non_integers(self):
+        with pytest.raises(ValueError, match="base_seed must be an integer"):
+            instance_seed(3.0, 0, 0, 0)
+        with pytest.raises(ValueError, match="instance must be an integer"):
+            instance_seed(3, 0, 0, True)
+
 
 class TestConfig:
     def test_defaults_match_protocol(self):
@@ -121,8 +147,7 @@ class TestConfig:
 DEFAULT_CONFIG_JSON = (
     '{"b_list": [5.0, 10.0, 20.0], "instances_per_cell": 10, "k_list": [5, 10, 20], '
     '"methods": ["nominal", "budgeted", "ellipsoidal", "perspective"], "n": 200, '
-    '"record_wall_time": true, "seed": 0, "solver": {"eta0": 1.0, "gap_rtol": 0.0001, '
-    '"max_iter": 200000, "polish_rounds": 2, "rtol": 1e-06, "window": 500}}'
+    '"record_wall_time": true, "seed": 0}'
 )
 
 NOT_INTEGERS = st.one_of(st.booleans(), st.floats(allow_nan=False), st.text(max_size=3),
@@ -149,7 +174,7 @@ class TestConfigTypes:
             parse_experiment_config({"n": 16, "k_list": [2], "instances_per_cell": True})
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 50), st.lists(st.integers(1, 50), min_size=1, max_size=3),
+    @given(st.integers(1, 50), st.lists(st.integers(1, 50), min_size=1, max_size=3, unique=True),
            st.integers(1, 20), st.integers(0, 2**15 - 1), INTEGER_TYPES)
     def test_integral_fields_accept_any_integer_type(self, n, k_list, per_cell, seed, to_int):
         kwargs = {"n": n, "k_list": tuple(k_list), "instances_per_cell": per_cell, "seed": seed}
@@ -204,6 +229,29 @@ class TestConfigTypes:
         with pytest.raises(ValueError, match="record_wall_time must be a bool"):
             ExperimentConfig(record_wall_time=bad)
 
+    @pytest.mark.parametrize("obj, message", [
+        ({"solver": {"max_iter": 10}}, "counterpart solver settings were removed"),
+        ({"n": 8, "k_list": [2], "solver": {}}, "counterpart solver settings were removed"),
+        ({"k_lsit": [2]}, "unknown experiment config key 'k_lsit'"),
+        ({"n": 40, "k_list": [2], "instances_per_cel": 1}, "unknown experiment config key 'instances_per_cel'"),
+    ])
+    def test_unknown_and_removed_keys_are_rejected(self, obj, message):
+        with pytest.raises(ValueError, match=message):
+            parse_experiment_config(obj)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"k_list": (2, 2)}, "k_list"),
+        ({"k_list": (2, np.int64(2))}, "k_list"),
+        ({"b_list": (1.0, 1)}, "b_list"),
+        ({"methods": ("nominal", "nominal")}, "methods"),
+    ])
+    def test_duplicate_entries_are_rejected(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"{name} must not repeat an entry"):
+            ExperimentConfig(n=40, **kwargs)
+        obj = {key: list(value) for key, value in kwargs.items()}
+        with pytest.raises(ValueError, match=f"{name} must not repeat an entry"):
+            parse_experiment_config({"n": 40, **obj})
+
     def test_non_list_fields_and_non_objects_are_value_errors(self):
         with pytest.raises(ValueError, match="k_list must be a list"):
             parse_experiment_config({"n": 8, "k_list": 2})
@@ -229,6 +277,19 @@ class TestRunExperiment:
         assert smoke_run.metadata["prng"] == PRNG_NAME
         assert "seed_rule" in smoke_run.metadata
         assert smoke_run.metadata["config"]["seed"] == 7
+
+    def test_capped_solves_are_recorded_as_failures(self, monkeypatch):
+        monkeypatch.setattr(robust, "_MAX_ITER", 10)
+        run = run_experiment(dataclasses.replace(SMOKE, record_wall_time=False))
+        assert [r.method for r in run.records] == ["nominal", "nominal"]
+        assert [(f.k, f.b, f.instance, f.method) for f in run.failures] == [
+            (3, 2.0, i, m) for i in range(2) for m in ("budgeted", "ellipsoidal", "perspective")]
+        assert run.metadata["failures"] == [
+            {"k": f.k, "b": f.b, "instance": f.instance, "method": f.method, "message": f.message}
+            for f in run.failures]
+        assert all("did not stall within 10 iterations" in f.message for f in run.failures)
+        nominal_only = dataclasses.replace(SMOKE, record_wall_time=False, methods=("nominal",))
+        assert run.records == run_experiment(nominal_only).records
 
     def test_deterministic_csv_without_timings(self):
         config = dataclasses.replace(SMOKE, record_wall_time=False)
@@ -277,22 +338,3 @@ class TestReporting:
         record = ExperimentRecord(k=5, b=10.0, instance=0, method="nominal",
                                   nominal_value=0.0, worst_case=0.0, solve_time=0.0)
         assert record.cell == "k5_b10"
-
-    def test_config_solver_parsing(self):
-        config = parse_experiment_config({"n": 8, "k_list": [2], "b_list": [1.0],
-                                          "instances_per_cell": 1, "seed": 3,
-                                          "solver": {"max_iter": 1000}})
-        assert config.solver.max_iter == 1000
-
-    @pytest.mark.parametrize("solver, message", [
-        ([1], "solver must be a JSON object"),
-        ("fast", "solver must be a JSON object"),
-        ({"bogus": 1}, "unknown solver key 'bogus'"),
-        ({"max_iter": 10, "maxiter": 10}, "unknown solver key 'maxiter'"),
-        ({"window": 0}, "window must be at least 1"),
-        ({"max_iter": True}, "max_iter must be an integer"),
-        ({"rtol": -1}, "rtol must be finite and positive"),
-    ])
-    def test_config_solver_errors_name_the_key(self, solver, message):
-        with pytest.raises(ValueError, match=message):
-            parse_experiment_config({"n": 8, "k_list": [2], "solver": solver})

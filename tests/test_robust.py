@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sparseball import robust
 from sparseball.core import SolverError
 from sparseball.robust import (
     METHODS,
     _subgradient,
     PortfolioPoint,
     RobustInstance,
-    SubgradientConfig,
     budgeted_value,
     certificate_objective,
     ellipsoidal_value,
@@ -348,6 +348,16 @@ class TestSolveCounterpart:
         inst = RobustInstance([0.5], [1.0], 1.0, 1, 1)
         with pytest.raises(ValueError):
             solve_counterpart("antifragile", inst)
+        with pytest.raises(ValueError, match="unknown method 'antifragile'; expected one of"):
+            method_value("antifragile", [1.0], inst)
+
+    def test_methods_are_the_oracle_table_in_order(self):
+        assert METHODS == ("nominal", "budgeted", "ellipsoidal", "perspective")
+        inst = RobustInstance([0.3, 0.7], [0.5, 1.0], 4.0, 1, 2)
+        y = np.array([0.25, 0.75])
+        oracle = (robust.nominal_value, robust.budgeted_value, robust.ellipsoidal_value,
+                  robust.perspective_value)
+        assert [method_value(m, y, inst) for m in METHODS] == [f(y, inst) for f in oracle]
 
     def test_two_asset_matches_golden_section(self, rng):
         for _ in range(8):
@@ -376,33 +386,11 @@ class TestSolveCounterpart:
         assert r1.objective == r2.objective
         assert r1.iterations == r2.iterations
 
-    @pytest.mark.parametrize("name, least", [("max_iter", 1), ("window", 1), ("polish_rounds", 0)])
-    def test_config_integer_fields(self, name, least):
-        config = SubgradientConfig(**{name: np.int32(least)})
-        assert getattr(config, name) == least and type(getattr(config, name)) is int
-        with pytest.raises(ValueError, match=f"{name} must be at least {least}"):
-            SubgradientConfig(**{name: least - 1})
-        for bad in (True, 2.0, "3", None):
-            with pytest.raises(ValueError, match=f"{name} must be an integer"):
-                SubgradientConfig(**{name: bad})
-
-    @pytest.mark.parametrize("name", ["eta0", "rtol", "gap_rtol"])
-    def test_config_real_fields(self, name):
-        config = SubgradientConfig(**{name: np.float32(0.5)})
-        assert getattr(config, name) == 0.5 and type(getattr(config, name)) is float
-        assert getattr(SubgradientConfig(**{name: 2}), name) == 2.0
-        for bad in (0.0, -1.0, math.inf, math.nan):
-            with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
-                SubgradientConfig(**{name: bad})
-        for bad in (True, np.bool_(True), "1e-6", None):
-            with pytest.raises(ValueError, match=f"{name} must be a real number"):
-                SubgradientConfig(**{name: bad})
-
-    def test_iteration_cap_raises_with_best_iterate(self, rng):
+    def test_iteration_cap_raises_with_best_iterate(self, rng, monkeypatch):
         inst = _random_instance(rng, n=4)
-        config = SubgradientConfig(max_iter=100, window=500)
-        with pytest.raises(SolverError) as info:
-            solve_counterpart("perspective", inst, config)
+        with monkeypatch.context() as patch, pytest.raises(SolverError) as info:
+            patch.setattr(robust, "_MAX_ITER", 100)
+            solve_counterpart("perspective", inst)
         assert info.value.best is not None
         assert info.value.best_value is not None
         # the gap is the simplex linearization gap at the best iterate, an
