@@ -34,6 +34,7 @@ from .harness import (
 from .hull import SEPARATION_EXACT_GUARD, submodular_cut_1, submodular_cut_2, violated_cuts
 from .robust import (
     METHODS,
+    PortfolioPoint,
     load_robust_instance,
     nominal_value,
     robust_instance_to_dict,
@@ -174,6 +175,7 @@ def _cmd_eval(args) -> int:
     y = _vector_arg(args.y, "y", key="y")
     if y.size != inst.n:
         raise _UsageError("y must match the instance dimension")
+    y = PortfolioPoint(y)
     _emit({"worst_case": worst_case(y, inst), "nominal_value": nominal_value(y, inst)})
     return EXIT_OK
 

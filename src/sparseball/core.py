@@ -34,10 +34,10 @@ class SolverError(RuntimeError):
     """A solver could not return an answer.
 
     Raised by the robust counterpart solver when it reaches its fixed
-    iteration cap, and by edge rounding when no rounding is a family member.
-    Carries the best iterate found so far and a gap estimate so callers can
-    still inspect partial progress.  The conv(Z) relaxation is exact and
-    never raises it.
+    iteration cap.  Carries the best iterate found so far and a gap
+    estimate so callers can still inspect partial progress.  The conv(Z)
+    relaxation is exact and its rounding picks one of two family members,
+    so it never raises it.
     """
 
     def __init__(self, message: str, best=None, best_value=None, gap=None):
@@ -81,6 +81,26 @@ def as_int(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r} of type {type(value).__name__}")
     return int(value)
+
+
+def as_index_set(S, n: int) -> np.ndarray:
+    """Sorted distinct indices of S as an int array, each in 0 .. n - 1.
+
+    S is a 1-D collection of integers (a set, a sequence or a numpy integer
+    array); the empty set is allowed.  bool or non-integral entries raise
+    ValueError, an index out of range raises IndexError.
+    """
+    idx = np.asarray(list(S) if isinstance(S, (set, frozenset)) else S)
+    if idx.ndim != 1:
+        raise ValueError("an index set must be a one-dimensional collection of integers")
+    if idx.size == 0:
+        return np.zeros(0, dtype=int)
+    if not np.issubdtype(idx.dtype, np.integer):
+        raise ValueError(f"an index set must hold integers, got entries of type {idx.dtype}")
+    idx = np.unique(idx)
+    if idx[0] < 0 or idx[-1] >= n:
+        raise IndexError(f"index set out of range for n = {n}")
+    return idx.astype(int, copy=False)
 
 
 def as_vector(v, name: str = "vector") -> np.ndarray:

@@ -18,6 +18,7 @@ from .core import (
     FREE,
     ProblemInstance,
     ZFamily,
+    as_index_set,
     as_int,
     as_vector,
     check_enumeration_guard,
@@ -53,18 +54,14 @@ def support_value(S, inst: ProblemInstance) -> SupportSolution:
     restriction of a to S; when that restriction vanishes, x = 0 is the
     canonical minimizer.  The empty support has value 0.
     """
-    idx = tuple(sorted({int(i) for i in S}))
-    n = inst.n
-    if idx and (idx[0] < 0 or idx[-1] >= n):
-        raise IndexError(f"support index out of range for n = {n}")
-    sel = np.array(idx, dtype=int)
+    sel = as_index_set(S, inst.n)
     a_s = inst.a[sel]
     gnorm = math.sqrt(float(np.sum(a_s * a_s)))
     value = float(np.sum(inst.c[sel])) - gnorm
-    x = np.zeros(n)
+    x = np.zeros(inst.n)
     if gnorm > 0.0:
         x[sel] = -a_s / gnorm
-    return SupportSolution(S=idx, value=value, x_opt=x)
+    return SupportSolution(S=tuple(sel.tolist()), value=value, x_opt=x)
 
 
 def discrete_objective(z, a, c) -> float:
@@ -145,8 +142,7 @@ def solve_discrete_bruteforce(inst: ProblemInstance) -> DiscreteSolution:
             if value < best or (value == best and key < best_key):
                 best, best_key = value, key
                 z_best = np.concatenate((hi[key[0]], lo[r]))
-    support = tuple(int(i) for i in np.flatnonzero(z_best))
-    sol = support_value(support, inst)
+    sol = support_value(np.flatnonzero(z_best), inst)
     z = z_best.astype(float)
     return DiscreteSolution(z_opt=z, x_opt=sol.x_opt, value=sol.value)
 
@@ -161,10 +157,9 @@ def solve_discrete_sort(a, k: int) -> DiscreteSolution:
     k = as_int(k, "k")
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    order = np.argsort(-(a * a), kind="stable")
-    support = tuple(sorted(int(i) for i in order[:k]))
+    support = np.argsort(-(a * a), kind="stable")[:k]
     inst = ProblemInstance(a, np.zeros(n), ZFamily(CARD_EQ, n, k))
     sol = support_value(support, inst)
     z = np.zeros(n)
-    z[list(support)] = 1.0
+    z[support] = 1.0
     return DiscreteSolution(z_opt=z, x_opt=sol.x_opt, value=sol.value)

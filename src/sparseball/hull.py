@@ -20,6 +20,8 @@ it a concave problem in the one scalar t whose inner minimizer is the LP
 vertex of c - t a^2 (ties to the smallest index), so a bisection on t
 brackets the optimum between two vertices, and the optimum is the
 closed-form minimizer on the segment (an edge of conv(Z)) joining them.
+The rounding is the better of those two vertices, both family members, so
+the relaxation never fails.
 """
 
 from __future__ import annotations
@@ -36,9 +38,10 @@ from .core import (
     FREE,
     MixedPoint,
     ProblemInstance,
-    SolverError,
     Tolerance,
     ZFamily,
+    as_index_set,
+    as_int,
     as_vector,
     enumerate_Z,
     safe_div_arr,
@@ -117,73 +120,72 @@ class LinearCut:
         return {"pi_abs": self.pi_abs.tolist(), "rho_z": self.rho_z.tolist(), "rhs": self.rhs}
 
 
-def _as_index_set(S, n: int) -> np.ndarray:
-    idx = sorted({int(i) for i in S})
-    if idx and (idx[0] < 0 or idx[-1] >= n):
-        raise IndexError(f"index set out of range for n = {n}")
-    return np.array(idx, dtype=int)
-
-
 def g_value(S, alpha) -> float:
     """Euclidean norm of the alpha entries on S; a submodular set function."""
     a = _alpha_of(alpha)
-    idx = _as_index_set(S, a.size)
+    idx = as_index_set(S, a.size)
     return math.sqrt(float(np.sum(a[idx] * a[idx])))
+
+
+def _marginals(M: np.ndarray, asq: np.ndarray):
+    """The marginal gains of g on each row S of the 0/1 matrix M.
+
+    Returns ``(sq, gain_self, gain_add)`` with q = M a^2: sq[r] = g(S) =
+    sqrt(q_r), gain_self[r, i] = rho_i(S - i) = sqrt(q_r) - sqrt(q_r - a_i^2)
+    (meaningful for i in S) and gain_add[r, i] = rho_i(S) = sqrt(q_r + a_i^2)
+    - sqrt(q_r) (meaningful for i outside S).
+    """
+    q = M @ asq
+    sq = np.sqrt(q)
+    gain_self = sq[:, None] - np.sqrt(np.clip(q[:, None] - asq, 0.0, None))
+    gain_add = np.sqrt(q[:, None] + asq) - sq[:, None]
+    return sq, gain_self, gain_add
 
 
 def rho(i: int, S, alpha) -> float:
     """Marginal gain of adding index i to S: g(S + i) - g(S).  Requires i not in S."""
     a = _alpha_of(alpha)
-    idx = _as_index_set(S, a.size)
-    i = int(i)
+    i = as_int(i, "i")
     if i < 0 or i >= a.size:
         raise IndexError(f"index {i} out of range")
-    if i in set(idx.tolist()):
+    M = np.zeros((1, a.size))
+    M[0, as_index_set(S, a.size)] = 1.0
+    if M[0, i]:
         raise ValueError(f"index {i} already belongs to S")
-    q = float(np.sum(a[idx] * a[idx]))
-    return math.sqrt(q + a[i] * a[i]) - math.sqrt(q)
+    return float(_marginals(M, a * a)[2][0, i])
 
 
-def _marginals(a: np.ndarray, in_S: np.ndarray):
-    """Vectors of the marginal quantities used by the cut generators."""
-    asq = a * a
-    q = float(asq[in_S].sum())
-    # rho_i(S - i) for i in S (meaningless elsewhere, masked by callers)
-    drop = np.sqrt(np.clip(q - asq, 0.0, None))
-    rho_self = math.sqrt(q) - drop
-    # rho_i(S) for i not in S
-    rho_add = np.sqrt(q + asq) - math.sqrt(q)
-    return q, rho_self, rho_add
+def _cut(S, alpha, family) -> LinearCut:
+    """The cut of one family on S, with rhs = g(S) - sum of its inside marginals.
+
+    Inside S the marginal is rho_i(S - i) (family 2: rho_i(N - i)); outside
+    S it is rho_i(empty) = |alpha_i| (family 2: rho_i(S); the base
+    inequality drops it).
+    """
+    a = _alpha_of(alpha)
+    M = np.zeros((3, a.size))  # rows: the empty set, S, N
+    M[1, as_index_set(S, a.size)] = 1.0
+    M[2] = 1.0
+    sq, gain_self, gain_add = _marginals(M, a * a)
+    in_S = M[1] == 1.0
+    if family == 1:
+        inside, outside = gain_self[1], -gain_add[0]
+    elif family == 2:
+        inside, outside = gain_self[2], -gain_add[1]
+    else:
+        inside, outside = gain_self[1], 0.0
+    rho_z = np.where(in_S, -inside, outside)
+    return LinearCut(np.abs(a), rho_z, float(sq[1] - inside[in_S].sum()))
 
 
 def submodular_cut_1(S, alpha) -> LinearCut:
     """First submodular cut: marginals rho_i(S - i) inside S, rho_i(empty) outside."""
-    a = _alpha_of(alpha)
-    n = a.size
-    idx = _as_index_set(S, n)
-    in_S = np.zeros(n, dtype=bool)
-    in_S[idx] = True
-    q, rho_self, _ = _marginals(a, in_S)
-    rho_empty = np.abs(a)
-    rho_z = np.where(in_S, -rho_self, -rho_empty)
-    rhs = math.sqrt(q) - float(rho_self[in_S].sum())
-    return LinearCut(np.abs(a), rho_z, rhs)
+    return _cut(S, alpha, 1)
 
 
 def submodular_cut_2(S, alpha) -> LinearCut:
     """Second submodular cut: marginals rho_i(N - i) inside S, rho_i(S) outside."""
-    a = _alpha_of(alpha)
-    n = a.size
-    idx = _as_index_set(S, n)
-    in_S = np.zeros(n, dtype=bool)
-    in_S[idx] = True
-    asq = a * a
-    q, _, rho_add = _marginals(a, in_S)
-    full = float(asq.sum())
-    rho_last = math.sqrt(full) - np.sqrt(np.clip(full - asq, 0.0, None))
-    rho_z = np.where(in_S, -rho_last, -rho_add)
-    rhs = math.sqrt(q) - float(rho_last[in_S].sum())
-    return LinearCut(np.abs(a), rho_z, rhs)
+    return _cut(S, alpha, 2)
 
 
 def base_inequality(S, alpha) -> LinearCut:
@@ -191,15 +193,7 @@ def base_inequality(S, alpha) -> LinearCut:
 
     Only valid on the restriction z_i = 0 for all i outside S.
     """
-    a = _alpha_of(alpha)
-    n = a.size
-    idx = _as_index_set(S, n)
-    in_S = np.zeros(n, dtype=bool)
-    in_S[idx] = True
-    q, rho_self, _ = _marginals(a, in_S)
-    rho_z = np.where(in_S, -rho_self, 0.0)
-    rhs = math.sqrt(q) - float(rho_self[in_S].sum())
-    return LinearCut(np.abs(a), rho_z, rhs)
+    return _cut(S, alpha, "base")
 
 
 def violated_cuts(p: MixedPoint, alpha, mode: str):
@@ -211,8 +205,7 @@ def violated_cuts(p: MixedPoint, alpha, mode: str):
     ``enumerate_Z(ZFamily.free(n))``, guarded to n <= 16), and
     ``violations[r, f]`` is the violation at p of ``submodular_cut_1``
     (f = 0) or ``submodular_cut_2`` (f = 1) on row r.  No cut is built:
-    rows are scored in blocks of 2^12 from closed forms in q = M a^2,
-    drop_i = sqrt(q - a_i^2) and grow_i = sqrt(q + a_i^2) - sqrt(q).
+    rows are scored in blocks of 2^12 from their :func:`_marginals`.
     """
     a = _alpha_of(alpha)
     n = a.size
@@ -228,23 +221,21 @@ def violated_cuts(p: MixedPoint, alpha, mode: str):
     else:
         raise ValueError(f"unknown separation mode {mode!r}")
     asq = a * a
-    full = float(asq.sum())
-    rho_last = math.sqrt(full) - np.sqrt(np.clip(full - asq, 0.0, None))
+    _, gain_full, _ = _marginals(np.ones((1, n)), asq)
     lhs = float(np.abs(a) @ np.abs(p.x))
     one_minus_z = 1.0 - p.z
     abs_a_z = np.abs(a) * p.z
-    last_one_minus_z = rho_last * one_minus_z
+    full_one_minus_z = gain_full[0] * one_minus_z
     violations = np.empty((members.shape[0], 2))
     for start in range(0, members.shape[0], _SCORE_BLOCK):
         M = members[start:start + _SCORE_BLOCK].astype(float)
         out = violations[start:start + _SCORE_BLOCK]
-        q = M @ asq
-        sq = np.sqrt(q)
-        drop = np.sqrt(np.clip(q[:, None] - asq, 0.0, None))
-        grow = np.sqrt(q[:, None] + asq) - sq[:, None]
+        sq, gain_self, gain_add = _marginals(M, asq)
         outside = 1.0 - M
-        out[:, 0] = lhs - (sq - (M * (sq[:, None] - drop)) @ one_minus_z + outside @ abs_a_z)
-        out[:, 1] = lhs - (sq - M @ last_one_minus_z + (outside * grow) @ p.z)
+        out[:, 0] = lhs - (sq - (M * gain_self) @ one_minus_z + outside @ abs_a_z)
+        out[:, 1] = lhs - (sq - M @ full_one_minus_z + (outside * gain_add) @ p.z)
+        # free this block's arrays before the next block builds its own
+        del M, sq, gain_self, gain_add, outside
     return members, violations
 
 
@@ -347,9 +338,11 @@ def cardinality_cut(zfam: ZFamily) -> LinearCut:
 class RelaxationSolution:
     """Relaxation optimum with its edge rounding.
 
-    value is the relaxed optimum over conv(Z); rounded_z is the better of
-    the two edge endpoints (or z_bar itself when integral) and
-    rounded_value its support-reduced objective.
+    value is the relaxed optimum over conv(Z), attained at z_bar on the
+    edge of conv(Z) between two LP vertices; rounded_z is the better of
+    those two vertices (both are family members; ties go to the
+    lexicographically smaller) and rounded_value its support-reduced
+    objective.
     """
 
     z_bar: np.ndarray
@@ -359,20 +352,13 @@ class RelaxationSolution:
     fractional_count: int
 
 
-def _fractional_indices(z: np.ndarray) -> np.ndarray:
-    return np.flatnonzero(np.minimum(z, 1.0 - z) > FRACTIONAL_EPS)
-
-
-def _phi(z: np.ndarray, c: np.ndarray, asq: np.ndarray) -> float:
-    return float(c @ z) - math.sqrt(max(float(asq @ z), 0.0))
-
-
-def _segment_argmin(z0: np.ndarray, z1: np.ndarray, c: np.ndarray, asq: np.ndarray):
-    """Exact minimizer of phi on the segment [z0, z1] (phi is convex there).
+def _segment_argmin(z0: np.ndarray, z1: np.ndarray, a: np.ndarray, c: np.ndarray):
+    """Exact minimizer of the objective on the segment [z0, z1] (convex there).
 
     On the segment phi(gamma) = const + gamma * cd - sqrt(sigma + gamma * ds)
     with cd, ds linear coefficients, so the stationary point is closed form.
     """
+    asq = a * a
     d = z1 - z0
     cd = float(c @ d)
     ds = float(asq @ d)
@@ -386,7 +372,7 @@ def _segment_argmin(z0: np.ndarray, z1: np.ndarray, c: np.ndarray, asq: np.ndarr
                 candidates.append(gamma)
     best_g, best_v = 0.0, math.inf
     for gamma in candidates:
-        v = _phi(z0 + gamma * d, c, asq)
+        v = discrete_objective(z0 + gamma * d, a, c)
         if v < best_v:
             best_g, best_v = gamma, v
     return z0 + best_g * d, best_v
@@ -409,7 +395,7 @@ def _lp_vertex(g: np.ndarray, zfam: ZFamily) -> np.ndarray:
 
 
 def _relax(inst: ProblemInstance):
-    """Exact minimizer of phi over conv(Z) by bisection on the dual scalar.
+    """Exact minimizer of the objective over conv(Z) by bisection on the dual scalar.
 
     With -sqrt(sigma) = max_{t>0} (-t sigma - 1/(4t)) the relaxation is
     max_t min_z (c - t a^2)'z - 1/(4t).  The inner minimizer v(t) is an LP
@@ -417,11 +403,16 @@ def _relax(inst: ProblemInstance):
     4 t^2 a^2'v(t) crosses 1.  Bracket it by doubling or halving from t = 1,
     bisect until both ends give the same vertex or t cannot be split, and
     take the exact minimizer on the segment between the two vertices.
+
+    Returns ``(z_bar, value, v_lo, v_hi)``: the minimizer, its value and the
+    two bracketing vertices, whose segment holds z_bar (the LP vertex of c,
+    twice, when every a_i = 0).
     """
-    c, asq, zfam = inst.c, inst.a * inst.a, inst.zfam
+    a, c, zfam = inst.a, inst.c, inst.zfam
+    asq = a * a
     if not np.any(asq > 0.0):
         v = _lp_vertex(c, zfam)
-        return v, _phi(v, c, asq)
+        return v.copy(), discrete_objective(v, a, c), v, v
 
     def vertex(t: float):
         v = _lp_vertex(c - t * asq, zfam)
@@ -448,62 +439,7 @@ def _relax(inst: ProblemInstance):
             hi, v_hi = mid, v
         else:
             lo, v_lo = mid, v
-    return _segment_argmin(v_lo, v_hi, c, asq)
-
-
-def _round_candidates(z: np.ndarray, zfam: ZFamily) -> list:
-    """Feasible binary roundings of z consistent with its edge pattern."""
-    frac = _fractional_indices(z)
-    base = np.round(z)
-    base[frac] = 0.0
-    cands = []
-
-    def feasible(v: np.ndarray) -> bool:
-        ones = int(v.sum())
-        if zfam.kind == CARD_LE:
-            return ones <= zfam.k
-        if zfam.kind == CARD_EQ:
-            return ones == zfam.k
-        return True
-
-    if frac.size == 0:
-        cands.append(np.round(z))
-    elif frac.size == 1:
-        lo = base.copy()
-        hi = base.copy()
-        hi[frac[0]] = 1.0
-        cands.extend([lo, hi])
-    elif frac.size == 2:
-        for keep in (frac[0], frac[1]):
-            v = base.copy()
-            v[keep] = 1.0
-            cands.append(v)
-        cands.append(base.copy())
-        both = base.copy()
-        both[frac] = 1.0
-        cands.append(both)
-    else:
-        # defensive fallback: greedy top rounding by fractional mass
-        order = np.argsort(-z, kind="stable")
-        if zfam.kind == CARD_EQ:
-            v = np.zeros(zfam.n)
-            v[order[: zfam.k]] = 1.0
-            cands.append(v)
-        else:
-            limit = zfam.n if zfam.kind == FREE else zfam.k
-            v = np.zeros(zfam.n)
-            v[[int(i) for i in order[:limit] if z[int(i)] >= 0.5]] = 1.0
-            cands.append(v)
-    out = [v for v in cands if feasible(v)]
-    if not out:
-        raise SolverError("edge rounding produced no feasible candidate", best=z)
-    # deterministic order: lexicographically smallest first among duplicates
-    out.sort(key=lambda v: tuple(v.tolist()))
-    dedup = []
-    for v in out:
-        if not any(np.array_equal(v, w) for w in dedup):
-            dedup.append(v)
-    return dedup
+    return (*_segment_argmin(v_lo, v_hi, a, c), v_lo, v_hi)
 
 
 def solve_relaxation(inst: ProblemInstance) -> RelaxationSolution:
@@ -514,23 +450,22 @@ def solve_relaxation(inst: ProblemInstance) -> RelaxationSolution:
     the closed-form minimizer on the segment between the two bracketing
     vertices.  There is no iteration cap and no tolerance to set.  LP ties
     go to the smallest index, so repeated calls return the same z_bar.  The
-    optimum lies on an edge of conv(Z): at most one fractional coordinate
+    optimum lies on that edge of conv(Z): at most one fractional coordinate
     in the free family and two in the cardinality families, for data in
     general position (exactly tied coordinates may share the fraction).
+    The rounding is the better of the edge's two endpoint vertices by the
+    support-reduced objective, ties to the lexicographically smaller, so it
+    is always a family member and the solve cannot fail.
     """
-    z_bar, value = _relax(inst)
-    frac = _fractional_indices(z_bar)
-    best_round, best_round_val = None, math.inf
-    for cand in _round_candidates(z_bar, inst.zfam):
-        v = discrete_objective(cand, inst.a, inst.c)
-        if v < best_round_val:
-            best_round, best_round_val = cand, v
+    a, c = inst.a, inst.c
+    z_bar, value, v_lo, v_hi = _relax(inst)
+    rounded_z = min((v_lo, v_hi), key=lambda v: (discrete_objective(v, a, c), v.tolist()))
     return RelaxationSolution(
         z_bar=z_bar,
         value=value,
-        rounded_z=best_round,
-        rounded_value=best_round_val,
-        fractional_count=int(frac.size),
+        rounded_z=rounded_z,
+        rounded_value=discrete_objective(rounded_z, a, c),
+        fractional_count=int(np.count_nonzero(np.minimum(z_bar, 1.0 - z_bar) > FRACTIONAL_EPS)),
     )
 
 

@@ -246,6 +246,8 @@ class TestGenEval:
         ('{"y": {"a": 1}}', "y must be an array of real numbers"),
         ("[[0.5, 0.5, 0], [0, 0, 0]]", "y must be one-dimensional"),
         ('[0.5, "x", 0, 0, 0, 0.5]', "y must be an array of real numbers"),
+        ("[-1, 2, 0, 0, 0, 0]", "y must be nonnegative"),
+        ("[5, 5, 0, 0, 0, 0]", "y must sum to one"),
     ])
     def test_malformed_y_is_input_error(self, capsys, robust_file, y, message):
         code = main(["eval", "--instance", str(robust_file), "--y", y])

@@ -11,6 +11,7 @@ from sparseball.core import (
     ProblemInstance,
     Tolerance,
     ZFamily,
+    as_index_set,
     as_vector,
     enumerate_Z,
     is_in_X,
@@ -43,6 +44,39 @@ class TestSafeDiv:
     def test_array_broadcast_scalar_denominator(self):
         out = safe_div_arr([1.0, 0.0], 0.0)
         assert out[0] == math.inf and out[1] == 0.0
+
+
+class TestIndexSet:
+    @pytest.mark.parametrize("S, expected", [
+        ((), []),
+        ([], []),
+        (np.array([]), []),
+        ((3, 1, 3), [1, 3]),
+        ({2, 0}, [0, 2]),
+        (range(3), [0, 1, 2]),
+        (np.array([4, 0], dtype=np.uint8), [0, 4]),
+        (np.flatnonzero([0, 1, 0, 1, 1]), [1, 3, 4]),
+        ((np.int32(2), 1), [1, 2]),
+    ])
+    def test_accepts_integer_collections(self, S, expected):
+        idx = as_index_set(S, 5)
+        assert idx.dtype == int
+        assert idx.tolist() == expected
+
+    @pytest.mark.parametrize("S, error", [
+        ((1.7,), ValueError),
+        ((0.0,), ValueError),
+        ([True], ValueError),
+        (np.array([False, True]), ValueError),
+        ("01", ValueError),
+        ([[0, 1]], ValueError),
+        (3, ValueError),
+        ((5,), IndexError),
+        ((-1, 2), IndexError),
+    ])
+    def test_rejects_non_integers_and_out_of_range(self, S, error):
+        with pytest.raises(error):
+            as_index_set(S, 5)
 
 
 class TestTolerance:

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sparseball.core import DEFAULT_TOL, MixedPoint, ProblemInstance, ZFamily
-from sparseball.discrete import discrete_objective, solve_discrete_bruteforce
+from sparseball import hull
+from sparseball.discrete import discrete_objective, solve_discrete_bruteforce, support_value
 from sparseball.hull import (
-    _phi,
     LinearCut,
     base_inequality,
     c_alpha_membership,
@@ -90,6 +90,36 @@ class TestGAndRho:
                     if S_mask == 0:
                         break
                     S_mask = (S_mask - 1) & T_mask
+
+
+_BAD_INDEX_CALLS = {
+    "g_value-float": lambda: g_value((1.7,), [3.0, 4.0]),
+    "rho-float-i": lambda: rho(0.9, (1,), [3.0, 4.0]),
+    "rho-float-S": lambda: rho(0, (1.2,), [3.0, 4.0]),
+    "rho-bool-i": lambda: rho(True, (), [3.0, 4.0]),
+    "cut1-bool": lambda: submodular_cut_1([True], [3.0, 4.0]),
+    "cut2-float": lambda: submodular_cut_2([0.0], [3.0, 4.0]),
+    "base-bool-array": lambda: base_inequality(np.array([True, False]), [3.0, 4.0]),
+    "support-float": lambda: support_value(
+        (0.7, 1.9), ProblemInstance([3.0, 4.0], [0.0, 0.0], ZFamily.free(2))),
+}
+
+
+class TestIndexSets:
+    @pytest.mark.parametrize("name", sorted(_BAD_INDEX_CALLS))
+    def test_non_integer_indices_are_rejected(self, name):
+        with pytest.raises(ValueError, match="integer"):
+            _BAD_INDEX_CALLS[name]()
+
+    def test_numpy_integer_indices_match_plain_ones(self):
+        alpha = [3.0, -4.0, 1.0]
+        S = np.flatnonzero([1, 0, 1])
+        assert g_value(S, alpha) == g_value((0, 2), alpha)
+        assert rho(np.int64(1), S, alpha) == rho(1, [0, 2], alpha)
+        for make in (submodular_cut_1, submodular_cut_2, base_inequality):
+            assert make(S, alpha).to_dict() == make([2, 0], alpha).to_dict()
+        assert submodular_cut_1(np.array([], dtype=int), alpha).to_dict() == \
+            submodular_cut_1((), alpha).to_dict()
 
 
 class TestCutGenerators:
@@ -537,7 +567,7 @@ def _certify(inst, sol):
     """Checks every relaxation answer must pass, whatever the data."""
     kind, k = inst.zfam.kind, inst.zfam.k
     assert inst.zfam.conv_contains(sol.z_bar)
-    assert sol.value == _phi(sol.z_bar, inst.c, inst.a * inst.a)
+    assert sol.value == discrete_objective(sol.z_bar, inst.a, inst.c)
     gap = oracles.relaxation_gap(sol.z_bar, inst.a, inst.c, kind, k)
     assert gap <= 1e-9 * max(1.0, abs(sol.value))
     assert sol.value <= sol.rounded_value + 1e-9 * max(1.0, abs(sol.value))
@@ -665,6 +695,97 @@ class TestRelaxationDegenerateAndTies:
         inst = ProblemInstance([1.0, 1.0], [-1.0, -1.0], ZFamily.card_le(2, 1))
         sol = solve_relaxation(inst)
         assert np.array_equal(sol.z_bar, [1.0, 0.0])
+
+
+def _spy_relax(monkeypatch):
+    """Record the (z_bar, value, v_lo, v_hi) of every ``_relax`` call."""
+    calls = []
+    real = hull._relax
+
+    def spy(inst):
+        out = real(inst)
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(hull, "_relax", spy)
+    return calls
+
+
+def _random_instances(rng, count):
+    for n in (5, 16, 200):
+        for kind in ("free", "card_le", "card_eq"):
+            for _ in range(count):
+                k = None if kind == "free" else int(rng.integers(1, n + 1))
+                yield ProblemInstance(rng.normal(size=n), rng.normal(size=n), ZFamily(kind, n, k))
+
+
+class TestEdgeRounding:
+    def test_rounding_is_the_better_bracketing_vertex(self, rng, monkeypatch):
+        calls = _spy_relax(monkeypatch)
+        cases = list(_random_instances(rng, 10)) + [
+            ProblemInstance(a, c, fam) for _, a, c, fam in DEGENERATE]
+        for inst in cases:
+            sol = solve_relaxation(inst)
+            z_bar, value, v_lo, v_hi = calls.pop()
+            assert inst.zfam.contains(v_lo) and inst.zfam.contains(v_hi)
+            values = [discrete_objective(v, inst.a, inst.c) for v in (v_lo, v_hi)]
+            best = min(values)
+            winners = [v.tolist() for v, w in zip((v_lo, v_hi), values) if w == best]
+            assert sol.rounded_z.tolist() == min(winners)
+            assert sol.rounded_value == best
+            # z_bar lies on the segment joining the two vertices
+            d = v_hi - v_lo
+            gamma = float(d @ (z_bar - v_lo)) / float(d @ d) if d.any() else 0.0
+            assert 0.0 <= gamma <= 1.0
+            assert np.allclose(z_bar, v_lo + gamma * d, rtol=0.0, atol=1e-12)
+
+    def test_integral_relaxation_rounds_to_itself(self, rng):
+        integral = 0
+        for inst in _random_instances(rng, 20):
+            sol = solve_relaxation(inst)
+            if sol.fractional_count == 0:
+                integral += 1
+                assert sol.rounded_value == sol.value
+                assert np.array_equal(sol.rounded_z, np.round(sol.z_bar))
+        assert integral > 0
+
+    @pytest.mark.parametrize("a, c, fam, ends, rounded", [
+        ([2.0], [2.0], ZFamily.free(1), ([0.0], [1.0]), [0.0]),
+        ([0.0, 2.0], [0.0, 2.0], ZFamily.card_eq(2, 1), ([1.0, 0.0], [0.0, 1.0]), [0.0, 1.0]),
+    ])
+    def test_tied_endpoints_go_to_the_lexicographically_smaller(self, monkeypatch, a, c, fam,
+                                                                ends, rounded):
+        # both endpoints have objective 0; the optimum is inside the edge
+        calls = _spy_relax(monkeypatch)
+        sol = solve_relaxation(ProblemInstance(a, c, fam))
+        _, value, v_lo, v_hi = calls.pop()
+        assert (v_lo.tolist(), v_hi.tolist()) == ends
+        assert value == -0.5
+        assert sol.rounded_value == 0.0
+        assert sol.rounded_z.tolist() == rounded
+
+    def test_rounding_does_not_alias_z_bar(self):
+        sol = solve_relaxation(ProblemInstance(np.zeros(3), [-1.0, 0.5, -0.5], ZFamily.free(3)))
+        assert np.array_equal(sol.rounded_z, sol.z_bar)
+        assert sol.rounded_z is not sol.z_bar
+
+    def test_tied_data_rounds_to_an_edge_endpoint(self):
+        # coordinates 0 and 2 are exact ties and share the fraction, so the
+        # edge runs from the empty set to {0, 2}; the integral point {2} has
+        # the relaxation value but is not an endpoint of that edge
+        inst = ProblemInstance([-1.0, -0.5, -1.0], [0.5, 1.0, 0.5], ZFamily.free(3))
+        first = solve_relaxation(inst)
+        again = solve_relaxation(ProblemInstance([-1.0, -0.5, -1.0], [0.5, 1.0, 0.5],
+                                                 ZFamily.free(3)))
+        assert np.array_equal(first.z_bar, [0.5, 0.0, 0.5])
+        assert first.fractional_count == 2
+        assert inst.zfam.contains(first.rounded_z)
+        assert first.rounded_value >= first.value
+        assert first.rounded_value == discrete_objective(first.rounded_z, inst.a, inst.c)
+        assert np.array_equal(first.rounded_z, [1.0, 0.0, 1.0])
+        for field in ("z_bar", "rounded_z"):
+            assert getattr(first, field).tobytes() == getattr(again, field).tobytes()
+        assert (first.value, first.rounded_value) == (again.value, again.rounded_value)
 
 
 class TestQuadReformulate:
