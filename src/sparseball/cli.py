@@ -118,14 +118,18 @@ def _cmd_cuts(args) -> int:
     members, violations = violated_cuts(point, alpha, args.mode)
     flat = violations.ravel()
     order = np.argsort(-flat, kind="stable")
-    order = order[flat[order] > DEFAULT_TOL.feas_abs][: args.top]
-    seen = []
+    order = order[flat[order] > DEFAULT_TOL.feas_abs]
+    # distinct sets can give the same inequality; print each one once
+    cuts = {}
     for index in order:
+        if len(cuts) == args.top:
+            break
         row, family = divmod(int(index), 2)
         make = (submodular_cut_1, submodular_cut_2)[family]
         entry = make(np.flatnonzero(members[row]), alpha).to_dict()
-        seen.append({**entry, "violation": float(flat[index])})
-    _emit(seen)
+        key = (tuple(entry["pi_abs"]), tuple(entry["rho_z"]), entry["rhs"])
+        cuts.setdefault(key, {**entry, "violation": float(flat[index])})
+    _emit(list(cuts.values()))
     return EXIT_OK
 
 
@@ -160,9 +164,11 @@ def _cmd_experiment(args) -> int:
     else:
         config = ExperimentConfig()
     run = run_experiment(config)
+    # with no records only metadata.json, which lists the failures, is written
+    emit_report(run.records, args.out, formats=("csv", "svg") if run.records else (),
+                metadata=run.metadata)
     if not run.records:
         raise SolverError("every solve in the grid failed")
-    emit_report(run.records, args.out, metadata=run.metadata)
     sys.stdout.write(f"wrote {len(run.records)} records to {args.out}\n")
     if run.failures:
         sys.stdout.write(f"{len(run.failures)} solves failed; see metadata.json\n")

@@ -33,7 +33,7 @@ _ENUMERATION_CHUNK = 1 << 16
 class SolverError(RuntimeError):
     """A solver could not return an answer.
 
-    Raised by the robust counterpart solver when it reaches its fixed
+    Raised by the budgeted counterpart solve when it reaches its fixed
     iteration cap.  Carries the best iterate found so far and a gap
     estimate so callers can still inspect partial progress.  The conv(Z)
     relaxation is exact and its rounding picks one of two family members,
@@ -70,6 +70,25 @@ def safe_div_arr(num, den) -> np.ndarray:
     zm = ~nz
     out[zm] = np.where(num[zm] > 0.0, math.inf, np.where(num[zm] < 0.0, -math.inf, 0.0))
     return out
+
+
+def bisect_pieces(probe, lo: float, key_lo, hi: float, key_hi):
+    """Bisect [lo, hi] until both ends have the same piece key or cannot be split.
+
+    probe(t) returns (key, above): the piece key at t, an array compared by
+    value, and whether t lies above the sought root, in which case it
+    becomes the new hi.  Returns the final (lo, key_lo, hi, key_hi).
+    """
+    while not np.array_equal(key_lo, key_hi):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        key, above = probe(mid)
+        if above:
+            hi, key_hi = mid, key
+        else:
+            lo, key_lo = mid, key
+    return lo, key_lo, hi, key_hi
 
 
 def as_int(value, name: str) -> int:

@@ -361,11 +361,13 @@ def cell_scatter_svg(records, title: str, width: int = 420, height: int = 420) -
 
 
 def emit_report(records, out_dir, formats=("csv", "svg"), metadata=None) -> list:
-    """Write results.csv and one scatter SVG per cell; returns written paths.
+    """Write results.csv, one scatter SVG per cell and, when metadata is
+    given, metadata.json; returns written paths.  Records may be empty only
+    when formats is.
 
     I/O failures propagate as OSError naming the path.
     """
-    if not records:
+    if not records and formats:
         raise ValueError("no records to report")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

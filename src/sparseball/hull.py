@@ -43,6 +43,7 @@ from .core import (
     as_index_set,
     as_int,
     as_vector,
+    bisect_pieces,
     enumerate_Z,
     safe_div_arr,
 )
@@ -430,15 +431,7 @@ def _relax(inst: ProblemInstance):
         (lo, v_lo), (hi, v_hi) = (t_next, v_next), (t, v)
     else:
         (lo, v_lo), (hi, v_hi) = (t, v), (t_next, v_next)
-    while not np.array_equal(v_lo, v_hi):
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        v, above = vertex(mid)
-        if above:
-            hi, v_hi = mid, v
-        else:
-            lo, v_lo = mid, v
+    _, v_lo, _, v_hi = bisect_pieces(vertex, lo, v_lo, hi, v_hi)
     return (*_segment_argmin(v_lo, v_hi, a, c), v_lo, v_hi)
 
 

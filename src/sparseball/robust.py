@@ -11,7 +11,8 @@ problem, since for a fixed support the inner maximum is a scaled norm and
 the best support is the top-k set.
 
 Objective oracles are pure and thread safe; solver calls are independent of
-each other and deterministic for a fixed instance.
+each other and deterministic for a fixed instance.  Only the budgeted solve
+iterates, and only it can raise SolverError.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .core import (
     SolverError,
     as_int,
     as_vector,
+    bisect_pieces,
     loads_strict,
     safe_div,
     safe_div_arr,
@@ -35,9 +37,9 @@ from .core import (
 
 GOLDEN_INV = (math.sqrt(5.0) - 1.0) / 2.0
 
-# Fixed schedule of solve_counterpart's projected-subgradient loop (see its
-# docstring).  It counts iterations, never wall clock, so solves are
-# bit-reproducible under load.
+# Fixed schedule of the budgeted counterpart's projected-subgradient loop
+# (see solve_counterpart).  It counts iterations, never wall clock, so
+# solves are bit-reproducible under load.
 _ETA0 = 1.0
 _MAX_ITER = 200_000
 _WINDOW = 500
@@ -286,32 +288,72 @@ def method_value(method: str, y, inst: RobustInstance) -> float:
     return _method_oracle(method)(y, inst)
 
 
-def _subgradient(method: str, y: np.ndarray, inst: RobustInstance) -> np.ndarray:
-    """One subgradient of the method objective at y (lexicographic top-k set on ties).
-
-    method must be one of METHODS (solve_counterpart checks it); the last
-    branch is the perspective objective's.
-    """
-    if method == "nominal":
-        return inst.a_tilde.copy()
-    if method == "budgeted":
-        r = y / inst.d
-        g = inst.a_tilde.copy()
-        top = _topk_set(r, inst.k)
-        g[top] += math.sqrt(inst.b) / inst.d[top]
-        return g
-    if method == "ellipsoidal":
-        norm = math.sqrt(float(np.sum((y / inst.d) ** 2)))
-        if norm == 0.0:
-            return inst.a_tilde.copy()
-        return inst.a_tilde + math.sqrt(inst.b) * y / (inst.d ** 2 * norm)
-    r = (y / inst.d) ** 2
-    top = _topk_set(r, inst.k)
-    s = float(r[top].sum())
+def _budgeted_subgradient(y: np.ndarray, inst: RobustInstance) -> np.ndarray:
+    """One subgradient of the budgeted objective at y (lexicographic top-k set on ties)."""
+    r = y / inst.d
     g = inst.a_tilde.copy()
-    if s > 0.0 and inst.b > 0.0:
-        g[top] += math.sqrt(inst.b) * (y[top] / inst.d[top] ** 2) / math.sqrt(s)
+    top = _topk_set(r, inst.k)
+    g[top] += math.sqrt(inst.b) / inst.d[top]
     return g
+
+
+def _ksupport(w: np.ndarray, k: int):
+    """Squared k-support norm of w >= 0 and the key of its piece.
+
+    With w sorted descending (stable), the head is the h largest entries for
+    the smallest h in 0..k-1 whose tail mean tau = sum(w[h:]) / (k - h) is at
+    least w[h].  That test is monotone in h, so this h is the unique split of
+    Argyriou, Foygel & Srebro (2012), Prop. 2.1, and the squared norm is
+    sum(head^2) + (k - h) tau^2.  The key marks the head 2, the rest of
+    supp(w) 1 and the other entries 0.
+    """
+    order = np.argsort(-w, kind="stable")
+    s = w[order]
+    tails = np.cumsum(s[::-1])[::-1][:k]
+    h = int(np.argmax(tails >= np.arange(k, 0, -1) * s[:k]))
+    key = (w > 0.0).astype(np.int8)
+    key[order[:h]] = 2
+    return float(s[:h] @ s[:h]) + float(tails[h]) ** 2 / (k - h), key
+
+
+def _ksupport_dual(a: np.ndarray, d: np.ndarray, b: float, k: int):
+    """Exact minimum over the simplex of a'y + sqrt(b) * (top-k l2 norm of y/d).
+
+    Returns (t, y): the dual optimum t = max{t : ||d o (t - a)_+||_sp <= sqrt(b)}
+    and y proportional to d o v, with v the head of w = d o (t - a)_+ and its
+    tail mean on the rest of supp(w), where the objective equals t in exact
+    arithmetic.  The norm grows with t, so t is bisected from
+    [a_j, a_j + sqrt(b)/d_j] (j the first argmin of a) until both ends lie on
+    one piece, on which the squared norm is a quadratic in t.
+    """
+    j = int(np.argmin(a))
+    lo = float(a[j])
+    hi = lo + math.sqrt(b) / float(d[j])
+    y = np.zeros(a.size)
+    y[j] = 1.0
+    if not lo < hi:
+        return lo, y
+
+    def probe(t: float):
+        norm2, key = _ksupport(d * np.maximum(t - a, 0.0), k)
+        return key, norm2 >= b
+
+    lo, _, hi, key = bisect_pieces(probe, lo, probe(lo)[0], hi, probe(hi)[0])
+    head, tail = key == 2, key == 1
+    r1 = k - int(np.count_nonzero(head))
+    # on hi's piece ||w(lo + u)||^2 = A u^2 + 2 B u + b - C with w(lo + u) =
+    # p + d u; w is built from the root u, as lo + u may round back to lo
+    p = d * (lo - a)
+    P, D = float(p[tail].sum()), float(d[tail].sum())
+    A = float(d[head] @ d[head]) + D * D / r1
+    B = float(p[head] @ d[head]) + P * D / r1
+    C = max(b - float(p[head] @ p[head]) - P * P / r1, 0.0)
+    u = min(C / (B + math.sqrt(B * B + A * C)), hi - lo)
+    w = p + d * u
+    v = np.where(head, w, 0.0)
+    v[tail] = w[tail].sum() / r1
+    y = d * v
+    return lo + u, y / y.sum()
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
@@ -328,11 +370,13 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class CounterpartResult:
     """Solution of one counterpart: the simplex point, its objective (the
-    method oracle evaluated at that point), the method tag and the number of
-    subgradient iterations performed."""
+    method oracle evaluated at that point), a certified lower bound on the
+    optimum, the method tag and the number of subgradient iterations (0 for
+    the closed-form methods)."""
 
     y_star: PortfolioPoint
     objective: float
+    bound: float
     method: str
     iterations: int
 
@@ -408,28 +452,31 @@ def _polish(objective, inst: RobustInstance, y: np.ndarray, value: float, rounds
 def solve_counterpart(method: str, inst: RobustInstance) -> CounterpartResult:
     """Minimize the chosen counterpart objective over the unit simplex.
 
-    The nominal method is a linear program over the simplex and is solved
-    exactly (vertex at the smallest nominal cost, smallest index on ties).
-    The other objectives are nonsmooth convex and are solved by projected
-    subgradient with eta_t = 1/sqrt(t), iterate averaging and two stop
-    tests: a stall test (the best objective improves by less than
-    1e-6 * |objective| across a window of 500 iterations) and a certificate
-    test every 5000 iterations (the polished incumbent's linearization gap
-    over the simplex falls below 1e-4 * |objective|).  Reaching the fixed
-    cap of 200 000 iterations without either raises SolverError with the
-    best iterate and its simplex linearization gap, an upper bound on its
-    suboptimality.  Two rounds of deterministic segment line searches
-    polish the incumbent afterwards.  The solver has no settings.
+    Nominal, ellipsoidal and perspective are one exact finite dual solve
+    (``_ksupport_dual``) of a~'y + sqrt(b) * (top-k l2 norm of y/d): with
+    b = 0 for nominal (the vertex at the smallest nominal cost, smallest
+    index on ties), k = n for ellipsoidal and k = inst.k for perspective.
+    Their bound is the dual optimum, and they never raise.  The budgeted
+    objective is solved by projected subgradient with eta_t = 1/sqrt(t),
+    iterate averaging and two stop tests: a stall test (the best objective
+    improves by less than 1e-6 * |objective| across a window of 500
+    iterations) and a certificate test every 5000 iterations (the polished
+    incumbent's linearization gap over the simplex falls below
+    1e-4 * |objective|).  Reaching the fixed cap of 200 000 iterations
+    without either raises SolverError with the best iterate and its simplex
+    linearization gap, an upper bound on its suboptimality.  Two rounds of
+    deterministic segment line searches polish the incumbent afterwards,
+    and its bound is its objective minus that gap.  The solver has no
+    settings.
     """
     objective = _method_oracle(method)
-    n = inst.n
-    if method == "nominal":
-        j = int(np.argmin(inst.a_tilde))
-        y = np.zeros(n)
-        y[j] = 1.0
-        return CounterpartResult(PortfolioPoint(y), float(inst.a_tilde[j]), method, 0)
+    if method != "budgeted":
+        b = 0.0 if method == "nominal" else inst.b
+        k = inst.n if method == "ellipsoidal" else inst.k
+        bound, y = _ksupport_dual(inst.a_tilde, inst.d, b, k)
+        return CounterpartResult(PortfolioPoint(y), objective(y, inst), bound, method, 0)
 
-    y = np.full(n, 1.0 / n)
+    y = np.full(inst.n, 1.0 / inst.n)
     y_avg = y.copy()
     best_y = y.copy()
     best_f = objective(y, inst)
@@ -438,7 +485,7 @@ def solve_counterpart(method: str, inst: RobustInstance) -> CounterpartResult:
     iterations = 0
     for t in range(1, _MAX_ITER + 1):
         iterations = t
-        g = _subgradient(method, y, inst)
+        g = _budgeted_subgradient(y, inst)
         y = project_simplex(y - (_ETA0 / math.sqrt(t)) * g)
         y_avg += (y - y_avg) / t
         f_y = objective(y, inst)
@@ -458,16 +505,18 @@ def solve_counterpart(method: str, inst: RobustInstance) -> CounterpartResult:
             if t % (10 * _WINDOW) == 0:
                 # certificate test: f(y) - min f <= g'y - min_i g_i on the simplex
                 best_y, best_f = _polish(objective, inst, best_y, best_f, rounds=1)
-                g = _subgradient(method, best_y, inst)
+                g = _budgeted_subgradient(best_y, inst)
                 gap = float(g @ best_y - g.min())
                 if gap <= _GAP_RTOL * (abs(best_f) + 1e-9):
                     stalled = True
                     break
+    if stalled:
+        best_y, best_f = _polish(objective, inst, best_y, best_f, _POLISH_ROUNDS)
+    g = _budgeted_subgradient(best_y, inst)
+    gap = float(g @ best_y - g.min())
     if not stalled:
-        g = _subgradient(method, best_y, inst)
         raise SolverError(
             f"{method} counterpart did not stall within {_MAX_ITER} iterations",
-            best=best_y, best_value=best_f, gap=float(g @ best_y - g.min()),
+            best=best_y, best_value=best_f, gap=gap,
         )
-    best_y, best_f = _polish(objective, inst, best_y, best_f, _POLISH_ROUNDS)
-    return CounterpartResult(PortfolioPoint(best_y), best_f, method, iterations)
+    return CounterpartResult(PortfolioPoint(best_y), best_f, best_f - gap, method, iterations)

@@ -85,6 +85,18 @@ class TestCuts:
         assert cuts[0]["violation"] >= cuts[-1]["violation"]
         assert set(cuts[0]) == {"pi_abs", "rho_z", "rhs", "violation"}
 
+    def test_each_inequality_is_printed_once(self, capsys):
+        # 16 violated (set, family) pairs give only 8 distinct inequalities
+        argv = ["cuts", "--point", '{"x": [0.6, 0.6, 0.5], "z": [0.5, 0.5, 0.5]}',
+                "--alpha", "[1, 1, 1]", "--mode", "exact"]
+        _, out = _run(capsys, argv)
+        cuts = json.loads(out)
+        keys = [(tuple(c["pi_abs"]), tuple(c["rho_z"]), c["rhs"]) for c in cuts]
+        assert len(cuts) == len(set(keys)) == 8
+        assert all(a["violation"] >= b["violation"] for a, b in zip(cuts, cuts[1:]))
+        code, out = _run(capsys, [*argv, "--top", "3"])
+        assert code == EXIT_OK and json.loads(out) == cuts[:3]
+
     def test_feasible_point_yields_empty_list(self, capsys):
         code, out = _run(capsys, [
             "cuts", "--point", '{"x": [0.5, 0.0], "z": [1.0, 0.0]}',
@@ -166,16 +178,16 @@ class TestCuts:
             else:
                 subsets = [np.flatnonzero(m) for m in oracles.family_members("free", n)]
             reference = oracles.cut_violations(p, alpha, subsets)
-            violated = []
+            # each distinct inequality once, scored by its best (set, family) pair
+            expected = {}
             for row, family in zip(*np.nonzero(reference > DEFAULT_TOL.feas_abs)):
-                make = (submodular_cut_1, submodular_cut_2)[family]
-                violated.append(make(subsets[row], alpha))
-            expected_cuts = sorted((tuple(c.pi_abs.tolist()), tuple(c.rho_z.tolist()), c.rhs)
-                                   for c in violated)
-            assert sorted((tuple(e["pi_abs"]), tuple(e["rho_z"]), e["rhs"]) for e in cuts) == expected_cuts
-            emitted = sorted(e["violation"] for e in cuts)
-            expected = np.sort(reference[reference > DEFAULT_TOL.feas_abs])
-            assert np.allclose(emitted, expected, rtol=1e-12, atol=1e-12)
+                c = (submodular_cut_1, submodular_cut_2)[family](subsets[row], alpha)
+                key = (tuple(c.pi_abs.tolist()), tuple(c.rho_z.tolist()), c.rhs)
+                expected[key] = max(expected.get(key, -np.inf), reference[row, family])
+            keys = [(tuple(e["pi_abs"]), tuple(e["rho_z"]), e["rhs"]) for e in cuts]
+            assert sorted(keys) == sorted(expected)
+            assert np.allclose([e["violation"] for e in cuts], [expected[key] for key in keys],
+                               rtol=1e-12, atol=1e-12)
             assert all(a["violation"] >= b["violation"] for a, b in zip(cuts, cuts[1:]))
             for e in cuts:
                 lhs = np.abs(x) @ np.array(e["pi_abs"]) + z @ np.array(e["rho_z"])
@@ -194,7 +206,7 @@ class TestRobust:
 
     def test_iteration_cap_is_solver_failure(self, capsys, robust_file, monkeypatch):
         monkeypatch.setattr(robust, "_MAX_ITER", 50)
-        code, _ = _run(capsys, ["robust", "--method", "perspective",
+        code, _ = _run(capsys, ["robust", "--method", "budgeted",
                                 "--instance", str(robust_file)])
         assert code == EXIT_SOLVER
 
@@ -299,22 +311,26 @@ class TestExperiment:
         code, out = _run(capsys, ["experiment", "--config", str(config_path),
                                   "--out", str(out_dir)])
         assert code == EXIT_SOLVER
-        assert "wrote 2 records" in out and "6 solves failed" in out
+        assert "wrote 6 records" in out and "2 solves failed" in out
         rows = (out_dir / "results.csv").read_text().splitlines()[1:]
-        assert [row.split(",")[4] for row in rows] == ["nominal", "nominal"]
+        assert [row.split(",")[4] for row in rows] == ["nominal", "ellipsoidal", "perspective"] * 2
         failures = json.loads((out_dir / "metadata.json").read_text())["failures"]
-        assert sorted(f["method"] for f in failures) == sorted(["budgeted", "ellipsoidal",
-                                                                "perspective"] * 2)
+        assert [f["method"] for f in failures] == ["budgeted"] * 2
 
     def test_every_solve_failing_exits_2(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(robust, "_MAX_ITER", 10)
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({"n": 10, "k_list": [2], "b_list": [1.0],
-                                           "instances_per_cell": 1, "methods": ["perspective"]}))
-        code = main(["experiment", "--config", str(config_path), "--out", str(tmp_path / "out")])
+                                           "instances_per_cell": 1, "methods": ["budgeted"]}))
+        out_dir = tmp_path / "out"
+        code = main(["experiment", "--config", str(config_path), "--out", str(out_dir)])
         captured = capsys.readouterr()
         assert code == EXIT_SOLVER
         assert "every solve in the grid failed" in captured.err
+        assert sorted(path.name for path in out_dir.iterdir()) == ["metadata.json"]
+        failures = json.loads((out_dir / "metadata.json").read_text())["failures"]
+        assert [(f["k"], f["b"], f["instance"], f["method"]) for f in failures] == [(2, 1.0, 0, "budgeted")]
+        assert "did not stall within 10 iterations" in failures[0]["message"]
 
 
 class TestUsage:

@@ -281,15 +281,16 @@ class TestRunExperiment:
     def test_capped_solves_are_recorded_as_failures(self, monkeypatch):
         monkeypatch.setattr(robust, "_MAX_ITER", 10)
         run = run_experiment(dataclasses.replace(SMOKE, record_wall_time=False))
-        assert [r.method for r in run.records] == ["nominal", "nominal"]
+        exact = ("nominal", "ellipsoidal", "perspective")
+        assert [r.method for r in run.records] == list(exact) * 2
         assert [(f.k, f.b, f.instance, f.method) for f in run.failures] == [
-            (3, 2.0, i, m) for i in range(2) for m in ("budgeted", "ellipsoidal", "perspective")]
+            (3, 2.0, i, "budgeted") for i in range(2)]
         assert run.metadata["failures"] == [
             {"k": f.k, "b": f.b, "instance": f.instance, "method": f.method, "message": f.message}
             for f in run.failures]
         assert all("did not stall within 10 iterations" in f.message for f in run.failures)
-        nominal_only = dataclasses.replace(SMOKE, record_wall_time=False, methods=("nominal",))
-        assert run.records == run_experiment(nominal_only).records
+        exact_only = dataclasses.replace(SMOKE, record_wall_time=False, methods=exact)
+        assert run.records == run_experiment(exact_only).records
 
     def test_deterministic_csv_without_timings(self):
         config = dataclasses.replace(SMOKE, record_wall_time=False)

@@ -9,7 +9,7 @@ from sparseball import robust
 from sparseball.core import SolverError
 from sparseball.robust import (
     METHODS,
-    _subgradient,
+    _budgeted_subgradient,
     PortfolioPoint,
     RobustInstance,
     budgeted_value,
@@ -390,18 +390,26 @@ class TestSolveCounterpart:
         inst = _random_instance(rng, n=4)
         with monkeypatch.context() as patch, pytest.raises(SolverError) as info:
             patch.setattr(robust, "_MAX_ITER", 100)
-            solve_counterpart("perspective", inst)
+            solve_counterpart("budgeted", inst)
         assert info.value.best is not None
         assert info.value.best_value is not None
         # the gap is the simplex linearization gap at the best iterate, an
         # upper bound on its suboptimality, not the progress of one window
         y = info.value.best
-        g = _subgradient("perspective", y, inst)
+        g = _budgeted_subgradient(y, inst)
         assert info.value.gap == pytest.approx(float(g @ y - g.min()), rel=1e-12, abs=1e-15)
-        assert info.value.best_value == pytest.approx(method_value("perspective", y, inst), rel=1e-12)
+        assert info.value.best_value == pytest.approx(method_value("budgeted", y, inst), rel=1e-12)
         assert info.value.gap >= 0.0
-        optimum = solve_counterpart("perspective", inst).objective
+        optimum = solve_counterpart("budgeted", inst).objective
         assert info.value.best_value - optimum <= info.value.gap + 1e-9
+
+    def test_dual_solves_do_not_loop(self, rng, monkeypatch):
+        monkeypatch.setattr(robust, "_MAX_ITER", 10)
+        inst = _random_instance(rng, n=8)
+        for method in ("ellipsoidal", "perspective"):
+            res = solve_counterpart(method, inst)
+            assert res.iterations == 0
+            assert res.objective - res.bound <= 1e-12 * max(1.0, abs(res.objective))
 
     def test_perspective_tightness_against_worst_case(self, rng):
         for _ in range(5):
@@ -426,3 +434,93 @@ class TestSolveCounterpart:
             # grid resolution limits how far below the grid minimum we can sit
             assert res.objective <= robust_min + 1e-9
             assert robust_min - res.objective <= 0.05 * abs(robust_min)
+
+
+def _certificate_instances():
+    """Seeded instances for the dual-solve certificate checks: n in 1..40,
+    b log-uniform in [1e-4, 1e4], every third one on a quarter grid so that
+    a~ and d tie, then the edges b = 0, k = n, n = 1 and all-equal a~."""
+    rng = np.random.default_rng(8080)
+    out = []
+    for i in range(3000):
+        n = int(rng.integers(1, 41))
+        k = int(rng.integers(1, n + 1))
+        b = float(10.0 ** rng.uniform(-4.0, 4.0))
+        a, d = rng.uniform(0.0, 1.0, n), rng.uniform(0.05, 1.0, n)
+        if i % 3 == 0:
+            a, d = np.round(4.0 * a) / 4.0, np.maximum(np.round(4.0 * d), 1.0) / 4.0
+        out.append(RobustInstance(a, d, b, k, n))
+    for n in (1, 2, 5, 17, 40):
+        a, d = rng.uniform(-1.0, 1.0, n), rng.uniform(0.05, 1.0, n)
+        for k in sorted({1, (n + 1) // 2, n}):
+            out += [RobustInstance(a, d, b, k, n) for b in (0.0, 1e-4, 3.0, 1e4)]
+            out += [RobustInstance(np.full(n, 0.25), d, 3.0, k, n),
+                    RobustInstance(np.full(n, 0.25), np.full(n, 0.5), 3.0, k, n)]
+    return out
+
+
+class TestDualCertificate:
+    """perspective and ellipsoidal are exact dual solves; their bound is
+    the dual optimum and no simplex point may beat it."""
+
+    @pytest.fixture(scope="class")
+    def solved(self):
+        return [(inst, {m: solve_counterpart(m, inst) for m in ("ellipsoidal", "perspective")})
+                for inst in _certificate_instances()]
+
+    def test_objective_meets_bound(self, solved):
+        for inst, results in solved:
+            for res in results.values():
+                assert res.iterations == 0
+                assert abs(res.objective - res.bound) <= 1e-12 * max(1.0, abs(res.objective))
+
+    def test_no_vertex_or_sampled_point_beats_bound(self, solved):
+        rng = np.random.default_rng(8081)
+        for inst, results in solved:
+            points = [*np.eye(inst.n), *(oracles.sample_simplex(inst.n, rng) for _ in range(3))]
+            for method, res in results.items():
+                slack = 1e-14 * max(1.0, abs(res.bound))
+                assert all(res.bound <= method_value(method, y, inst) + slack for y in points)
+
+    def test_ellipsoidal_is_perspective_at_full_k(self, solved):
+        for inst, results in solved:
+            full = RobustInstance(inst.a_tilde, inst.d, inst.b, inst.n, inst.n)
+            persp = solve_counterpart("perspective", full)
+            ell = results["ellipsoidal"]
+            assert abs(persp.objective - ell.objective) <= 1e-12 * max(1.0, abs(ell.objective))
+            assert abs(persp.bound - ell.bound) <= 1e-12 * max(1.0, abs(ell.bound))
+
+    def test_multipliers_certify_the_perspective_solution(self, solved):
+        # C8's identity at the exact perspective y (undefined for b = 0)
+        for inst, results in solved:
+            res = results["perspective"]
+            if inst.b > 0.0:
+                cert = optimal_multipliers(res.y_star, inst)
+                obj = certificate_objective(cert, res.y_star, inst)
+                assert abs(obj - res.objective) <= 1e-12 * max(1.0, abs(res.objective))
+
+    def test_zero_budget_is_the_nominal_vertex(self, solved):
+        for inst, results in solved:
+            if inst.b == 0.0:
+                nominal = solve_counterpart("nominal", inst)
+                for res in results.values():
+                    assert np.array_equal(res.y_star.y, nominal.y_star.y)
+                    assert res.bound == res.objective == nominal.objective
+
+    def test_repeated_calls_are_byte_identical(self, solved):
+        for inst, results in solved[::10]:
+            for method, res in results.items():
+                again = solve_counterpart(method, inst)
+                assert again.y_star.y.tobytes() == res.y_star.y.tobytes()
+                assert (again.objective, again.bound) == (res.objective, res.bound)
+
+    def test_budgeted_and_nominal_bounds_are_lower_bounds(self, rng):
+        for _ in range(10):
+            inst = _random_instance(rng)
+            for method in ("nominal", "budgeted"):
+                res = solve_counterpart(method, inst)
+                assert res.bound <= res.objective
+                assert all(res.bound <= method_value(method, e, inst) for e in np.eye(inst.n))
+            assert res.iterations > 0
+            nominal = solve_counterpart("nominal", inst)
+            assert (nominal.bound, nominal.iterations) == (nominal.objective, 0)
