@@ -1,0 +1,170 @@
+#!/usr/bin/env python3
+"""Benchmark a parent commit against the working tree in alternating pairs.
+
+    python3 scripts/bench_pairs.py --parent HEAD --workload portfolio_grid \\
+        --seeds 901-910 --out BENCH_9.json
+
+For each seed it runs ``python3 perfbench/run.py --trace 0`` for the
+run_seconds of BENCHMARK.json once in a temporary export of the parent
+commit and once in the working tree; pair i runs the parent first when i
+is even.  It writes (or updates, one workload
+at a time) a BENCH json at the repository root: per end-to-end metric of
+BENCHMARK.json the two medians, their IQR over median, how many pairs the
+change wins and whether the medians differ by more than the parent's IQR;
+every run's metrics, correctness and failed ops; and the machine data that
+perfbench records.  The parent is exported with ``git archive``, so the run
+leaves nothing behind in the repository's git metadata.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+MACHINE_KEYS = ("nproc", "cpu_affinity", "cpu_model", "python", "numpy", "blas", "threads")
+# build paths are left out of the BLAS entry
+BLAS_KEYS = ("name", "version", "openblas configuration")
+EXTRA_KEYS = ("perspective_win_frac", "failed_frac")
+
+
+def parse_seeds(text: str) -> list:
+    """Seeds from "901-910", "901,905" or a mix of both."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds += range(int(lo), int(hi or lo) + 1)
+    return seeds
+
+
+def export(rev: str, dest: Path) -> str:
+    """Write the tree of commit rev into dest; returns its full hash."""
+    sha = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", f"{rev}^{{commit}}"],
+                         check=True, capture_output=True, text=True).stdout.strip()
+    tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", sha],
+                         check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(dest, filter="data")
+    return sha
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple:
+    """One untraced perfbench run in tree: (its metrics and extras, machine data)."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    start = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    if proc.returncode != 0:
+        raise RuntimeError(f"{' '.join(cmd)} in {tree} failed:\n{proc.stderr}")
+    lines = proc.stdout.strip().splitlines()
+    result = json.loads(lines[-1])
+    out = {name: m["value"] for name, m in result["metrics"].items()}
+    for line in lines[:-1]:
+        fields = line.split()
+        if len(fields) >= 2 and fields[0] in EXTRA_KEYS:
+            out[fields[0]] = float(fields[1])
+    out.update(correct=result["correct"], failed=result["failed"],
+               attempted=result["attempted"], wall_s=round(wall, 1))
+    record = tree / ".perfbench" / f"{workload}-seed{seed}-trace0.json"
+    machine = {key: json.loads(record.read_text())["meta"][key] for key in MACHINE_KEYS}
+    if isinstance(machine["blas"], dict):
+        machine["blas"] = {key: value for key, value in machine["blas"].items() if key in BLAS_KEYS}
+    return out, machine
+
+
+def iqr(values) -> float:
+    q1, q3 = np.percentile(values, [25, 75])
+    return float(q3 - q1)
+
+
+def summarize(pairs, metrics) -> dict:
+    out = {}
+    for name, better in metrics.items():
+        parent = [p["parent"][name] for p in pairs]
+        change = [p["change"][name] for p in pairs]
+        p_med, c_med = statistics.median(parent), statistics.median(change)
+        sign = 1.0 if better == "higher" else -1.0
+        wins = sum(sign * (c - p) > 0.0 for p, c in zip(parent, change))
+        out[name] = {
+            "better": better,
+            "parent_median": p_med,
+            "change_median": c_med,
+            "ratio_change_over_parent": c_med / p_med,
+            "parent_iqr_over_median": iqr(parent) / p_med,
+            "change_iqr_over_median": iqr(change) / c_med,
+            "median_gap_exceeds_parent_iqr": abs(c_med - p_med) > iqr(parent),
+            "change_wins": f"{wins}/{len(pairs)}",
+        }
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="parent commit (any git revision)")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", required=True, type=parse_seeds, help='e.g. "901-910"')
+    parser.add_argument("--out", required=True, type=Path, help="BENCH json to write or update")
+    parser.add_argument("--change", default=None, help="one-line description of the change")
+    parser.add_argument("--claim", nargs=2, metavar=("METRIC", "PREDICTED"), default=None,
+                        help="claimed metric of this workload and the predicted move")
+    args = parser.parse_args(argv)
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    seconds = spec["run_seconds"]
+    out_path = args.out if args.out.is_absolute() else ROOT / args.out
+    bench = json.loads(out_path.read_text()) if out_path.exists() else {}
+
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
+        parent_tree = Path(tmp)
+        sha = export(args.parent, parent_tree)
+        trees = {"parent": parent_tree, "change": ROOT}
+        pairs, machine = [], None
+        for i, seed in enumerate(args.seeds):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            pair = {"seed": seed, "first": order[0]}
+            for side in order:
+                pair[side], machine = run_once(trees[side], args.workload, seed, seconds)
+                print(f"seed {seed} {side}: " + " ".join(
+                    f"{name} {pair[side][name]:.6g}" for name in metrics), flush=True)
+            pairs.append(pair)
+
+    if args.change is not None:
+        bench["change"] = args.change
+    if args.claim is not None:
+        bench["claim"] = {"workload": args.workload, "metric": args.claim[0],
+                          "predicted": args.claim[1]}
+    bench["run"] = ("python3 perfbench/run.py --workload <w> --seed <s> --seconds "
+                    f"{seconds:g} --trace 0, in an export of the parent and in the working tree")
+    bench["parent"] = sha
+    bench.setdefault("workloads", {})[args.workload] = {
+        "seeds": args.seeds,
+        "order": "alternating; pair i runs the parent first when i is even",
+        "run_seconds": seconds,
+        "all_correct": all(p[side]["correct"] for p in pairs for side in ("parent", "change")),
+        "failed_ops": {side: sum(p[side]["failed"] for p in pairs) for side in ("parent", "change")},
+        "metrics": summarize(pairs, metrics),
+        "machine": machine,
+        "pairs": pairs,
+    }
+    out_path.write_text(json.dumps(bench, indent=2) + "\n")
+    for name, m in bench["workloads"][args.workload]["metrics"].items():
+        print(f"{name:<12} parent {m['parent_median']:.6g}  change {m['change_median']:.6g}  "
+              f"ratio {m['ratio_change_over_parent']:.3f}  wins {m['change_wins']}  "
+              f"gap>IQR {m['median_gap_exceeds_parent_iqr']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -72,25 +72,6 @@ def safe_div_arr(num, den) -> np.ndarray:
     return out
 
 
-def bisect_pieces(probe, lo: float, key_lo, hi: float, key_hi):
-    """Bisect [lo, hi] until both ends have the same piece key or cannot be split.
-
-    probe(t) returns (key, above): the piece key at t, an array compared by
-    value, and whether t lies above the sought root, in which case it
-    becomes the new hi.  Returns the final (lo, key_lo, hi, key_hi).
-    """
-    while not np.array_equal(key_lo, key_hi):
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        key, above = probe(mid)
-        if above:
-            hi, key_hi = mid, key
-        else:
-            lo, key_lo = mid, key
-    return lo, key_lo, hi, key_hi
-
-
 def as_int(value, name: str) -> int:
     """Plain int from any integral number, numpy integers included.
 

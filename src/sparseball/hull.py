@@ -43,7 +43,6 @@ from .core import (
     as_index_set,
     as_int,
     as_vector,
-    bisect_pieces,
     enumerate_Z,
     safe_div_arr,
 )
@@ -431,7 +430,15 @@ def _relax(inst: ProblemInstance):
         (lo, v_lo), (hi, v_hi) = (t_next, v_next), (t, v)
     else:
         (lo, v_lo), (hi, v_hi) = (t, v), (t_next, v_next)
-    _, v_lo, _, v_hi = bisect_pieces(vertex, lo, v_lo, hi, v_hi)
+    while not np.array_equal(v_lo, v_hi):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        v, above = vertex(mid)
+        if above:
+            hi, v_hi = mid, v
+        else:
+            lo, v_lo = mid, v
     return (*_segment_argmin(v_lo, v_hi, a, c), v_lo, v_hi)
 
 

@@ -10,6 +10,11 @@ The same closed form evaluates the exact worst case of the discrete inner
 problem, since for a fixed support the inner maximum is a scaled norm and
 the best support is the top-k set.
 
+The perspective and ellipsoidal counterparts, and nominal as their b = 0
+case, are solved exactly through their dual: a search over the pieces of
+the k-support norm, each of which carries a quadratic, that ends when a
+piece's own root lands on that piece.
+
 Objective oracles are pure and thread safe; solver calls are independent of
 each other and deterministic for a fixed instance.  Only the budgeted solve
 iterates, and only it can raise SolverError.
@@ -21,6 +26,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,7 +35,6 @@ from .core import (
     SolverError,
     as_int,
     as_vector,
-    bisect_pieces,
     loads_strict,
     safe_div,
     safe_div_arr,
@@ -153,10 +158,25 @@ def top_k_sq_sum(y, inst: RobustInstance) -> float:
     return float(r[_topk_set(r, inst.k)].sum())
 
 
+def _norm(q: np.ndarray) -> float:
+    """l2 norm of q, scaled by its largest magnitude so that no square over- or underflows."""
+    m = float(np.abs(q).max(initial=0.0))
+    if not 0.0 < m < math.inf:
+        return m
+    q = q / m
+    return m * math.sqrt(float(q @ q))
+
+
 def perspective_value(y, inst: RobustInstance) -> float:
-    """Perspective counterpart objective  a~'y + sqrt(b * top-k sum of (y/d)^2)."""
+    """Perspective counterpart objective  a~'y + sqrt(b * top-k sum of (y/d)^2).
+
+    The root is taken as sqrt(b) times the scaled norm of the top k of y/d,
+    so neither an extreme budget nor a tiny d over- or underflows a finite
+    objective.
+    """
     y = _yvec(y)
-    return float(inst.a_tilde @ y) + math.sqrt(inst.b * top_k_sq_sum(y, inst))
+    q = y / inst.d
+    return float(inst.a_tilde @ y) + math.sqrt(inst.b) * _norm(q[_topk_set(np.abs(q), inst.k)])
 
 
 def budgeted_value(y, inst: RobustInstance) -> float:
@@ -168,9 +188,9 @@ def budgeted_value(y, inst: RobustInstance) -> float:
 
 
 def ellipsoidal_value(y, inst: RobustInstance) -> float:
-    """Ellipsoidal baseline objective  a~'y + sqrt(b) * ||y / d||_2."""
+    """Ellipsoidal baseline objective  a~'y + sqrt(b) * ||y / d||_2 (norm scaled as above)."""
     y = _yvec(y)
-    return float(inst.a_tilde @ y) + math.sqrt(inst.b) * math.sqrt(float(np.sum((y / inst.d) ** 2)))
+    return float(inst.a_tilde @ y) + math.sqrt(inst.b) * _norm(y / inst.d)
 
 
 def nominal_value(y, inst: RobustInstance) -> float:
@@ -254,7 +274,7 @@ def optimal_multipliers(y, inst: RobustInstance) -> DualCertificate:
     """Closed-form optimal multipliers of the conic counterpart at y.
 
     gamma* is the (k+1)-largest value of (y_i/d_i)^2 / 4 (zero when k = n),
-    lam* = sqrt((gamma* k + sum_i max(0, r_i - gamma*)) / b) with
+    lam* = sqrt(gamma* k + sum_i max(0, r_i - gamma*)) / sqrt(b) with
     r_i = (y_i/d_i)^2 / 4, mu* = gamma*/lam*, t_i* = max(0, r_i - gamma*)/lam*
     and p_i* = y_i / (lam* d_i), all under the zero-division convention.
     The certificate objective equals the counterpart objective at y.
@@ -265,7 +285,7 @@ def optimal_multipliers(y, inst: RobustInstance) -> DualCertificate:
     gamma = float(r[order[inst.k]]) if inst.k < inst.n else 0.0
     excess = np.maximum(r - gamma, 0.0)
     total = gamma * inst.k + float(excess.sum())
-    lam = math.sqrt(safe_div(total, inst.b)) if inst.b > 0.0 else math.inf if total > 0.0 else 0.0
+    lam = math.sqrt(total) / math.sqrt(inst.b) if inst.b > 0.0 else math.inf if total > 0.0 else 0.0
     if math.isinf(lam):
         raise ValueError("certificate undefined for zero budget with nonzero y")
     mu = safe_div(gamma, lam)
@@ -297,63 +317,123 @@ def _budgeted_subgradient(y: np.ndarray, inst: RobustInstance) -> np.ndarray:
     return g
 
 
-def _ksupport(w: np.ndarray, k: int):
-    """Squared k-support norm of w >= 0 and the key of its piece.
+class _Probe(NamedTuple):
+    """The k-support dual at t: w = d o (t - a)_+ / unit, its sorted head
+    indices, the key of its piece and the piece's quadratic
+    A u^2 + 2 B u + F, the squared norm of w + d u."""
 
-    With w sorted descending (stable), the head is the h largest entries for
-    the smallest h in 0..k-1 whose tail mean tau = sum(w[h:]) / (k - h) is at
-    least w[h].  That test is monotone in h, so this h is the unique split of
-    Argyriou, Foygel & Srebro (2012), Prop. 2.1, and the squared norm is
-    sum(head^2) + (k - h) tau^2.  The key marks the head 2, the rest of
-    supp(w) 1 and the other entries 0.
+    t: float
+    w: np.ndarray
+    head: np.ndarray
+    key: tuple
+    A: float
+    B: float
+    F: float
+
+    def root(self) -> float:
+        """Root u of A u^2 + 2 B u + F = 1 on the rising branch, or nan if none."""
+        C = 1.0 - self.F
+        disc = self.B * self.B + self.A * C
+        return C / (self.B + math.sqrt(disc)) if self.B > 0.0 and disc >= 0.0 else math.nan
+
+
+def _ksupport_probe(t: float, a: np.ndarray, d: np.ndarray, unit: float, span: np.ndarray) -> _Probe:
+    """Squared k-support norm F of w = d o (t - a)_+ / unit, its piece and quadratic.
+
+    span is (k, k - 1, ..., 1).  With w sorted descending (stable), the head
+    is the h largest entries for the smallest h in 0..k-1 whose tail mean
+    tau = sum(w[h:]) / (k - h) is at least w[h].  That test is monotone in
+    h, so this h is the unique split of Argyriou, Foygel & Srebro (2012),
+    Prop. 2.1, and F = sum(head^2) + (k - h) tau^2.  The piece's key is the
+    size of supp(w) and the sorted head indices.
     """
+    w = t - a
+    np.maximum(w, 0.0, out=w)
+    w /= unit
+    w *= d
     order = np.argsort(-w, kind="stable")
-    s = w[order]
+    s, sd = w[order], d[order]
+    k = span.size
     tails = np.cumsum(s[::-1])[::-1][:k]
-    h = int(np.argmax(tails >= np.arange(k, 0, -1) * s[:k]))
-    key = (w > 0.0).astype(np.int8)
-    key[order[:h]] = 2
-    return float(s[:h] @ s[:h]) + float(tails[h]) ** 2 / (k - h), key
+    h = int(np.argmax(tails >= span * s[:k]))
+    m, r = int(np.count_nonzero(s)), k - h
+    top, dtop = s[:h], sd[:h]
+    P, D = float(tails[h]), float(sd[h:m].sum())
+    head = np.sort(order[:h])
+    return _Probe(t, w, head, (m, head.tobytes()), float(dtop @ dtop) + D * D / r,
+                  float(top @ dtop) + P * D / r, float(top @ top) + P * P / r)
 
 
 def _ksupport_dual(a: np.ndarray, d: np.ndarray, b: float, k: int):
     """Exact minimum over the simplex of a'y + sqrt(b) * (top-k l2 norm of y/d).
 
-    Returns (t, y): the dual optimum t = max{t : ||d o (t - a)_+||_sp <= sqrt(b)}
-    and y proportional to d o v, with v the head of w = d o (t - a)_+ and its
-    tail mean on the rest of supp(w), where the objective equals t in exact
-    arithmetic.  The norm grows with t, so t is bisected from
-    [a_j, a_j + sqrt(b)/d_j] (j the first argmin of a) until both ends lie on
-    one piece, on which the squared norm is a quadratic in t.
+    Returns (t, y): the dual optimum
+    t = max{t : ||d o (t - a)_+||_sp <= sqrt(b)} and y proportional to
+    d o v, with v the head of w = d o (t - a)_+ and its tail mean on the
+    rest of supp(w), where the objective equals t in exact arithmetic.
+
+    Lengths are measured in units of sqrt(b), so that no budget under- or
+    overflows them: w = d o (t - a)_+ / sqrt(b), and the sought t is where
+    its squared norm F(t) reaches 1.  F grows with t, and each probe at t
+    also returns its piece's quadratic
+    (``_ksupport_probe``).  The search keeps a bracket [lo, hi] with
+    F(hi) >= 1.  It starts from lo = min a and the least right end known in
+    closed form: a_i + sqrt(b)/d_i, where w_i alone reaches 1, or the t where
+    the m smallest a_i give sum(w) = sqrt(min(k, m)), as the norm of m
+    entries is at least their sum over sqrt(min(k, m)).  Its first probe is
+    hi.  The next trial is the root of the newest probe's quadratic, kept
+    in the bracket: if it rounds to that probe's own t, or lands on that
+    probe's piece, F is 1 there and it is t itself.  A root outside the
+    bracket gives way to the midpoint.  The search ends on such a match or
+    when the bracket cannot be split; t is then taken once more from the last piece's own
+    quadratic.  It has no tolerance and no cap.
     """
-    j = int(np.argmin(a))
-    lo = float(a[j])
-    hi = lo + math.sqrt(b) / float(d[j])
-    y = np.zeros(a.size)
-    y[j] = 1.0
+    unit = math.sqrt(b)
+    order = np.argsort(a, kind="stable")
+    ds = d[order]
+    with np.errstate(over="ignore"):  # an end that overflows is never the least
+        ends = a + unit / d
+        prefix = (unit * np.sqrt(np.minimum(np.arange(1, a.size + 1), k))
+                  + np.cumsum(ds * a[order])) / np.cumsum(ds)
+    i = int(np.argmin(ends))
+    lo, hi, closer = float(a[order[0]]), float(ends[i]), float(prefix.min())
     if not lo < hi:
+        y = np.zeros(a.size)
+        y[i] = 1.0
         return lo, y
+    if lo < closer < hi:
+        hi = closer
 
-    def probe(t: float):
-        norm2, key = _ksupport(d * np.maximum(t - a, 0.0), k)
-        return key, norm2 >= b
-
-    lo, _, hi, key = bisect_pieces(probe, lo, probe(lo)[0], hi, probe(hi)[0])
-    head, tail = key == 2, key == 1
-    r1 = k - int(np.count_nonzero(head))
-    # on hi's piece ||w(lo + u)||^2 = A u^2 + 2 B u + b - C with w(lo + u) =
-    # p + d u; w is built from the root u, as lo + u may round back to lo
-    p = d * (lo - a)
-    P, D = float(p[tail].sum()), float(d[tail].sum())
-    A = float(d[head] @ d[head]) + D * D / r1
-    B = float(p[head] @ d[head]) + P * D / r1
-    C = max(b - float(p[head] @ p[head]) - P * P / r1, 0.0)
-    u = min(C / (B + math.sqrt(B * B + A * C)), hi - lo)
-    w = p + d * u
-    v = np.where(head, w, 0.0)
-    v[tail] = w[tail].sum() / r1
+    span = np.arange(k, 0, -1)
+    upper = last = _ksupport_probe(hi, a, d, unit, span)
+    while True:
+        t = min(max(last.t + unit * last.root(), lo), hi)
+        if t == last.t:
+            break
+        root_of = last.key
+        if not lo < t < hi:
+            t, root_of = 0.5 * (lo + hi), None
+        if not lo < t < hi:
+            last = upper
+            break
+        last = _ksupport_probe(t, a, d, unit, span)
+        if last.key == root_of:
+            break
+        if last.F >= 1.0:
+            hi, upper = t, last
+        else:
+            lo = t
+    t, head = last.t, last.head
+    u = last.root()
+    u = 0.0 if math.isnan(u) else min(max(u, (lo - t) / unit), (hi - t) / unit)
+    # w is built from the root u, as t + unit u may round back to t
+    tail = last.w > 0.0
+    tail[head] = False
+    w = last.w + d * u
+    v = np.where(tail, w[tail].sum() / (k - head.size), 0.0)
+    v[head] = w[head]
     y = d * v
-    return lo + u, y / y.sum()
+    return t + unit * u, y / y.sum()
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
@@ -453,9 +533,11 @@ def solve_counterpart(method: str, inst: RobustInstance) -> CounterpartResult:
     """Minimize the chosen counterpart objective over the unit simplex.
 
     Nominal, ellipsoidal and perspective are one exact finite dual solve
-    (``_ksupport_dual``) of a~'y + sqrt(b) * (top-k l2 norm of y/d): with
-    b = 0 for nominal (the vertex at the smallest nominal cost, smallest
-    index on ties), k = n for ellipsoidal and k = inst.k for perspective.
+    (``_ksupport_dual``, a search over the pieces of the k-support norm that
+    ends on a piece whose own root lies on it) of
+    a~'y + sqrt(b) * (top-k l2 norm of y/d): with b = 0 for nominal (the
+    vertex at the smallest nominal cost, smallest index on ties), k = n for
+    ellipsoidal and k = inst.k for perspective.
     Their bound is the dual optimum, and they never raise.  The budgeted
     objective is solved by projected subgradient with eta_t = 1/sqrt(t),
     iterate averaging and two stop tests: a stall test (the best objective

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sparseball import robust
+from sparseball import harness, robust
 from sparseball.core import SolverError
 from sparseball.robust import (
     METHODS,
@@ -439,7 +439,9 @@ class TestSolveCounterpart:
 def _certificate_instances():
     """Seeded instances for the dual-solve certificate checks: n in 1..40,
     b log-uniform in [1e-4, 1e4], every third one on a quarter grid so that
-    a~ and d tie, then the edges b = 0, k = n, n = 1 and all-equal a~."""
+    a~ and d tie, then the edges b = 0, k = n, n = 1, all-equal a~, the
+    extreme budgets 5e-324 and 1e300, an overflowing bracket end and a
+    halved bracket."""
     rng = np.random.default_rng(8080)
     out = []
     for i in range(3000):
@@ -453,9 +455,17 @@ def _certificate_instances():
     for n in (1, 2, 5, 17, 40):
         a, d = rng.uniform(-1.0, 1.0, n), rng.uniform(0.05, 1.0, n)
         for k in sorted({1, (n + 1) // 2, n}):
-            out += [RobustInstance(a, d, b, k, n) for b in (0.0, 1e-4, 3.0, 1e4)]
+            out += [RobustInstance(a, d, b, k, n) for b in (0.0, 5e-324, 1e-4, 3.0, 1e4, 1e300)]
             out += [RobustInstance(np.full(n, 0.25), d, 3.0, k, n),
                     RobustInstance(np.full(n, 0.25), np.full(n, 0.5), 3.0, k, n)]
+    # a~ = 0 leaves the whole objective to the budget term
+    out += [RobustInstance(np.zeros(3), np.full(3, 0.5), 5e-324, 1, 3),
+            RobustInstance(np.zeros(3), np.full(3, 1e-6), 1e300, 1, 3)]
+    # sqrt(b)/d_0 overflows, so the search starts from the other vertex
+    out.append(RobustInstance(np.array([0.0, 0.5]), np.array([1e-160, 1.0]), 1e300, 1, 2))
+    # the first piece's root leaves the bracket, so the search halves it
+    out.append(RobustInstance(np.array([-0.142, 0.217, -0.156, -0.162, -0.067, 0.126]),
+                              np.array([0.0154, 7.98, 0.0108, 0.0324, 0.00155, 1.58]), 1e-4, 6, 6))
     return out
 
 
@@ -473,6 +483,13 @@ class TestDualCertificate:
             for res in results.values():
                 assert res.iterations == 0
                 assert abs(res.objective - res.bound) <= 1e-12 * max(1.0, abs(res.objective))
+
+    def test_objective_meets_bound_within_a_few_ulps(self, solved):
+        # t is taken once more from the last piece's own quadratic; a root
+        # carried over from a distant piece is off by up to 4e-14
+        for _, results in solved:
+            for res in results.values():
+                assert abs(res.objective - res.bound) <= 4e-15 * max(1.0, abs(res.objective))
 
     def test_no_vertex_or_sampled_point_beats_bound(self, solved):
         rng = np.random.default_rng(8081)
@@ -513,6 +530,58 @@ class TestDualCertificate:
                 again = solve_counterpart(method, inst)
                 assert again.y_star.y.tobytes() == res.y_star.y.tobytes()
                 assert (again.objective, again.bound) == (res.objective, res.bound)
+
+    @pytest.mark.parametrize("b, d", [(5e-324, 0.5), (1e300, 1e-6)])
+    def test_extreme_budgets_are_exact_to_relative_precision(self, b, d):
+        # with a~ = 0 and equal d the optimum is the uniform y:
+        # sqrt(b) / (3 d) for perspective at k = 1, sqrt(b) / (sqrt(3) d) for ellipsoidal
+        inst = RobustInstance(np.zeros(3), np.full(3, d), b, 1, 3)
+        expected = {"ellipsoidal": math.sqrt(b) / (math.sqrt(3.0) * d),
+                    "perspective": math.sqrt(b) / (3.0 * d)}
+        for method, value in expected.items():
+            res = solve_counterpart(method, inst)
+            assert abs(res.objective - value) <= 1e-12 * value
+            assert abs(res.bound - value) <= 1e-12 * value
+        # C8 at the perspective solution, the last one solved
+        cert = optimal_multipliers(res.y_star, inst)
+        assert abs(certificate_objective(cert, res.y_star, inst) - res.objective) <= 1e-12 * res.objective
+
+    @pytest.fixture
+    def probe_calls(self, monkeypatch):
+        """One entry per evaluation of a piece of the k-support norm."""
+        probe = robust._ksupport_probe
+        calls = []
+        monkeypatch.setattr(robust, "_ksupport_probe", lambda *args: calls.append(1) or probe(*args))
+        return calls
+
+    def test_grid_solves_probe_few_pieces(self, probe_calls):
+        # on the nine n = 200 cells of the acceptance grid (seed 20260809,
+        # instance 0) a perspective solve takes 1-2 piece evaluations and an
+        # ellipsoidal one 3-4; halving the bracket took about 14
+        config = harness.ExperimentConfig(seed=20260809)
+        for method, median in (("perspective", 2), ("ellipsoidal", 4)):
+            counts = []
+            for ki, k in enumerate(config.k_list):
+                for bi, b in enumerate(config.b_list):
+                    seed = harness.instance_seed(config.seed, ki, bi, 0)
+                    inst = harness.generate_instance(config.n, k, b, seed)
+                    probe_calls.clear()
+                    solve_counterpart(method, inst)
+                    counts.append(len(probe_calls))
+            assert np.median(counts) <= median and max(counts) <= 8, (method, counts)
+
+    @pytest.mark.parametrize("method", ["ellipsoidal", "perspective"])
+    @pytest.mark.parametrize("d0, b", [(1.0, 0.01), (1.1, 0.02), (0.45, 0.07), (0.3, 0.03)])
+    def test_vertex_optimum_takes_at_most_two_probes(self, method, d0, b, probe_calls):
+        # only the cheapest asset is active at the optimum sqrt(b)/d0, the
+        # right end of the starting bracket, so the first probe's own root is
+        # the optimum up to rounding, even when it rounds past that end
+        inst = RobustInstance(np.array([0.0, 1.0, 2.0]), np.array([d0, 1.0, 1.0]), b, 1, 3)
+        res = solve_counterpart(method, inst)
+        assert len(probe_calls) <= 2
+        assert np.array_equal(res.y_star.y, [1.0, 0.0, 0.0])
+        assert res.bound == pytest.approx(math.sqrt(b) / d0, rel=1e-15)
+        assert res.objective == pytest.approx(math.sqrt(b) / d0, rel=1e-15)
 
     def test_budgeted_and_nominal_bounds_are_lower_bounds(self, rng):
         for _ in range(10):
