@@ -17,7 +17,6 @@ from .core import (
     MixedPoint,
     ProblemInstance,
     SolverError,
-    Tolerance,
     ZFamily,
     enumerate_Z,
     is_in_X,

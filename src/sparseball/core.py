@@ -118,17 +118,13 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Shared numeric tolerance.
+    """The package's one numeric tolerance, DEFAULT_TOL.
 
     feas_abs is the absolute slack of the feasibility, membership and
     cut-violation tests.
     """
 
     feas_abs: float = 1e-9
-
-    def __post_init__(self):
-        if not self.feas_abs > 0.0:
-            raise ValueError("feas_abs must be strictly positive")
 
 
 DEFAULT_TOL = Tolerance()
@@ -178,13 +174,13 @@ class ZFamily:
             return sum(math.comb(self.n, j) for j in range(self.k + 1))
         return math.comb(self.n, self.k)
 
-    def contains(self, z, tol: Tolerance = DEFAULT_TOL) -> bool:
+    def contains(self, z) -> bool:
         """Binary membership: entries 0/1 within feas_abs plus the cardinality row."""
         z = np.asarray(z, dtype=float)
         if z.shape != (self.n,):
             raise ValueError(f"dimension mismatch: expected length {self.n}")
         zround = np.round(z)
-        if np.any(np.abs(z - zround) > tol.feas_abs):
+        if np.any(np.abs(z - zround) > DEFAULT_TOL.feas_abs):
             return False
         ones = int(zround.sum())
         if self.kind == CARD_LE:
@@ -193,18 +189,18 @@ class ZFamily:
             return ones == self.k
         return True
 
-    def conv_contains(self, z, tol: Tolerance = DEFAULT_TOL) -> bool:
+    def conv_contains(self, z) -> bool:
         """Membership in the convex hull of the family (unit box plus budget row)."""
         z = np.asarray(z, dtype=float)
         if z.shape != (self.n,):
             raise ValueError(f"dimension mismatch: expected length {self.n}")
-        if np.any(z < -tol.feas_abs) or np.any(z > 1.0 + tol.feas_abs):
+        if np.any(z < -DEFAULT_TOL.feas_abs) or np.any(z > 1.0 + DEFAULT_TOL.feas_abs):
             return False
         total = float(z.sum())
         if self.kind == CARD_LE:
-            return total <= self.k + tol.feas_abs
+            return total <= self.k + DEFAULT_TOL.feas_abs
         if self.kind == CARD_EQ:
-            return abs(total - self.k) <= tol.feas_abs
+            return abs(total - self.k) <= DEFAULT_TOL.feas_abs
         return True
 
 
@@ -258,7 +254,7 @@ class ProblemInstance:
         return self.zfam.n
 
 
-def is_in_X(p: MixedPoint, zfam: ZFamily, tol: Tolerance = DEFAULT_TOL) -> bool:
+def is_in_X(p: MixedPoint, zfam: ZFamily) -> bool:
     """Tolerance-aware membership in the indicator-ball set.
 
     Requires the squared norm of x at most 1, binary z belonging to the
@@ -266,16 +262,16 @@ def is_in_X(p: MixedPoint, zfam: ZFamily, tol: Tolerance = DEFAULT_TOL) -> bool:
     """
     if p.n != zfam.n:
         raise ValueError("dimension mismatch between point and family")
-    if float(p.x @ p.x) > 1.0 + tol.feas_abs:
+    if float(p.x @ p.x) > 1.0 + DEFAULT_TOL.feas_abs:
         return False
-    if not zfam.contains(p.z, tol):
+    if not zfam.contains(p.z):
         return False
-    return bool(np.all(np.abs(p.x * (1.0 - p.z)) <= tol.feas_abs))
+    return bool(np.all(np.abs(p.x * (1.0 - p.z)) <= DEFAULT_TOL.feas_abs))
 
 
-def satisfies_bigM(p: MixedPoint, tol: Tolerance = DEFAULT_TOL) -> bool:
+def satisfies_bigM(p: MixedPoint) -> bool:
     """Check the big-M linearization |x_i| <= z_i within feas_abs."""
-    return bool(np.all(np.abs(p.x) <= p.z + tol.feas_abs))
+    return bool(np.all(np.abs(p.x) <= p.z + DEFAULT_TOL.feas_abs))
 
 
 def check_enumeration_guard(n: int) -> None:

@@ -17,9 +17,10 @@ over conv(Z) with edge rounding, and the lifting of a general convex
 quadratic row into indicator-ball form.  The relaxation is solved exactly,
 with no iteration cap: writing -sqrt(s) = max_{t>0} (-t s - 1/(4t)) makes
 it a concave problem in the one scalar t whose inner minimizer is the LP
-vertex of c - t a^2 (ties to the smallest index), so a bisection on t
-brackets the optimum between two vertices, and the optimum is the
-closed-form minimizer on the segment (an edge of conv(Z)) joining them.
+vertex of c - t a^2 (ties to the smallest index).  A breakpoint search
+probes t where the lines of the two bracketing vertices cross, each probe
+adding a piece of their lower envelope, and the optimum is the closed-form
+minimizer on the segment (an edge of conv(Z)) joining the last two.
 The rounding is the better of those two vertices, both family members, so
 the relaxation never fails.
 """
@@ -38,7 +39,6 @@ from .core import (
     FREE,
     MixedPoint,
     ProblemInstance,
-    Tolerance,
     ZFamily,
     as_index_set,
     as_int,
@@ -112,9 +112,6 @@ class LinearCut:
 
     def violation_at(self, p: MixedPoint) -> float:
         return self.violation(p.x, p.z)
-
-    def satisfied_by(self, p: MixedPoint, tol: Tolerance = DEFAULT_TOL) -> bool:
-        return self.violation_at(p) <= tol.feas_abs
 
     def to_dict(self) -> dict:
         return {"pi_abs": self.pi_abs.tolist(), "rho_z": self.rho_z.tolist(), "rhs": self.rhs}
@@ -239,8 +236,7 @@ def violated_cuts(p: MixedPoint, alpha, mode: str):
     return members, violations
 
 
-def separate_submodular(p: MixedPoint, alpha, mode: str = "heuristic",
-                        tol: Tolerance = DEFAULT_TOL):
+def separate_submodular(p: MixedPoint, alpha, mode: str = "heuristic"):
     """Most violated submodular cut at p, or None when none is violated.
 
     Builds the one cut at the maximum of :func:`violated_cuts` (heuristic:
@@ -253,36 +249,36 @@ def separate_submodular(p: MixedPoint, alpha, mode: str = "heuristic",
     row, family = divmod(int(np.argmax(violations)), 2)
     make = (submodular_cut_1, submodular_cut_2)[family]
     cut = make(np.flatnonzero(members[row]), a)
-    return cut if cut.violation_at(p) > tol.feas_abs else None
+    return cut if cut.violation_at(p) > DEFAULT_TOL.feas_abs else None
 
 
 # ---------------------------------------------------------------------------
 # membership oracles
 
 
-def p0_membership(p: MixedPoint, alpha, zfam: ZFamily, tol: Tolerance = DEFAULT_TOL) -> bool:
+def p0_membership(p: MixedPoint, alpha, zfam: ZFamily) -> bool:
     """Membership in the mixed-binary weighted inequality set for this alpha."""
     a = _alpha_of(alpha)
     if p.n != a.size or p.n != zfam.n:
         raise ValueError("dimension mismatch")
-    if not zfam.contains(p.z, tol):
+    if not zfam.contains(p.z):
         return False
     zround = np.round(p.z)
     lhs = float(np.abs(a * p.x).sum())
     rhs = math.sqrt(float((a * a) @ zround))
-    return lhs <= rhs + tol.feas_abs
+    return lhs <= rhs + DEFAULT_TOL.feas_abs
 
 
-def c_alpha_membership(p: MixedPoint, alpha, zfam: ZFamily, tol: Tolerance = DEFAULT_TOL) -> bool:
+def c_alpha_membership(p: MixedPoint, alpha, zfam: ZFamily) -> bool:
     """Membership in the natural relaxation: z in conv(Z), same inequality."""
     a = _alpha_of(alpha)
     if p.n != a.size or p.n != zfam.n:
         raise ValueError("dimension mismatch")
-    if not zfam.conv_contains(p.z, tol):
+    if not zfam.conv_contains(p.z):
         return False
     lhs = float(np.abs(a * p.x).sum())
     rhs = math.sqrt(float((a * a) @ p.z))
-    return lhs <= rhs + tol.feas_abs
+    return lhs <= rhs + DEFAULT_TOL.feas_abs
 
 
 def perspective_sum(x, z) -> float:
@@ -296,16 +292,16 @@ def perspective_sum(x, z) -> float:
     return float(np.sum(x[live] ** 2 / z[live]))
 
 
-def perspective_membership(p: MixedPoint, zfam: ZFamily, tol: Tolerance = DEFAULT_TOL) -> bool:
+def perspective_membership(p: MixedPoint, zfam: ZFamily) -> bool:
     """Perspective-relaxation membership: z in conv(Z) and sum x_i^2/z_i <= 1."""
     if p.n != zfam.n:
         raise ValueError("dimension mismatch")
-    if not zfam.conv_contains(p.z, tol):
+    if not zfam.conv_contains(p.z):
         return False
-    return perspective_sum(p.x, p.z) <= 1.0 + tol.feas_abs
+    return perspective_sum(p.x, p.z) <= 1.0 + DEFAULT_TOL.feas_abs
 
 
-def find_violating_alpha(p: MixedPoint, tol: Tolerance = DEFAULT_TOL):
+def find_violating_alpha(p: MixedPoint):
     """Weight vector certifying a perspective violation, or None.
 
     When the perspective sum exceeds 1 the returned alpha = x/z (convention
@@ -313,7 +309,7 @@ def find_violating_alpha(p: MixedPoint, tol: Tolerance = DEFAULT_TOL):
     with x_i != 0) strictly violates the weighted inequality for alpha.
     """
     s = perspective_sum(p.x, p.z)
-    if s <= 1.0 + tol.feas_abs:
+    if s <= 1.0 + DEFAULT_TOL.feas_abs:
         return None
     if math.isinf(s):
         i = int(np.flatnonzero((p.z == 0.0) & (p.x != 0.0))[0])
@@ -395,60 +391,57 @@ def _lp_vertex(g: np.ndarray, zfam: ZFamily) -> np.ndarray:
 
 
 def _relax(inst: ProblemInstance):
-    """Exact minimizer of the objective over conv(Z) by bisection on the dual scalar.
+    """Exact minimizer of the objective over conv(Z) by a breakpoint search on the dual scalar.
 
     With -sqrt(sigma) = max_{t>0} (-t sigma - 1/(4t)) the relaxation is
-    max_t min_z (c - t a^2)'z - 1/(4t).  The inner minimizer v(t) is an LP
-    vertex whose a^2 mass does not decrease in t, and the optimal t is where
-    4 t^2 a^2'v(t) crosses 1.  Bracket it by doubling or halving from t = 1,
-    bisect until both ends give the same vertex or t cannot be split, and
-    take the exact minimizer on the segment between the two vertices.
+    max_t L(t) - 1/(4t), where L(t) = min_v (c - t a^2)'v over the LP
+    vertices is the lower envelope of their lines; the optimal t is where
+    4 t^2 a^2'v(t) crosses 1.  The search keeps the vertices v_lo of the
+    envelope's left end (t -> 0, the LP vertex of c) and v_hi of its right
+    end (t -> inf, the LP vertex of -a^2) and probes the t where their
+    lines cross (Eisner & Severance, J. ACM 1976).  A probe vertex strictly
+    below both lines there is a new piece of the envelope and replaces the
+    end on its side of 4 t^2 a^2'v >= 1.  Otherwise the two lines are the
+    envelope around the optimal t, and the optimum is the exact minimizer
+    on the segment between their vertices.  Each probe adds a piece, so the
+    search is finite with no start point, tolerance or cap; it also ends
+    when the slopes stop differing (every a_i = 0) or t leaves (lo, hi).
 
     Returns ``(z_bar, value, v_lo, v_hi)``: the minimizer, its value and the
-    two bracketing vertices, whose segment holds z_bar (the LP vertex of c,
-    twice, when every a_i = 0).
+    two bracketing vertices, whose segment holds z_bar.
     """
     a, c, zfam = inst.a, inst.c, inst.zfam
     asq = a * a
-    if not np.any(asq > 0.0):
-        v = _lp_vertex(c, zfam)
-        return v.copy(), discrete_objective(v, a, c), v, v
-
-    def vertex(t: float):
-        v = _lp_vertex(c - t * asq, zfam)
-        return v, 4.0 * t * t * float(asq @ v) >= 1.0
-
-    t, (v, above) = 1.0, vertex(1.0)
-    step = 0.5 if above else 2.0
+    lo, hi = 0.0, math.inf
+    v_lo, v_hi = _lp_vertex(c, zfam), _lp_vertex(-asq, zfam)
     while True:
-        t_next = t * step
-        v_next, above_next = vertex(t_next)
-        if above_next != above:
+        d = v_hi - v_lo
+        slope = float(asq @ d)
+        if not slope > 0.0:
             break
-        t, v = t_next, v_next
-    if above:
-        (lo, v_lo), (hi, v_hi) = (t_next, v_next), (t, v)
-    else:
-        (lo, v_lo), (hi, v_hi) = (t, v), (t_next, v_next)
-    while not np.array_equal(v_lo, v_hi):
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
+        t = float(c @ d) / slope
+        if not lo < t < hi:
             break
-        v, above = vertex(mid)
-        if above:
-            hi, v_hi = mid, v
+        g = c - t * asq
+        v = _lp_vertex(g, zfam)
+        gv = float(g @ v)
+        if not (gv < float(g @ v_lo) and gv < float(g @ v_hi)):
+            break
+        if 4.0 * t * t * float(asq @ v) >= 1.0:
+            hi, v_hi = t, v
         else:
-            lo, v_lo = mid, v
+            lo, v_lo = t, v
     return (*_segment_argmin(v_lo, v_hi, a, c), v_lo, v_hi)
 
 
 def solve_relaxation(inst: ProblemInstance) -> RelaxationSolution:
     """Minimize c'z - sqrt(sum a_i^2 z_i) over conv(Z), with edge rounding.
 
-    One exact finite algorithm serves every family: a bisection on the
-    dual scalar t over the LP vertices of c - t a^2 (see ``_relax``), then
-    the closed-form minimizer on the segment between the two bracketing
-    vertices.  There is no iteration cap and no tolerance to set.  LP ties
+    One exact finite algorithm serves every family: a breakpoint search on
+    the dual scalar t over the LP vertices of c - t a^2, each probe at the t
+    where the two bracketing vertices' lines cross (see ``_relax``), then the
+    closed-form minimizer on the segment between those two vertices.  There
+    is no start point, iteration cap or tolerance to set.  LP ties
     go to the smallest index, so repeated calls return the same z_bar.  The
     optimum lies on that edge of conv(Z): at most one fractional coordinate
     in the free family and two in the cardinality families, for data in

@@ -17,7 +17,8 @@ piece's own root lands on that piece.
 
 Objective oracles are pure and thread safe; solver calls are independent of
 each other and deterministic for a fixed instance.  Only the budgeted solve
-iterates, and only it can raise SolverError.
+iterates, and only it can raise SolverError; the dual solve raises
+ValueError only when its bracket overflows the float range.
 """
 
 from __future__ import annotations
@@ -278,19 +279,28 @@ def optimal_multipliers(y, inst: RobustInstance) -> DualCertificate:
     r_i = (y_i/d_i)^2 / 4, mu* = gamma*/lam*, t_i* = max(0, r_i - gamma*)/lam*
     and p_i* = y_i / (lam* d_i), all under the zero-division convention.
     The certificate objective equals the counterpart objective at y.
+    r is computed as m^2 s with m the largest |y_i/d_i|, so no square over-
+    or underflows; a multiplier that overflows the float range raises
+    ValueError.
     """
     y = _yvec(y)
-    r = 0.25 * (y / inst.d) ** 2
-    order = np.argsort(-r, kind="stable")
-    gamma = float(r[order[inst.k]]) if inst.k < inst.n else 0.0
-    excess = np.maximum(r - gamma, 0.0)
-    total = gamma * inst.k + float(excess.sum())
-    lam = math.sqrt(total) / math.sqrt(inst.b) if inst.b > 0.0 else math.inf if total > 0.0 else 0.0
-    if math.isinf(lam):
+    q = y / inst.d
+    m = float(np.abs(q).max())
+    s = 0.25 * (q / m) ** 2 if m > 0.0 else np.zeros(inst.n)
+    order = np.argsort(-s, kind="stable")
+    gamma_s = float(s[order[inst.k]]) if inst.k < inst.n else 0.0
+    excess_s = np.maximum(s - gamma_s, 0.0)
+    root = math.sqrt(gamma_s * inst.k + float(excess_s.sum()))
+    if inst.b == 0.0 and root > 0.0:
         raise ValueError("certificate undefined for zero budget with nonzero y")
+    lam = m * root / math.sqrt(inst.b) if inst.b > 0.0 else 0.0
+    gamma = m * (m * gamma_s)
     mu = safe_div(gamma, lam)
-    t = safe_div_arr(excess, lam)
-    p = safe_div_arr(y, lam * inst.d)
+    with np.errstate(over="ignore"):
+        t = safe_div_arr(m * excess_s, root) * math.sqrt(inst.b)
+        p = safe_div_arr(q, lam)
+    if not np.all(np.isfinite(np.concatenate(([lam, mu, gamma], t, p)))):
+        raise ValueError("the dual multipliers overflow the float range at this y")
     return DualCertificate(lam=lam, mu=mu, gamma=gamma, t=t, p=p)
 
 
@@ -386,9 +396,14 @@ def _ksupport_dual(a: np.ndarray, d: np.ndarray, b: float, k: int):
     probe's piece, F is 1 there and it is t itself.  A root outside the
     bracket gives way to the midpoint.  The search ends on such a match or
     when the bracket cannot be split; t is then taken once more from the last piece's own
-    quadratic.  It has no tolerance and no cap.
+    quadratic.  It has no tolerance and no cap.  d and the unit are divided
+    by max d first, so that the quadratics' sums of d^2 and w d stay near 1
+    however small d is.  When every bracket end overflows, it raises
+    ValueError.
     """
-    unit = math.sqrt(b)
+    dmax = float(d.max())
+    d = d / dmax
+    unit = math.sqrt(b) / dmax
     order = np.argsort(a, kind="stable")
     ds = d[order]
     with np.errstate(over="ignore"):  # an end that overflows is never the least
@@ -397,6 +412,9 @@ def _ksupport_dual(a: np.ndarray, d: np.ndarray, b: float, k: int):
                   + np.cumsum(ds * a[order])) / np.cumsum(ds)
     i = int(np.argmin(ends))
     lo, hi, closer = float(a[order[0]]), float(ends[i]), float(prefix.min())
+    if math.isinf(hi):
+        raise ValueError("the counterpart objective overflows the float range at every "
+                         "vertex: a~_i + sqrt(b)/d_i is infinite for every asset")
     if not lo < hi:
         y = np.zeros(a.size)
         y[i] = 1.0
@@ -538,7 +556,8 @@ def solve_counterpart(method: str, inst: RobustInstance) -> CounterpartResult:
     a~'y + sqrt(b) * (top-k l2 norm of y/d): with b = 0 for nominal (the
     vertex at the smallest nominal cost, smallest index on ties), k = n for
     ellipsoidal and k = inst.k for perspective.
-    Their bound is the dual optimum, and they never raise.  The budgeted
+    Their bound is the dual optimum; they raise ValueError only when every
+    bracket end a~_i + sqrt(b)/d_i overflows the float range.  The budgeted
     objective is solved by projected subgradient with eta_t = 1/sqrt(t),
     iterate averaging and two stop tests: a stall test (the best objective
     improves by less than 1e-6 * |objective| across a window of 500

@@ -1,0 +1,50 @@
+"""The pure helpers of scripts/bench_pairs.py, which writes the BENCH files."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+
+def test_parse_seeds_reads_ranges_and_single_seeds():
+    assert bench_pairs.parse_seeds("901-903,905") == [901, 902, 903, 905]
+    assert bench_pairs.parse_seeds("7") == [7]
+
+
+def _pairs(**metrics):
+    """Pairs from {name: (parent values, change values)}."""
+    count = len(next(iter(metrics.values()))[0])
+    return [{"parent": {name: p[i] for name, (p, _) in metrics.items()},
+             "change": {name: c[i] for name, (_, c) in metrics.items()}} for i in range(count)]
+
+
+def test_summarize_counts_wins_by_direction_and_ignores_ties():
+    pairs = _pairs(ops=([10.0, 10.0, 10.0, 12.0], [11.0, 10.0, 9.0, 13.0]),
+                   ms=([1.0, 2.0, 3.0, 4.0], [0.5, 2.0, 2.5, 3.0]))
+    out = bench_pairs.summarize(pairs, {"ops": "higher", "ms": "lower"})
+    # a tie (the second pair of each) counts for neither side
+    assert out["ops"]["change_wins"] == "2/4"
+    assert out["ms"]["change_wins"] == "3/4"
+    assert out["ops"]["better"] == "higher" and out["ms"]["better"] == "lower"
+    assert (out["ms"]["parent_median"], out["ms"]["change_median"]) == (2.5, 2.25)
+    assert out["ms"]["ratio_change_over_parent"] == pytest.approx(0.9)
+    # parent quartiles of 1, 2, 3, 4 are 1.75 and 3.25
+    assert out["ms"]["parent_iqr_over_median"] == pytest.approx(1.5 / 2.5)
+    assert out["ms"]["median_gap_exceeds_parent_iqr"] is False
+    # a gap of 0.5 equal to the parent IQR (10 to 10.5) does not exceed it
+    assert (out["ops"]["parent_median"], out["ops"]["change_median"]) == (10.0, 10.5)
+    assert out["ops"]["median_gap_exceeds_parent_iqr"] is False
+
+
+def test_summarize_flags_a_gap_past_the_parent_spread():
+    pairs = _pairs(mb=([40.0, 40.0, 40.0], [41.0, 41.0, 40.5]))
+    out = bench_pairs.summarize(pairs, {"mb": "lower"})["mb"]
+    assert out["median_gap_exceeds_parent_iqr"] is True
+    assert out["change_wins"] == "0/3"
+    assert out["parent_iqr_over_median"] == 0.0
+    assert out["ratio_change_over_parent"] == pytest.approx(41.0 / 40.0)

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from sparseball.core import (
     MixedPoint,
     ProblemInstance,
-    Tolerance,
     ZFamily,
     as_index_set,
     as_vector,
@@ -77,15 +76,6 @@ class TestIndexSet:
     def test_rejects_non_integers_and_out_of_range(self, S, error):
         with pytest.raises(error):
             as_index_set(S, 5)
-
-
-class TestTolerance:
-    def test_defaults(self):
-        assert Tolerance().feas_abs == 1e-9
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            Tolerance(feas_abs=0.0)
 
 
 class TestZFamily:
@@ -193,18 +183,6 @@ class TestIsInX:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             is_in_X(MixedPoint([0.0], [0.0]), ZFamily.free(2))
-
-    def test_monotone_in_feas_abs(self, rng):
-        # feasible at a tolerance stays feasible at any looser tolerance
-        for _ in range(200):
-            n = int(rng.integers(1, 6))
-            x, z = oracles.sample_X_point("free", n, None, rng)
-            x = x + rng.normal(scale=2e-9, size=n)
-            p = MixedPoint(x, z)
-            tight = Tolerance(feas_abs=1e-9)
-            loose = Tolerance(feas_abs=1e-6)
-            if is_in_X(p, ZFamily.free(n), tight):
-                assert is_in_X(p, ZFamily.free(n), loose)
 
 
 class TestBigM:

@@ -697,6 +697,28 @@ class TestRelaxationDegenerateAndTies:
         assert np.array_equal(sol.z_bar, [1.0, 0.0])
 
 
+class TestRelaxationSearch:
+    def test_few_lp_vertices_per_solve(self, monkeypatch):
+        # each probe adds a piece of the lower envelope, so a solve needs
+        # only a few LP vertices, fractional or not
+        calls = []
+        lp_vertex = hull._lp_vertex
+        monkeypatch.setattr(hull, "_lp_vertex", lambda g, zfam: calls.append(1) or lp_vertex(g, zfam))
+        rng = np.random.default_rng(20261018)
+        counts, fractional = [], 0
+        for n in (16, 200):
+            for kind in ("free", "card_le", "card_eq"):
+                for _ in range(100):
+                    k = None if kind == "free" else int(rng.integers(1, n + 1))
+                    inst = ProblemInstance(rng.normal(size=n), rng.uniform(0.0, 1.0, n),
+                                           ZFamily(kind, n, k))
+                    calls.clear()
+                    fractional += solve_relaxation(inst).fractional_count > 0
+                    counts.append(len(calls))
+        assert fractional >= 30
+        assert max(counts) <= 16, max(counts)
+
+
 def _spy_relax(monkeypatch):
     """Record the (z_bar, value, v_lo, v_hi) of every ``_relax`` call."""
     calls = []

@@ -317,6 +317,20 @@ class TestOptimalMultipliers:
         assert np.array_equal(cert.t, np.zeros(2))
         assert np.array_equal(cert.p, np.zeros(2))
 
+    def test_overflowing_multipliers_raise(self):
+        # lam* = 2.5e309 at the exact perspective y
+        inst = RobustInstance(np.zeros(2), np.full(2, 1e-160), 1e-300, 1, 2)
+        with pytest.raises(ValueError, match="multipliers overflow the float range"):
+            optimal_multipliers(np.array([0.5, 0.5]), inst)
+
+    def test_squares_past_the_float_range_still_certify(self):
+        # (y_i/d_i)^2 = 2.5e319 overflows, but every multiplier is finite
+        inst = RobustInstance(np.zeros(2), np.full(2, 1e-160), 1.0, 2, 2)
+        y = np.array([0.5, 0.5])
+        cert = optimal_multipliers(y, inst)
+        assert certificate_objective(cert, y, inst) == pytest.approx(perspective_value(y, inst),
+                                                                       rel=1e-12)
+
 
 class TestProjectSimplex:
     def test_already_on_simplex(self):
@@ -582,6 +596,26 @@ class TestDualCertificate:
         assert np.array_equal(res.y_star.y, [1.0, 0.0, 0.0])
         assert res.bound == pytest.approx(math.sqrt(b) / d0, rel=1e-15)
         assert res.objective == pytest.approx(math.sqrt(b) / d0, rel=1e-15)
+
+    def test_tiny_d_keeps_the_bound_below_the_objective(self):
+        # at d near 1e-160 the piece quadratics' sums of d^2 would be
+        # subnormal without the division by max d, and lose digits
+        rng = np.random.default_rng(3)
+        for _ in range(2000):
+            n = int(rng.integers(1, 6))
+            k = int(rng.integers(1, n + 1))
+            inst = RobustInstance(1e10 * rng.uniform(0.0, 1.0, n),
+                                  1e-160 * rng.uniform(0.05, 1.0, n), 1e-300, k, n)
+            for method in ("perspective", "ellipsoidal"):
+                res = solve_counterpart(method, inst)
+                assert res.bound <= res.objective * (1.0 + 4e-15)
+
+    @pytest.mark.parametrize("method", ["ellipsoidal", "perspective"])
+    def test_overflowing_objective_raises(self, method):
+        # every bracket end a~_i + sqrt(b)/d_i overflows; the optimum is about 5e309
+        inst = RobustInstance(np.zeros(2), np.full(2, 1e-160), 1e300, 1, 2)
+        with pytest.raises(ValueError, match="objective overflows the float range"):
+            solve_counterpart(method, inst)
 
     def test_budgeted_and_nominal_bounds_are_lower_bounds(self, rng):
         for _ in range(10):
