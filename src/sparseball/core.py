@@ -83,6 +83,18 @@ def as_int(value, name: str) -> int:
     return int(value)
 
 
+def as_budget(value) -> float:
+    """Budget b as a float: any finite nonnegative real number.
+
+    bool and non-real values raise ValueError naming the type.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"budget b must be a real number, got {value!r} of type {type(value).__name__}")
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"budget b must be finite and nonnegative, got b={value}")
+    return float(value)
+
+
 def as_index_set(S, n: int) -> np.ndarray:
     """Sorted distinct indices of S as an int array, each in 0 .. n - 1.
 

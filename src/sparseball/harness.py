@@ -19,11 +19,10 @@ import numpy as np
 
 from . import __version__
 from ._rng import Xoshiro256StarStar, splitmix64_mix
-from .core import SolverError, as_int, loads_strict
+from .core import SolverError, as_budget, as_int, loads_strict
 from .robust import (
     METHODS,
     RobustInstance,
-    as_budget,
     nominal_value,
     solve_counterpart,
     worst_case,

@@ -40,6 +40,7 @@ from .core import (
     MixedPoint,
     ProblemInstance,
     ZFamily,
+    as_budget,
     as_index_set,
     as_int,
     as_vector,
@@ -517,10 +518,11 @@ def _psd_pivot_check(M: np.ndarray, shift: float):
 def quad_reformulate(Sigma, b: float, D) -> LiftedSystem:
     """Lift the row y' Sigma y <= b into indicator-ball form.
 
-    D is the positive diagonal part (given as a vector of diagonal entries
+    b is a finite positive real number, not a bool; D is the finite
+    positive diagonal part (given as a vector of diagonal entries
     or a diagonal matrix); Sigma - diag(D) must be positive semidefinite
     within a 1e-10 shift, checked by symmetric factorization that names the
-    offending pivot on failure.
+    offending pivot on failure.  Malformed input raises ValueError.
     """
     Sigma = np.array(Sigma, dtype=float, copy=True)
     if Sigma.ndim != 2 or Sigma.shape[0] != Sigma.shape[1]:
@@ -529,9 +531,12 @@ def quad_reformulate(Sigma, b: float, D) -> LiftedSystem:
         raise ValueError("Sigma must be finite")
     if not np.allclose(Sigma, Sigma.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(Sigma).max()))):
         raise ValueError("Sigma must be symmetric")
-    if not b > 0.0:
+    b = as_budget(b)
+    if b == 0.0:
         raise ValueError("budget b must be positive")
     D = np.asarray(D, dtype=float)
+    if not np.all(np.isfinite(D)):
+        raise ValueError("D must contain only finite entries")
     if D.ndim == 2:
         if not np.array_equal(D, np.diag(np.diag(D))):
             raise ValueError("D must be diagonal")

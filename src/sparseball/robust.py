@@ -10,21 +10,23 @@ The same closed form evaluates the exact worst case of the discrete inner
 problem, since for a fixed support the inner maximum is a scaled norm and
 the best support is the top-k set.
 
-The perspective and ellipsoidal counterparts, and nominal as their b = 0
-case, are solved exactly through their dual: a search over the pieces of
-the k-support norm, each of which carries a quadratic, that ends when a
-piece's own root lands on that piece.
+The perspective, ellipsoidal and nominal counterparts are solved exactly
+through their dual, from one shared start.  Ellipsoidal's dual norm is the
+l2 norm, whose root comes in closed form from one sort of a~; nominal is
+its b = 0 case, the cheapest vertex.  Perspective's is the k-support norm,
+solved by a search over its pieces, each of which carries a quadratic,
+that ends when a piece's own root lands on that piece.
 
 Objective oracles are pure and thread safe; solver calls are independent of
 each other and deterministic for a fixed instance.  Only the budgeted solve
-iterates, and only it can raise SolverError; the dual solve raises
-ValueError only when its bracket overflows the float range.
+iterates, and only it can raise SolverError; the dual solves raise
+ValueError only when the objective overflows the float range at every
+vertex.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -34,6 +36,7 @@ import numpy as np
 from .core import (
     DEFAULT_TOL,
     SolverError,
+    as_budget,
     as_int,
     as_vector,
     loads_strict,
@@ -52,18 +55,6 @@ _WINDOW = 500
 _RTOL = 1e-6
 _GAP_RTOL = 1e-4
 _POLISH_ROUNDS = 2
-
-
-def as_budget(value) -> float:
-    """Ellipsoid budget b as a float: any finite nonnegative real number.
-
-    bool and non-real values raise ValueError naming the type.
-    """
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"budget b must be a real number, got {value!r} of type {type(value).__name__}")
-    if not (math.isfinite(value) and value >= 0.0):
-        raise ValueError(f"budget b must be finite and nonnegative, got b={value}")
-    return float(value)
 
 
 @dataclass(frozen=True)
@@ -374,51 +365,101 @@ def _ksupport_probe(t: float, a: np.ndarray, d: np.ndarray, unit: float, span: n
                   float(top @ dtop) + P * D / r, float(top @ top) + P * P / r)
 
 
-def _ksupport_dual(a: np.ndarray, d: np.ndarray, b: float, k: int):
-    """Exact minimum over the simplex of a'y + sqrt(b) * (top-k l2 norm of y/d).
+def _dual_solve(piece_solve, a: np.ndarray, d: np.ndarray, b: float, *args):
+    """Exact minimum over the simplex of a'y + sqrt(b) * N(y/d), N the l2 or top-k l2 norm.
 
-    Returns (t, y): the dual optimum
-    t = max{t : ||d o (t - a)_+||_sp <= sqrt(b)} and y proportional to
-    d o v, with v the head of w = d o (t - a)_+ and its tail mean on the
-    rest of supp(w), where the objective equals t in exact arithmetic.
+    Returns (t, y): the dual optimum t = max{t : N*(d o (t - a)_+) <= sqrt(b)},
+    N* the dual norm, and a y at which the objective equals t in exact
+    arithmetic.  This is the start both dual solves share; the rest is
+    piece_solve(a, d, unit, hi, *args).
 
     Lengths are measured in units of sqrt(b), so that no budget under- or
-    overflows them: w = d o (t - a)_+ / sqrt(b), and the sought t is where
-    its squared norm F(t) reaches 1.  F grows with t, and each probe at t
-    also returns its piece's quadratic
-    (``_ksupport_probe``).  The search keeps a bracket [lo, hi] with
-    F(hi) >= 1.  It starts from lo = min a and the least right end known in
-    closed form: a_i + sqrt(b)/d_i, where w_i alone reaches 1, or the t where
-    the m smallest a_i give sum(w) = sqrt(min(k, m)), as the norm of m
-    entries is at least their sum over sqrt(min(k, m)).  Its first probe is
-    hi.  The next trial is the root of the newest probe's quadratic, kept
-    in the bracket: if it rounds to that probe's own t, or lands on that
-    probe's piece, F is 1 there and it is t itself.  A root outside the
-    bracket gives way to the midpoint.  The search ends on such a match or
-    when the bracket cannot be split; t is then taken once more from the last piece's own
-    quadratic.  It has no tolerance and no cap.  d and the unit are divided
-    by max d first, so that the quadratics' sums of d^2 and w d stay near 1
-    however small d is.  When every bracket end overflows, it raises
-    ValueError.
+    overflows them; d and the unit are divided by max d, so that sums of
+    d^2 stay near 1 however small d is.  w = d o (t - a)_+ / unit then has
+    norm 1 at the sought t.  Its least closed-form upper end is
+    hi = min_i a_i + unit/d_i, where w_i alone reaches 1.  When every
+    such end overflows, the objective does too, and it raises ValueError.
+    When hi does not exceed min a (b = 0, or a budget too small to move t
+    off the cheapest asset), the optimum is that asset's vertex.
     """
     dmax = float(d.max())
     d = d / dmax
     unit = math.sqrt(b) / dmax
-    order = np.argsort(a, kind="stable")
-    ds = d[order]
     with np.errstate(over="ignore"):  # an end that overflows is never the least
         ends = a + unit / d
-        prefix = (unit * np.sqrt(np.minimum(np.arange(1, a.size + 1), k))
-                  + np.cumsum(ds * a[order])) / np.cumsum(ds)
     i = int(np.argmin(ends))
-    lo, hi, closer = float(a[order[0]]), float(ends[i]), float(prefix.min())
+    hi = float(ends[i])
     if math.isinf(hi):
         raise ValueError("the counterpart objective overflows the float range at every "
                          "vertex: a~_i + sqrt(b)/d_i is infinite for every asset")
-    if not lo < hi:
+    if not float(a.min()) < hi:
         y = np.zeros(a.size)
         y[i] = 1.0
-        return lo, y
+        return hi, y
+    return piece_solve(a, d, unit, hi, *args)
+
+
+def _l2_dual(a: np.ndarray, d: np.ndarray, unit: float, hi: float):
+    """The dual solve for N = the l2 norm, in closed form from one sort of a.
+
+    Only the assets below hi can be active, as t* <= hi.  With them sorted
+    by a, F(t) = sum_i d_i^2 (t - a_i)_+^2 / unit^2 is one quadratic on each
+    piece [a_j, a_j+1] (the last ends at hi), and t* is where F reaches 1.
+    With s_j the piece's length in units and A_j the sum of d^2 over the
+    first j + 1 assets, the slope B_j = sum_i d_i^2 (t - a_i) / unit at the
+    piece's right end is the running sum of A_j s_j, and F there the running
+    sum of s_j (B_j-1 + B_j).  Every term is nonnegative, so no sum cancels.
+    The first piece whose right end reaches F >= 1 holds t*, at the root
+    u >= 0 of A_j u^2 + 2 B_j-1 u + F_j-1 = 1 from its left end, clamped to
+    the piece against rounding and against a sum of d^2 that underflows to
+    0; y is proportional to d^2 o (t* - a)_+.
+    """
+    order = np.argsort(a, kind="stable")
+    x = a[order]
+    m = int(np.searchsorted(x, hi))
+    order, x = order[:m], x[:m]
+    ds = d[order]
+    s = (np.append(x[1:], hi) - x) / unit
+    A = np.cumsum(ds * ds)
+    with np.errstate(over="ignore"):  # past t*, F may overflow; it is then above 1
+        B = np.cumsum(A * s)
+        B_left = np.concatenate(([0.0], B[:-1]))
+        F = np.cumsum(s * (B_left + B))
+    j = min(int(np.count_nonzero(F < 1.0)), m - 1)
+    C = 1.0 - (float(F[j - 1]) if j else 0.0)
+    Bj = float(B_left[j])
+    u = min(safe_div(C, Bj + math.sqrt(Bj * Bj + float(A[j]) * C)), float(s[j]))
+    # y is built from the root u, as x_j + unit u may round back to x_j, and
+    # as d o (d o w), where a product d^2 could underflow
+    y = np.zeros(a.size)
+    y[order[:j + 1]] = ds[:j + 1] * (ds[:j + 1] * ((x[j] - x[:j + 1]) / unit + u))
+    return float(x[j]) + unit * u, y / y.sum()
+
+
+def _ksupport_dual(a: np.ndarray, d: np.ndarray, unit: float, hi: float, k: int):
+    """The dual solve for N = the top-k l2 norm (k-support dual), by piece search.
+
+    y is proportional to d o v, with v the head of w = d o (t - a)_+ and its
+    tail mean on the rest of supp(w).  F(t), the squared k-support norm of
+    w, grows with t, and each probe at t also returns its piece's quadratic
+    (``_ksupport_probe``).  The search keeps a bracket [lo, hi] with
+    F(hi) >= 1.  It starts from lo = min a and the least right end known in
+    closed form: hi, or the t where the m smallest a_i give
+    sum(w) = sqrt(min(k, m)), as the norm of m entries is at least their
+    sum over sqrt(min(k, m)).  Its first probe is hi.  The next trial is the
+    root of the newest probe's quadratic, kept in the bracket: if it rounds
+    to that probe's own t, or lands on that probe's piece, F is 1 there and
+    it is t itself.  A root outside the bracket gives way to the midpoint.
+    The search ends on such a match or when the bracket cannot be split;
+    t is then taken once more from the last piece's own quadratic.  It has
+    no tolerance and no cap.
+    """
+    order = np.argsort(a, kind="stable")
+    ds = d[order]
+    with np.errstate(over="ignore"):  # an end that overflows is never the least
+        prefix = (unit * np.sqrt(np.minimum(np.arange(1, a.size + 1), k))
+                  + np.cumsum(ds * a[order])) / np.cumsum(ds)
+    lo, closer = float(a[order[0]]), float(prefix.min())
     if lo < closer < hi:
         hi = closer
 
@@ -550,14 +591,14 @@ def _polish(objective, inst: RobustInstance, y: np.ndarray, value: float, rounds
 def solve_counterpart(method: str, inst: RobustInstance) -> CounterpartResult:
     """Minimize the chosen counterpart objective over the unit simplex.
 
-    Nominal, ellipsoidal and perspective are one exact finite dual solve
-    (``_ksupport_dual``, a search over the pieces of the k-support norm that
-    ends on a piece whose own root lies on it) of
-    a~'y + sqrt(b) * (top-k l2 norm of y/d): with b = 0 for nominal (the
-    vertex at the smallest nominal cost, smallest index on ties), k = n for
-    ellipsoidal and k = inst.k for perspective.
+    Nominal, ellipsoidal and perspective are exact finite dual solves of
+    a~'y + sqrt(b) * N(y/d).  Ellipsoidal (N the l2 norm) takes its root in
+    closed form from one sort of a~ (``_l2_dual``); nominal is its b = 0
+    case, the vertex at the smallest nominal cost (smallest index on ties).
+    Perspective (N the top-k l2 norm) searches the pieces of the k-support
+    norm and ends on a piece whose own root lies on it (``_ksupport_dual``).
     Their bound is the dual optimum; they raise ValueError only when every
-    bracket end a~_i + sqrt(b)/d_i overflows the float range.  The budgeted
+    end a~_i + sqrt(b)/d_i overflows the float range.  The budgeted
     objective is solved by projected subgradient with eta_t = 1/sqrt(t),
     iterate averaging and two stop tests: a stall test (the best objective
     improves by less than 1e-6 * |objective| across a window of 500
@@ -572,9 +613,11 @@ def solve_counterpart(method: str, inst: RobustInstance) -> CounterpartResult:
     """
     objective = _method_oracle(method)
     if method != "budgeted":
-        b = 0.0 if method == "nominal" else inst.b
-        k = inst.n if method == "ellipsoidal" else inst.k
-        bound, y = _ksupport_dual(inst.a_tilde, inst.d, b, k)
+        if method == "perspective":
+            bound, y = _dual_solve(_ksupport_dual, inst.a_tilde, inst.d, inst.b, inst.k)
+        else:
+            b = 0.0 if method == "nominal" else inst.b
+            bound, y = _dual_solve(_l2_dual, inst.a_tilde, inst.d, b)
         return CounterpartResult(PortfolioPoint(y), objective(y, inst), bound, method, 0)
 
     y = np.full(inst.n, 1.0 / inst.n)

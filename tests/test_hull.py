@@ -856,6 +856,18 @@ class TestQuadReformulate:
         with pytest.raises(ValueError):
             quad_reformulate(np.eye(2), b=1.0, D=[1.0, 0.0])
 
+    @pytest.mark.parametrize("b, message", [(math.inf, "finite and nonnegative"),
+                                            (True, "real number"), ("3", "real number"),
+                                            (0.0, "positive")])
+    def test_rejects_malformed_budget(self, b, message):
+        with pytest.raises(ValueError, match=f"budget b must be .*{message}"):
+            quad_reformulate(np.eye(2), b=b, D=[0.5, 0.5])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_nonfinite_diagonal(self, bad):
+        with pytest.raises(ValueError, match="D must contain only finite entries"):
+            quad_reformulate(np.eye(2), b=1.0, D=[0.5, bad])
+
     def test_accepts_diagonal_matrix_form(self):
         lifted = quad_reformulate(np.eye(2), b=1.0, D=np.diag([0.5, 0.5]))
         assert np.allclose(lifted.scale, [math.sqrt(0.5), math.sqrt(0.5)])

@@ -454,8 +454,10 @@ def _certificate_instances():
     """Seeded instances for the dual-solve certificate checks: n in 1..40,
     b log-uniform in [1e-4, 1e4], every third one on a quarter grid so that
     a~ and d tie, then the edges b = 0, k = n, n = 1, all-equal a~, the
-    extreme budgets 5e-324 and 1e300, an overflowing bracket end and a
-    halved bracket."""
+    extreme budgets 5e-324 and 1e300, an overflowing bracket end, a
+    squared d that underflows, a halved bracket, optima exactly on a
+    breakpoint a~_j, every asset active, and all-equal a~ with unequal d at
+    a small budget."""
     rng = np.random.default_rng(8080)
     out = []
     for i in range(3000):
@@ -477,9 +479,21 @@ def _certificate_instances():
             RobustInstance(np.zeros(3), np.full(3, 1e-6), 1e300, 1, 3)]
     # sqrt(b)/d_0 overflows, so the search starts from the other vertex
     out.append(RobustInstance(np.array([0.0, 0.5]), np.array([1e-160, 1.0]), 1e300, 1, 2))
+    # (d_0 / max d)^2 underflows to 0, and asset 0 alone is active
+    out.append(RobustInstance(np.array([0.0, 1e200]), np.array([1e-170, 1.0]), 1.0, 1, 2))
     # the first piece's root leaves the bracket, so the search halves it
     out.append(RobustInstance(np.array([-0.142, 0.217, -0.156, -0.162, -0.067, 0.126]),
                               np.array([0.0154, 7.98, 0.0108, 0.0324, 0.00155, 1.58]), 1e-4, 6, 6))
+    for k in (1, 2, 3):
+        # t* = a~_1 exactly: the cheaper assets alone reach the budget there,
+        # in both the l2 and the k = 1 (l1 dual) norm
+        out += [RobustInstance(np.array([0.0, 1.0, 5.0]), np.ones(3), 1.0, k, 3),
+                RobustInstance(np.array([0.0, 0.5, 2.0]), np.array([0.5, 1.0, 1.0]), 0.0625, k, 3)]
+    for k in (1, 3, 6):
+        # t* lies above every a~_i, so every asset is active: a large budget,
+        # and all-equal a~ with unequal d at a small one
+        out += [RobustInstance(np.linspace(0.0, 0.5, 6), np.linspace(0.2, 1.0, 6), 50.0, k, 6),
+                RobustInstance(np.full(6, -0.5), np.array([0.1, 1.0, 0.3, 0.3, 0.05, 0.7]), 1e-4, k, 6)]
     return out
 
 
@@ -570,19 +584,22 @@ class TestDualCertificate:
 
     def test_grid_solves_probe_few_pieces(self, probe_calls):
         # on the nine n = 200 cells of the acceptance grid (seed 20260809,
-        # instance 0) a perspective solve takes 1-2 piece evaluations and an
-        # ellipsoidal one 3-4; halving the bracket took about 14
+        # instance 0) a perspective solve takes 1-2 piece evaluations, where
+        # halving the bracket took about 14; an ellipsoidal solve takes none,
+        # as its l2 dual is solved in closed form from one sort of a~
         config = harness.ExperimentConfig(seed=20260809)
-        for method, median in (("perspective", 2), ("ellipsoidal", 4)):
-            counts = []
-            for ki, k in enumerate(config.k_list):
-                for bi, b in enumerate(config.b_list):
-                    seed = harness.instance_seed(config.seed, ki, bi, 0)
-                    inst = harness.generate_instance(config.n, k, b, seed)
+        counts = {"perspective": [], "ellipsoidal": []}
+        for ki, k in enumerate(config.k_list):
+            for bi, b in enumerate(config.b_list):
+                inst = harness.generate_instance(config.n, k, b,
+                                                 harness.instance_seed(config.seed, ki, bi, 0))
+                for method, count in counts.items():
                     probe_calls.clear()
                     solve_counterpart(method, inst)
-                    counts.append(len(probe_calls))
-            assert np.median(counts) <= median and max(counts) <= 8, (method, counts)
+                    count.append(len(probe_calls))
+        persp = counts["perspective"]
+        assert np.median(persp) <= 2 and max(persp) <= 8, persp
+        assert counts["ellipsoidal"] == [0] * 9
 
     @pytest.mark.parametrize("method", ["ellipsoidal", "perspective"])
     @pytest.mark.parametrize("d0, b", [(1.0, 0.01), (1.1, 0.02), (0.45, 0.07), (0.3, 0.03)])
