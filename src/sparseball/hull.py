@@ -6,6 +6,11 @@ right-hand side in the activation set, so the classic marginal-based cut
 families apply; this module generates them, evaluates them on ``|x|``
 coefficients directly, and scores them over candidate sets in one place,
 ``violated_cuts``, which separation and ``sparseball cuts`` share.
+Heuristic separation scores the n + 1 nested prefixes by z descending:
+they share running sums along that order, so only two triangles of
+marginals are left to sum (in row blocks of bounded size), and
+separation builds no matrix of candidate sets.  Exact separation scores
+every subset, n <= 16, in blocks of marginal matrices.
 
 Nonlinear side: the perspective inequality ``sum_i x_i^2 / z_i <= 1``
 (under the shared zero-division convention) is exactly the condition for a
@@ -51,8 +56,11 @@ from .discrete import discrete_objective
 
 SEPARATION_EXACT_GUARD = 16
 
-# rows of candidate sets scored at once by violated_cuts
+# rows of candidate sets scored at once by violated_cuts in exact mode
 _SCORE_BLOCK = 1 << 12
+
+# entries of a marginal triangle computed at once in heuristic mode
+_TRIANGLE_BLOCK = 1 << 14
 
 # a coordinate counts as fractional when it is at least this far from 0/1
 FRACTIONAL_EPS = 1e-7
@@ -194,6 +202,68 @@ def base_inequality(S, alpha) -> LinearCut:
     return _cut(S, alpha, "base")
 
 
+def _triangle_sums(lo: int, hi: int, lower: bool, gain, w: np.ndarray) -> np.ndarray:
+    """Row sums of gain(r, j) * w_j over a triangle of the (r, j) grid.
+
+    Lower: for each r in (lo, hi], over j in [lo, r); otherwise for each r
+    in [lo, hi), over j in [r, hi).  Rows go in blocks of at most
+    _TRIANGLE_BLOCK entries per array.  A block's rows all take the
+    columns on the far side of its square on the diagonal, so only that
+    square is masked; gain must be finite on its masked part too.
+    """
+    rows = np.arange(lo + 1, hi + 1) if lower else np.arange(lo, hi)
+    sums = np.empty(rows.size)
+    step = max(1, _TRIANGLE_BLOCK // max(hi - lo, 1))
+    for start in range(0, rows.size, step):
+        r = rows[start:start + step, None]
+        r0, r1 = int(r[0, 0]), int(r[-1, 0]) + 1
+        full = np.arange(lo, r0) if lower else np.arange(r1, hi)
+        diag = np.arange(r0, r1 - 1) if lower else np.arange(r0, r1)
+        square = gain(r, diag)
+        square *= diag < r if lower else diag >= r
+        sums[start:start + step] = gain(r, full) @ w[full] + square @ w[diag]
+    return sums
+
+
+def _prefix_violations(p: MixedPoint, a: np.ndarray):
+    """Violations at p of both cuts on the n + 1 nested prefixes by z descending.
+
+    Returns ``(order, violations)``: order is the stable z-descending order
+    and row r of violations scores the prefix S = order[:r], as in
+    :func:`violated_cuts`.  Along that order q_r = a^2(S) is a running sum,
+    and so are family 1's outside term and family 2's inside term.  Family
+    1's inside term sums rho_j(S - j)(1 - z_j), zero where z_j = 1, so only
+    the columns past the n1 leading ones count; family 2's outside term sums
+    rho_j(S) z_j, zero where z_j = 0, so only the rows and columns before
+    the m positive ones count.  Those two triangles are summed in row blocks
+    of bounded size.
+    """
+    n = a.size
+    if p.n != n:
+        raise ValueError("dimension mismatch between point and alpha")
+    _, gain_full, _ = _marginals(np.ones((1, n)), a * a)
+    order = np.argsort(-p.z, kind="stable")
+    z = p.z[order]
+    asq = (a * a)[order]
+    q = np.concatenate(([0.0], np.cumsum(asq)))
+    sq = np.sqrt(q)
+    n1 = int(np.count_nonzero(z == 1.0))
+    m = int(np.count_nonzero(z > 0.0))
+    inside1 = np.zeros(n + 1)
+    # on the masked part j >= r, q_r - a_j^2 can be negative
+    inside1[n1 + 1:] = _triangle_sums(
+        n1, n, True, lambda r, j: sq[r] - np.sqrt(np.maximum(q[r] - asq[j], 0.0)), 1.0 - z)
+    outside2 = np.zeros(n + 1)
+    outside2[:m] = _triangle_sums(0, m, False, lambda r, j: np.sqrt(q[r] + asq[j]) - sq[r], z)
+    outside1 = np.concatenate((np.cumsum((np.abs(a[order]) * z)[::-1])[::-1], [0.0]))
+    inside2 = np.concatenate(([0.0], np.cumsum(gain_full[0, order] * (1.0 - z))))
+    lhs = float(np.abs(a) @ np.abs(p.x))
+    violations = np.empty((n + 1, 2))
+    violations[:, 0] = lhs - (sq - inside1 + outside1)
+    violations[:, 1] = lhs - (sq - inside2 + outside2)
+    return order, violations
+
+
 def violated_cuts(p: MixedPoint, alpha, mode: str):
     """Candidate sets and the violations at p of both submodular cuts on each.
 
@@ -203,21 +273,24 @@ def violated_cuts(p: MixedPoint, alpha, mode: str):
     ``enumerate_Z(ZFamily.free(n))``, guarded to n <= 16), and
     ``violations[r, f]`` is the violation at p of ``submodular_cut_1``
     (f = 0) or ``submodular_cut_2`` (f = 1) on row r.  No cut is built:
-    rows are scored in blocks of 2^12 from their :func:`_marginals`.
+    the prefixes are scored from running sums along the z order and two
+    triangles of marginals (:func:`_prefix_violations`), every subset in
+    blocks of 2^12 rows from their :func:`_marginals`.
     """
     a = _alpha_of(alpha)
     n = a.size
+    if mode == "heuristic":
+        order, violations = _prefix_violations(p, a)
+        members = np.empty((n + 1, n), dtype=np.int8)
+        members[:, order] = np.tri(n + 1, n, k=-1, dtype=np.int8)
+        return members, violations
     if p.n != n:
         raise ValueError("dimension mismatch between point and alpha")
-    if mode == "heuristic":
-        members = np.empty((n + 1, n), dtype=np.int8)
-        members[:, np.argsort(-p.z, kind="stable")] = np.tri(n + 1, n, k=-1, dtype=np.int8)
-    elif mode == "exact":
-        if n > SEPARATION_EXACT_GUARD:
-            raise ValueError(f"exact separation is guarded to n <= {SEPARATION_EXACT_GUARD}")
-        members = enumerate_Z(ZFamily.free(n))
-    else:
+    if mode != "exact":
         raise ValueError(f"unknown separation mode {mode!r}")
+    if n > SEPARATION_EXACT_GUARD:
+        raise ValueError(f"exact separation is guarded to n <= {SEPARATION_EXACT_GUARD}")
+    members = enumerate_Z(ZFamily.free(n))
     asq = a * a
     _, gain_full, _ = _marginals(np.ones((1, n)), asq)
     lhs = float(np.abs(a) @ np.abs(p.x))
@@ -241,15 +314,21 @@ def separate_submodular(p: MixedPoint, alpha, mode: str = "heuristic"):
     """Most violated submodular cut at p, or None when none is violated.
 
     Builds the one cut at the maximum of :func:`violated_cuts` (heuristic:
-    nested prefixes by z descending; exact: every subset, n <= 16).  Exact
-    ties keep the earliest candidate in scan order, first family first.
-    The cut is returned only when its ``violation_at(p)`` exceeds feas_abs.
+    nested prefixes by z descending, read from the z order with no members
+    matrix; exact: every subset, n <= 16).  Exact ties keep the earliest
+    candidate in scan order, first family first.  The cut is returned only
+    when its ``violation_at(p)`` exceeds feas_abs.
     """
     a = _alpha_of(alpha)
-    members, violations = violated_cuts(p, a, mode)
-    row, family = divmod(int(np.argmax(violations)), 2)
-    make = (submodular_cut_1, submodular_cut_2)[family]
-    cut = make(np.flatnonzero(members[row]), a)
+    if mode == "heuristic":
+        order, violations = _prefix_violations(p, a)
+        row, family = divmod(int(np.argmax(violations)), 2)
+        S = order[:row]
+    else:
+        members, violations = violated_cuts(p, a, mode)
+        row, family = divmod(int(np.argmax(violations)), 2)
+        S = np.flatnonzero(members[row])
+    cut = (submodular_cut_1, submodular_cut_2)[family](S, a)
     return cut if cut.violation_at(p) > DEFAULT_TOL.feas_abs else None
 
 

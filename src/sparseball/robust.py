@@ -374,15 +374,21 @@ def _dual_solve(piece_solve, a: np.ndarray, d: np.ndarray, b: float, *args):
     piece_solve(a, d, unit, hi, *args).
 
     Lengths are measured in units of sqrt(b), so that no budget under- or
-    overflows them; d and the unit are divided by max d, so that sums of
-    d^2 stay near 1 however small d is.  w = d o (t - a)_+ / unit then has
-    norm 1 at the sought t.  Its least closed-form upper end is
-    hi = min_i a_i + unit/d_i, where w_i alone reaches 1.  When every
-    such end overflows, the objective does too, and it raises ValueError.
-    When hi does not exceed min a (b = 0, or a budget too small to move t
-    off the cheapest asset), the optimum is that asset's vertex.
+    overflows them, and d and the unit are divided by max d.  w = d o
+    (t - a)_+ / unit then has norm 1 at the sought t.  Its least
+    closed-form upper end is hi = min_i a_i + unit/d_i, where w_i alone
+    reaches 1; hi does not depend on the scale of d.  When every such end
+    overflows, the objective does too, and it raises ValueError.  When hi
+    does not exceed min a (b = 0, or a budget too small to move t off the
+    cheapest asset), the optimum is that asset's vertex.  Otherwise only
+    the live assets, those below hi, can be active, as t <= hi.  When the
+    largest d is not live, d is set to 0 off the live assets, and d and
+    the unit are divided again by the largest live d, unless the unit
+    would then overflow, so that sums of d^2 over the live assets stay
+    near 1 however small their d is next to the rest.
     """
-    dmax = float(d.max())
+    top = int(np.argmax(d))
+    dmax = float(d[top])
     d = d / dmax
     unit = math.sqrt(b) / dmax
     with np.errstate(over="ignore"):  # an end that overflows is never the least
@@ -396,6 +402,12 @@ def _dual_solve(piece_solve, a: np.ndarray, d: np.ndarray, b: float, *args):
         y = np.zeros(a.size)
         y[i] = 1.0
         return hi, y
+    if not a[top] < hi:
+        live = a < hi
+        dlive = float(d[live].max())
+        if unit / dlive < math.inf:
+            d = np.where(live, d, 0.0) / dlive
+            unit /= dlive
     return piece_solve(a, d, unit, hi, *args)
 
 

@@ -249,20 +249,33 @@ class TestSeparation:
     def test_exact_at_the_guard_stays_small(self, rng):
         n = 16
         p = MixedPoint(rng.normal(size=n) * 0.5, rng.uniform(size=n))
-        alpha = rng.normal(size=n)
-        separate_submodular(p, alpha, mode="exact")
-        tracemalloc.start()
-        try:
-            cut = separate_submodular(p, alpha, mode="exact")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        cut, peak = _traced(separate_submodular, p, rng.normal(size=n), mode="exact")
+        assert cut is not None
+        assert peak < 16 * 2**20
+
+    def test_heuristic_at_n_2000_stays_small(self, rng):
+        # all-fractional z: both marginal triangles are full, ~2e6 entries each
+        n = 2000
+        p = MixedPoint(rng.normal(size=n) * 0.05, rng.uniform(0.01, 0.99, n))
+        cut, peak = _traced(separate_submodular, p, rng.normal(size=n))
         assert cut is not None
         assert peak < 16 * 2**20
 
 
+def _traced(f, *args, **kwargs):
+    """f(*args, **kwargs) after one warm call, and its tracemalloc peak in bytes."""
+    f(*args, **kwargs)
+    tracemalloc.start()
+    try:
+        out = f(*args, **kwargs)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def _scorer_cases():
-    """(mode, n, point, alpha) cases with ties, zeros and 0/1 activations."""
+    """(mode, n, point, alpha) cases with ties, zeros and 0/1 activations,
+    and heuristic ones at n = 200."""
     rng = np.random.default_rng(5)
     cases = []
     sizes = [("heuristic", n) for n in (1, 2, 5, 40)] + [("exact", n) for n in range(1, 11)]
@@ -287,7 +300,42 @@ def _scorer_cases():
             elif variant == 6:  # a feasible point: no cut is violated
                 x, z = oracles.sample_X_point("free", n, None, rng)
             cases.append((mode, n, MixedPoint(x, z), alpha))
+    # heuristic at n = 200: lifted relaxation points (z is 0/1 but for at
+    # most two coordinates) for every family, then all-fractional z, z
+    # exactly 0/1, zero and duplicated alpha, and x = 0
+    rng = np.random.default_rng(6)
+    n = 200
+    for kind, k in (("free", None), ("card_le", 20), ("card_eq", 20)):
+        seen = set()  # one integral and one fractional point per family
+        while len(seen) < 2:
+            inst = ProblemInstance(rng.normal(size=n), rng.uniform(size=n), ZFamily(kind, n, k))
+            p = _lifted_point(inst)
+            fractional = bool(np.any((p.z > 0.0) & (p.z < 1.0)))
+            if fractional not in seen:
+                seen.add(fractional)
+                cert = find_violating_alpha(p)
+                cases.append(("heuristic", n, p, inst.a if cert is None else cert.alpha))
+    x, z, alpha = rng.normal(size=n) * 0.1, rng.uniform(0.01, 0.99, n), rng.normal(size=n)
+    cases.append(("heuristic", n, MixedPoint(x, z), alpha))
+    cases.append(("heuristic", n, MixedPoint(x, rng.integers(0, 2, size=n)), alpha))
+    dup = alpha.copy()
+    dup[rng.random(n) < 0.3] = 0.0
+    dup[rng.random(n) < 0.3] = dup[0]
+    cases.append(("heuristic", n, MixedPoint(x, z), dup))
+    cases.append(("heuristic", n, MixedPoint(np.zeros(n), z), alpha))
     return cases
+
+
+def _lifted_point(inst):
+    """The relaxation point lifted to (x, z): x minimizes a'x over the unit
+    ball with x_i = 0 where z_i = 0."""
+    z = solve_relaxation(inst).z_bar
+    on = z > 0.0
+    x = np.zeros(inst.n)
+    norm = float(np.linalg.norm(inst.a[on]))
+    if norm > 0.0:
+        x[on] = -inst.a[on] / norm
+    return MixedPoint(x, z)
 
 
 def _oracle_subsets(mode, p):
@@ -316,6 +364,16 @@ class TestViolatedCuts:
         alpha = rng.normal(size=n)
         members, violations = violated_cuts(p, alpha, "exact")
         rows = rng.choice(members.shape[0], size=50, replace=False)
+        reference = oracles.cut_violations(p, alpha, [np.flatnonzero(members[r]) for r in rows])
+        assert np.all(np.abs(violations[rows] - reference) <= 1e-12 * np.maximum(1.0, np.abs(reference)))
+
+    def test_heuristic_scores_past_one_block(self, rng):
+        # all-fractional z at n = 2000: each marginal triangle takes ~250 row blocks
+        n = 2000
+        p = MixedPoint(rng.normal(size=n) * 0.05, rng.uniform(0.01, 0.99, n))
+        alpha = rng.normal(size=n)
+        members, violations = violated_cuts(p, alpha, "heuristic")
+        rows = np.concatenate(([0, 1, n - 1, n], rng.choice(np.arange(2, n - 1), size=40, replace=False)))
         reference = oracles.cut_violations(p, alpha, [np.flatnonzero(members[r]) for r in rows])
         assert np.all(np.abs(violations[rows] - reference) <= 1e-12 * np.maximum(1.0, np.abs(reference)))
 

@@ -454,10 +454,11 @@ def _certificate_instances():
     """Seeded instances for the dual-solve certificate checks: n in 1..40,
     b log-uniform in [1e-4, 1e4], every third one on a quarter grid so that
     a~ and d tie, then the edges b = 0, k = n, n = 1, all-equal a~, the
-    extreme budgets 5e-324 and 1e300, an overflowing bracket end, a
-    squared d that underflows, a halved bracket, optima exactly on a
-    breakpoint a~_j, every asset active, and all-equal a~ with unequal d at
-    a small budget."""
+    extreme budgets 5e-324 and 1e300, an overflowing bracket end, squared
+    d that underflow (one live asset, or two beside a dead one with the
+    largest d), a halved bracket, optima exactly on a breakpoint a~_j,
+    every asset active, and all-equal a~ with unequal d at a small
+    budget."""
     rng = np.random.default_rng(8080)
     out = []
     for i in range(3000):
@@ -481,6 +482,13 @@ def _certificate_instances():
     out.append(RobustInstance(np.array([0.0, 0.5]), np.array([1e-160, 1.0]), 1e300, 1, 2))
     # (d_0 / max d)^2 underflows to 0, and asset 0 alone is active
     out.append(RobustInstance(np.array([0.0, 1e200]), np.array([1e-170, 1.0]), 1.0, 1, 2))
+    for k in (2, 3):
+        # two live assets whose (d / max d)^2 both underflow; the largest d
+        # is on a dead asset, so d is scaled by the largest live one instead
+        # (ellipsoidal ignores k; at k = 1 the perspective multiplier gamma*
+        # is about 2.5e335, so optimal_multipliers rightly raises there)
+        out.append(RobustInstance(np.array([0.0, 0.1, 1e200]), np.array([1e-170, 1e-169, 1.0]),
+                                  1.0, k, 3))
     # the first piece's root leaves the bracket, so the search halves it
     out.append(RobustInstance(np.array([-0.142, 0.217, -0.156, -0.162, -0.067, 0.126]),
                               np.array([0.0154, 7.98, 0.0108, 0.0324, 0.00155, 1.58]), 1e-4, 6, 6))
