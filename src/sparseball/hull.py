@@ -6,11 +6,15 @@ right-hand side in the activation set, so the classic marginal-based cut
 families apply; this module generates them, evaluates them on ``|x|``
 coefficients directly, and scores them over candidate sets in one place,
 ``violated_cuts``, which separation and ``sparseball cuts`` share.
-Heuristic separation scores the n + 1 nested prefixes by z descending:
-they share running sums along that order, so only two triangles of
-marginals are left to sum (in row blocks of bounded size), and
-separation builds no matrix of candidate sets.  Exact separation scores
-every subset, n <= 16, in blocks of marginal matrices.
+Heuristic separation scores the nested prefixes by z descending: they
+share running sums along that order, so only two triangles of marginals
+are left to sum (in row blocks of bounded size), and separation builds no
+matrix of candidate sets.  It stops at the prefix that ends at the last
+positive z: by submodularity of g, adding a coordinate with z = 0 never
+makes a prefix more violated, so with m positive z it costs O(n log n +
+m^2), not O(n^2).  ``violated_cuts`` still scores all n + 1 prefixes.
+Exact separation scores every subset, n <= 16, in blocks of marginal
+matrices.
 
 Nonlinear side: the perspective inequality ``sum_i x_i^2 / z_i <= 1``
 (under the shared zero-division convention) is exactly the condition for a
@@ -202,16 +206,16 @@ def base_inequality(S, alpha) -> LinearCut:
     return _cut(S, alpha, "base")
 
 
-def _triangle_sums(lo: int, hi: int, lower: bool, gain, w: np.ndarray) -> np.ndarray:
+def _triangle_sums(rows: np.ndarray, lo: int, hi: int, lower: bool, gain, w: np.ndarray) -> np.ndarray:
     """Row sums of gain(r, j) * w_j over a triangle of the (r, j) grid.
 
-    Lower: for each r in (lo, hi], over j in [lo, r); otherwise for each r
-    in [lo, hi), over j in [r, hi).  Rows go in blocks of at most
-    _TRIANGLE_BLOCK entries per array.  A block's rows all take the
-    columns on the far side of its square on the diagonal, so only that
-    square is masked; gain must be finite on its masked part too.
+    For each r in rows, consecutive and ascending: lower, over j in [lo, r)
+    (r in (lo, hi]); otherwise over j in [r, hi) (r in [lo, hi)).  Rows go
+    in blocks of at most _TRIANGLE_BLOCK entries per array, so the layout
+    depends on rows, lo and hi.  A block's rows all take the columns on the
+    far side of its square on the diagonal, so only that square is masked;
+    gain must be finite on its masked part too.
     """
-    rows = np.arange(lo + 1, hi + 1) if lower else np.arange(lo, hi)
     sums = np.empty(rows.size)
     step = max(1, _TRIANGLE_BLOCK // max(hi - lo, 1))
     for start in range(0, rows.size, step):
@@ -225,18 +229,29 @@ def _triangle_sums(lo: int, hi: int, lower: bool, gain, w: np.ndarray) -> np.nda
     return sums
 
 
-def _prefix_violations(p: MixedPoint, a: np.ndarray):
-    """Violations at p of both cuts on the n + 1 nested prefixes by z descending.
+def _prefix_violations(p: MixedPoint, a: np.ndarray, tail: bool):
+    """Violations at p of both cuts on the nested prefixes by z descending.
 
     Returns ``(order, violations)``: order is the stable z-descending order
     and row r of violations scores the prefix S = order[:r], as in
-    :func:`violated_cuts`.  Along that order q_r = a^2(S) is a running sum,
-    and so are family 1's outside term and family 2's inside term.  Family
-    1's inside term sums rho_j(S - j)(1 - z_j), zero where z_j = 1, so only
-    the columns past the n1 leading ones count; family 2's outside term sums
-    rho_j(S) z_j, zero where z_j = 0, so only the rows and columns before
-    the m positive ones count.  Those two triangles are summed in row blocks
-    of bounded size.
+    :func:`violated_cuts`.  The head, rows 0..m with m = #{z > 0}, is
+    always scored; with tail, rows m+1..n follow, so that there are n + 1.
+    Along that order q_r = a^2(S) is a running sum, and so are family 1's
+    outside term and family 2's inside term.  Family 1's inside term sums
+    rho_j(S - j)(1 - z_j), zero where z_j = 1, so only the columns past
+    the n1 leading ones count; family 2's outside term sums rho_j(S) z_j,
+    zero where z_j = 0, so only the rows and columns before the m positive
+    ones count.  Those two triangles are summed in row blocks of bounded
+    size; family 1's tail rows are a block of their own, after the head's,
+    so the head rows are the same bits with or without the tail.
+
+    Past row m each step adds a j with z_j = 0 and no outside z is
+    positive, so by submodularity of g family 1's right-hand side grows by
+    sum_{i in S} (rho_i(S - i) - rho_i(S + j - i))(1 - z_i) >= 0 and family
+    2's by rho_j(S) - rho_j(N - j) >= 0: no tail row is more violated than
+    row m, except by rounding (at most a few ulps; mostly where the tail's
+    alpha are tiny, near 1e-8).  So separation scores the head alone, in
+    O(n log n + m^2) instead of O(n^2).
     """
     n = a.size
     if p.n != n:
@@ -249,18 +264,25 @@ def _prefix_violations(p: MixedPoint, a: np.ndarray):
     sq = np.sqrt(q)
     n1 = int(np.count_nonzero(z == 1.0))
     m = int(np.count_nonzero(z > 0.0))
-    inside1 = np.zeros(n + 1)
-    # on the masked part j >= r, q_r - a_j^2 can be negative
-    inside1[n1 + 1:] = _triangle_sums(
-        n1, n, True, lambda r, j: sq[r] - np.sqrt(np.maximum(q[r] - asq[j], 0.0)), 1.0 - z)
-    outside2 = np.zeros(n + 1)
-    outside2[:m] = _triangle_sums(0, m, False, lambda r, j: np.sqrt(q[r] + asq[j]) - sq[r], z)
-    outside1 = np.concatenate((np.cumsum((np.abs(a[order]) * z)[::-1])[::-1], [0.0]))
-    inside2 = np.concatenate(([0.0], np.cumsum(gain_full[0, order] * (1.0 - z))))
+    rows = n + 1 if tail else m + 1
+
+    def gain1(r, j):
+        # on the masked part j >= r, q_r - a_j^2 can be negative
+        return sq[r] - np.sqrt(np.maximum(q[r] - asq[j], 0.0))
+
+    inside1 = np.zeros(rows)
+    inside1[n1 + 1:m + 1] = _triangle_sums(np.arange(n1 + 1, m + 1), n1, m, True, gain1, 1.0 - z)
+    if tail:
+        inside1[m + 1:] = _triangle_sums(np.arange(m + 1, n + 1), n1, n, True, gain1, 1.0 - z)
+    outside2 = np.zeros(rows)
+    outside2[:m] = _triangle_sums(np.arange(m), 0, m, False,
+                                  lambda r, j: np.sqrt(q[r] + asq[j]) - sq[r], z)
+    outside1 = np.concatenate((np.cumsum((np.abs(a[order]) * z)[::-1])[::-1], [0.0]))[:rows]
+    inside2 = np.concatenate(([0.0], np.cumsum(gain_full[0, order] * (1.0 - z))))[:rows]
     lhs = float(np.abs(a) @ np.abs(p.x))
-    violations = np.empty((n + 1, 2))
-    violations[:, 0] = lhs - (sq - inside1 + outside1)
-    violations[:, 1] = lhs - (sq - inside2 + outside2)
+    violations = np.empty((rows, 2))
+    violations[:, 0] = lhs - (sq[:rows] - inside1 + outside1)
+    violations[:, 1] = lhs - (sq[:rows] - inside2 + outside2)
     return order, violations
 
 
@@ -275,12 +297,15 @@ def violated_cuts(p: MixedPoint, alpha, mode: str):
     (f = 0) or ``submodular_cut_2`` (f = 1) on row r.  No cut is built:
     the prefixes are scored from running sums along the z order and two
     triangles of marginals (:func:`_prefix_violations`), every subset in
-    blocks of 2^12 rows from their :func:`_marginals`.
+    blocks of 2^12 rows from their :func:`_marginals`.  Every prefix is
+    listed: the head, through the last positive z, with the same bits as
+    separation scores it, then the tail, whose rows are never more violated
+    than the head's last but by rounding.
     """
     a = _alpha_of(alpha)
     n = a.size
     if mode == "heuristic":
-        order, violations = _prefix_violations(p, a)
+        order, violations = _prefix_violations(p, a, tail=True)
         members = np.empty((n + 1, n), dtype=np.int8)
         members[:, order] = np.tri(n + 1, n, k=-1, dtype=np.int8)
         return members, violations
@@ -316,12 +341,16 @@ def separate_submodular(p: MixedPoint, alpha, mode: str = "heuristic"):
     Builds the one cut at the maximum of :func:`violated_cuts` (heuristic:
     nested prefixes by z descending, read from the z order with no members
     matrix; exact: every subset, n <= 16).  Exact ties keep the earliest
-    candidate in scan order, first family first.  The cut is returned only
-    when its ``violation_at(p)`` exceeds feas_abs.
+    candidate in scan order, first family first.  Heuristic separation
+    scores only the prefixes through the last positive z: by submodularity
+    of g, a prefix that goes on to add coordinates with z = 0 is never more
+    violated, so the maximum is the head's, up to rounding in the tail
+    (a few ulps).  The cut is returned only when its ``violation_at(p)``
+    exceeds feas_abs.
     """
     a = _alpha_of(alpha)
     if mode == "heuristic":
-        order, violations = _prefix_violations(p, a)
+        order, violations = _prefix_violations(p, a, tail=False)
         row, family = divmod(int(np.argmax(violations)), 2)
         S = order[:row]
     else:

@@ -365,13 +365,14 @@ def _ksupport_probe(t: float, a: np.ndarray, d: np.ndarray, unit: float, span: n
                   float(top @ dtop) + P * D / r, float(top @ top) + P * P / r)
 
 
-def _dual_solve(piece_solve, a: np.ndarray, d: np.ndarray, b: float, *args):
-    """Exact minimum over the simplex of a'y + sqrt(b) * N(y/d), N the l2 or top-k l2 norm.
+def _dual_solve(a: np.ndarray, d: np.ndarray, b: float, k: int | None = None):
+    """Exact minimum over the simplex of a'y + sqrt(b) * N(y/d), N the top-k l2 norm.
 
-    Returns (t, y): the dual optimum t = max{t : N*(d o (t - a)_+) <= sqrt(b)},
-    N* the dual norm, and a y at which the objective equals t in exact
-    arithmetic.  This is the start both dual solves share; the rest is
-    piece_solve(a, d, unit, hi, *args).
+    With k None, N is the l2 norm (``_l2_dual``); otherwise the top-k l2
+    norm (``_ksupport_dual``).  Returns (t, y): the dual optimum t =
+    max{t : N*(d o (t - a)_+) <= sqrt(b)}, N* the dual norm, and a y at
+    which the objective equals t in exact arithmetic.  This is the start
+    both dual solves share.
 
     Lengths are measured in units of sqrt(b), so that no budget under- or
     overflows them, and d and the unit are divided by max d.  w = d o
@@ -385,7 +386,10 @@ def _dual_solve(piece_solve, a: np.ndarray, d: np.ndarray, b: float, *args):
     largest d is not live, d is set to 0 off the live assets, and d and
     the unit are divided again by the largest live d, unless the unit
     would then overflow, so that sums of d^2 over the live assets stay
-    near 1 however small their d is next to the rest.
+    near 1 however small their d is next to the rest.  When the end of the
+    asset that sets hi rounds to its own a_i, that asset is not live
+    either; if the live assets' F = N*(w)^2 stays below 1 at hi, t* rounds
+    to hi, and that asset's vertex attains it.
     """
     top = int(np.argmax(d))
     dmax = float(d[top])
@@ -398,17 +402,19 @@ def _dual_solve(piece_solve, a: np.ndarray, d: np.ndarray, b: float, *args):
     if math.isinf(hi):
         raise ValueError("the counterpart objective overflows the float range at every "
                          "vertex: a~_i + sqrt(b)/d_i is infinite for every asset")
-    if not float(a.min()) < hi:
-        y = np.zeros(a.size)
-        y[i] = 1.0
-        return hi, y
-    if not a[top] < hi:
-        live = a < hi
-        dlive = float(d[live].max())
-        if unit / dlive < math.inf:
-            d = np.where(live, d, 0.0) / dlive
-            unit /= dlive
-    return piece_solve(a, d, unit, hi, *args)
+    if float(a.min()) < hi:
+        if not a[top] < hi:
+            live = a < hi
+            dlive = float(d[live].max())
+            if unit / dlive < math.inf:
+                d = np.where(live, d, 0.0) / dlive
+                unit /= dlive
+        # N* is the k-support norm, which is the l2 norm at k = n
+        if a[i] < hi or _ksupport_probe(hi, a, d, unit, np.arange(k or a.size, 0, -1)).F >= 1.0:
+            return _l2_dual(a, d, unit, hi) if k is None else _ksupport_dual(a, d, unit, hi, k)
+    y = np.zeros(a.size)
+    y[i] = 1.0
+    return hi, y
 
 
 def _l2_dual(a: np.ndarray, d: np.ndarray, unit: float, hi: float):
@@ -626,10 +632,10 @@ def solve_counterpart(method: str, inst: RobustInstance) -> CounterpartResult:
     objective = _method_oracle(method)
     if method != "budgeted":
         if method == "perspective":
-            bound, y = _dual_solve(_ksupport_dual, inst.a_tilde, inst.d, inst.b, inst.k)
+            bound, y = _dual_solve(inst.a_tilde, inst.d, inst.b, inst.k)
         else:
             b = 0.0 if method == "nominal" else inst.b
-            bound, y = _dual_solve(_l2_dual, inst.a_tilde, inst.d, b)
+            bound, y = _dual_solve(inst.a_tilde, inst.d, b)
         return CounterpartResult(PortfolioPoint(y), objective(y, inst), bound, method, 0)
 
     y = np.full(inst.n, 1.0 / inst.n)

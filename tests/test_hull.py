@@ -261,6 +261,56 @@ class TestSeparation:
         assert cut is not None
         assert peak < 16 * 2**20
 
+    def test_head_maximum_is_the_prefix_maximum(self):
+        # separation scores only the prefixes through the last positive z;
+        # the z = 0 tail may beat them by rounding alone
+        for p, alpha in _dominance_cases():
+            cut = separate_submodular(p, alpha)
+            reference = oracles.cut_violations(p, alpha, oracles.prefix_sets(p.z.tolist()))
+            best = float(reference.max())
+            slack = 1e-12 * max(1.0, abs(best))
+            if cut is None:
+                assert best <= DEFAULT_TOL.feas_abs + slack
+                continue
+            assert abs(cut.violation_at(p) - best) <= slack
+            members, violations = violated_cuts(p, alpha, "heuristic")
+            head = violations[:np.count_nonzero(p.z > 0.0) + 1]
+            row, family = divmod(int(np.argmax(head)), 2)
+            first = (submodular_cut_1, submodular_cut_2)[family](np.flatnonzero(members[row]), alpha)
+            assert np.array_equal(cut.rho_z, first.rho_z) and cut.rhs == first.rhs
+
+    def test_heuristic_skips_the_zero_tail(self, monkeypatch):
+        # a lifted point at n = 2000 with at most 20 positive z: separation
+        # evaluates O(m^2) marginals, not the ~n^2/2 of the z = 0 tail
+        rng = np.random.default_rng(9)
+        n = 2000
+        inst = ProblemInstance(rng.normal(size=n), rng.uniform(size=n), ZFamily("card_le", n, 19))
+        p = _lifted_point(inst)
+        m = int(np.count_nonzero(p.z > 0.0))
+        assert 0 < m <= 20
+        cert = find_violating_alpha(p)
+        alpha = inst.a if cert is None else cert.alpha
+        triangle, entries = hull._triangle_sums, []
+
+        def counted(gain):
+            def spy(r, j):
+                out = gain(r, j)
+                entries.append(out.size)
+                return out
+            return spy
+
+        monkeypatch.setattr(hull, "_triangle_sums",
+                            lambda *args: triangle(*(counted(x) if callable(x) else x for x in args)))
+        separate_submodular(p, alpha)
+        assert 0 < sum(entries) <= 2 * (m + 1) ** 2
+        # violated_cuts still scores every prefix
+        members, violations = violated_cuts(p, alpha, "heuristic")
+        assert violations.shape == (n + 1, 2)
+        rows = np.concatenate(([0, 1, m - 1, m, m + 1, n - 1, n],
+                               rng.choice(np.arange(m + 2, n - 1), size=30, replace=False)))
+        reference = oracles.cut_violations(p, alpha, [np.flatnonzero(members[r]) for r in rows])
+        assert np.all(np.abs(violations[rows] - reference) <= 1e-12 * np.maximum(1.0, np.abs(reference)))
+
 
 def _traced(f, *args, **kwargs):
     """f(*args, **kwargs) after one warm call, and its tracemalloc peak in bytes."""
@@ -325,6 +375,34 @@ def _scorer_cases():
     cases.append(("heuristic", n, MixedPoint(np.zeros(n), z), alpha))
     return cases
 
+
+def _dominance_cases():
+    """(point, alpha) cases for heuristic separation: random points with
+    tied z and rounded data, zero alpha, alpha near 1e-8 on the z = 0 tail,
+    z exactly 0/1 and sparse z; then lifted relaxation points at n = 200
+    for every family, with the perspective certificate or a as alpha."""
+    rng = np.random.default_rng(13)
+    cases = []
+    for _ in range(60):
+        n = int(rng.integers(1, 41))
+        x, z, alpha = rng.normal(size=n), rng.uniform(size=n), rng.normal(size=n)
+        z[rng.random(n) < 0.5] = 0.0
+        tied = np.round(z * 2.0) / 2.0
+        zero = alpha.copy()
+        zero[rng.random(n) < 0.3] = 0.0
+        tiny = np.where(z == 0.0, 1e-8 * rng.normal(size=n), alpha)
+        binary = rng.integers(0, 2, size=n).astype(float)
+        sparse = np.where(rng.random(n) < 0.2, z, 0.0)
+        cases += [(MixedPoint(np.round(x), tied), np.round(alpha)), (MixedPoint(x, z), zero),
+                  (MixedPoint(x, z), tiny), (MixedPoint(x, binary), alpha),
+                  (MixedPoint(x, sparse), np.where(sparse == 0.0, 1e-8 * alpha, alpha))]
+    for kind, k in (("free", None), ("card_le", 20), ("card_eq", 20)):
+        for _ in range(4):
+            inst = ProblemInstance(rng.normal(size=200), rng.uniform(size=200), ZFamily(kind, 200, k))
+            p = _lifted_point(inst)
+            cert = find_violating_alpha(p)
+            cases.append((p, inst.a if cert is None else cert.alpha))
+    return cases
 
 def _lifted_point(inst):
     """The relaxation point lifted to (x, z): x minimizes a'x over the unit

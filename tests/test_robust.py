@@ -636,6 +636,20 @@ class TestDualCertificate:
                 assert res.bound <= res.objective * (1.0 + 4e-15)
 
     @pytest.mark.parametrize("method", ["ellipsoidal", "perspective"])
+    @pytest.mark.parametrize("a, d, b", [((0.0, 1e17), (1e-18, 1.0), 1.0),
+                                         ((0.0, 1e300), (1e-320, 1.0), 1.0),
+                                         ((0.0, 0.5), (1e-320, 1.0), 5e-324)])
+    def test_hi_set_by_an_asset_that_is_not_live(self, method, a, d, b):
+        # a~_1 + sqrt(b)/d_1 rounds to a~_1, so asset 1 sets hi but is not
+        # below it; asset 0 alone stays far below the norm at hi, so the
+        # optimum rounds to hi at e_1 (y on asset 0 cost 1e18, 0/0 or inf)
+        for k in (1, 2):
+            res = solve_counterpart(method, RobustInstance(np.array(a), np.array(d), b, k, 2))
+            assert np.array_equal(res.y_star.y, [0.0, 1.0])
+            assert math.isfinite(res.objective)
+            assert res.bound <= res.objective * (1.0 + 4e-15)
+
+    @pytest.mark.parametrize("method", ["ellipsoidal", "perspective"])
     def test_overflowing_objective_raises(self, method):
         # every bracket end a~_i + sqrt(b)/d_i overflows; the optimum is about 5e309
         inst = RobustInstance(np.zeros(2), np.full(2, 1e-160), 1e300, 1, 2)
