@@ -12,8 +12,12 @@ at a time) a BENCH json at the repository root: per end-to-end metric of
 BENCHMARK.json the two medians, their IQR over median, how many pairs the
 change wins and whether the medians differ by more than the parent's IQR;
 every run's metrics, correctness and failed ops; and the machine data that
-perfbench records.  The parent is exported with ``git archive``, so the run
-leaves nothing behind in the repository's git metadata.
+perfbench records.  When the file was measured against the same parent
+commit, the new pairs join the workload's recorded ones and the summary
+covers them all; a seed already recorded there is an error before anything
+runs.  Against a different parent the workload's entry is replaced.  The
+parent is exported with ``git archive``, so the run leaves nothing behind
+in the repository's git metadata.
 """
 
 from __future__ import annotations
@@ -47,15 +51,18 @@ def parse_seeds(text: str) -> list:
     return seeds
 
 
-def export(rev: str, dest: Path) -> str:
-    """Write the tree of commit rev into dest; returns its full hash."""
-    sha = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", f"{rev}^{{commit}}"],
-                         check=True, capture_output=True, text=True).stdout.strip()
+def resolve(rev: str) -> str:
+    """The full hash of commit rev."""
+    return subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", f"{rev}^{{commit}}"],
+                          check=True, capture_output=True, text=True).stdout.strip()
+
+
+def export(sha: str, dest: Path) -> None:
+    """Write the tree of commit sha into dest."""
     tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", sha],
                          check=True, capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
         archive.extractall(dest, filter="data")
-    return sha
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple:
@@ -109,6 +116,34 @@ def summarize(pairs, metrics) -> dict:
     return out
 
 
+def prior_pairs(bench: dict, sha: str, workload: str, seeds) -> list:
+    """The recorded pairs that new pairs of workload join in bench, a BENCH
+    file's contents: the workload's pairs when bench was measured against
+    the parent commit sha, else none, so that the entry is replaced.  A seed
+    already among them is a ValueError."""
+    entry = bench.get("workloads", {}).get(workload)
+    if entry is None or bench.get("parent") != sha:
+        return []
+    repeated = sorted(set(seeds) & {pair["seed"] for pair in entry["pairs"]})
+    if repeated:
+        raise ValueError(f"{workload} already has pairs for seeds {repeated} against parent {sha}")
+    return list(entry["pairs"])
+
+
+def workload_entry(pairs, metrics, seconds: float, machine) -> dict:
+    """A BENCH file's entry for one workload, summarized over all its pairs."""
+    return {
+        "seeds": [pair["seed"] for pair in pairs],
+        "order": "alternating; pair i of each batch runs the parent first when i is even",
+        "run_seconds": seconds,
+        "all_correct": all(p[side]["correct"] for p in pairs for side in ("parent", "change")),
+        "failed_ops": {side: sum(p[side]["failed"] for p in pairs) for side in ("parent", "change")},
+        "metrics": summarize(pairs, metrics),
+        "machine": machine,
+        "pairs": pairs,
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="parent commit (any git revision)")
@@ -125,12 +160,17 @@ def main(argv=None) -> int:
     seconds = spec["run_seconds"]
     out_path = args.out if args.out.is_absolute() else ROOT / args.out
     bench = json.loads(out_path.read_text()) if out_path.exists() else {}
+    sha = resolve(args.parent)
+    try:
+        pairs = prior_pairs(bench, sha, args.workload, args.seeds)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         parent_tree = Path(tmp)
-        sha = export(args.parent, parent_tree)
+        export(sha, parent_tree)
         trees = {"parent": parent_tree, "change": ROOT}
-        pairs, machine = [], None
+        machine = None
         for i, seed in enumerate(args.seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair = {"seed": seed, "first": order[0]}
@@ -148,16 +188,8 @@ def main(argv=None) -> int:
     bench["run"] = ("python3 perfbench/run.py --workload <w> --seed <s> --seconds "
                     f"{seconds:g} --trace 0, in an export of the parent and in the working tree")
     bench["parent"] = sha
-    bench.setdefault("workloads", {})[args.workload] = {
-        "seeds": args.seeds,
-        "order": "alternating; pair i runs the parent first when i is even",
-        "run_seconds": seconds,
-        "all_correct": all(p[side]["correct"] for p in pairs for side in ("parent", "change")),
-        "failed_ops": {side: sum(p[side]["failed"] for p in pairs) for side in ("parent", "change")},
-        "metrics": summarize(pairs, metrics),
-        "machine": machine,
-        "pairs": pairs,
-    }
+    bench.setdefault("workloads", {})[args.workload] = workload_entry(pairs, metrics, seconds,
+                                                                      machine)
     out_path.write_text(json.dumps(bench, indent=2) + "\n")
     for name, m in bench["workloads"][args.workload]["metrics"].items():
         print(f"{name:<12} parent {m['parent_median']:.6g}  change {m['change_median']:.6g}  "

@@ -33,11 +33,11 @@ _ENUMERATION_CHUNK = 1 << 16
 class SolverError(RuntimeError):
     """A solver could not return an answer.
 
-    Raised by the budgeted counterpart solve when it reaches its fixed
-    iteration cap.  Carries the best iterate found so far and a gap
-    estimate so callers can still inspect partial progress.  The conv(Z)
-    relaxation is exact and its rounding picks one of two family members,
-    so it never raises it.
+    Nothing in the package raises it: every solve returns an answer with a
+    certified bound, the budgeted counterpart at its iteration cap too.  It
+    stays exported, with the best iterate, its value and a gap, because the
+    benchmark's relaxation workload still catches it and the benchmark's
+    tests construct it.
     """
 
     def __init__(self, message: str, best=None, best_value=None, gap=None):
@@ -343,12 +343,7 @@ def parse_problem_instance(obj: dict) -> ProblemInstance:
         k = fam.get("k")
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed problem instance: missing field ({exc})") from exc
-    zfam = ZFamily(kind, n, k)
-    a = as_vector(a, "a")
-    c = as_vector(c, "c")
-    if a.size != zfam.n or c.size != zfam.n:
-        raise ValueError("a and c must have length n")
-    return ProblemInstance(a, c, zfam)
+    return ProblemInstance(a, c, ZFamily(kind, n, k))
 
 
 def problem_instance_to_dict(inst: ProblemInstance) -> dict:

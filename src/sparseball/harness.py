@@ -4,7 +4,9 @@ Instances draw every nominal cost and scaling entry from U[0,1] using the
 package's own xoshiro256** generator (splitmix64-seeded) so that results are
 byte-stable across platforms; the generator name, the seed-derivation rule
 and the scaling floor are all recorded in the run metadata.  Scalings below
-1e-6 are redrawn to keep d strictly positive.
+1e-6 are redrawn to keep d strictly positive.  Every counterpart solve
+returns an answer, so a grid run holds one record per (cell, instance,
+method) and its report is always the CSV plus one SVG per cell.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from ._rng import Xoshiro256StarStar, splitmix64_mix
-from .core import SolverError, as_budget, as_int, loads_strict
+from .core import as_budget, as_int, loads_strict
 from .robust import (
     METHODS,
     RobustInstance,
@@ -169,35 +171,25 @@ class ExperimentRecord:
         return f"k{self.k}_b{self.b:g}"
 
 
-@dataclass(frozen=True)
-class SolveFailure:
-    k: int
-    b: float
-    instance: int
-    method: str
-    message: str
-
-
 @dataclass
 class ExperimentRun:
-    """Records plus per-record failures and reproducibility metadata."""
+    """Records plus reproducibility metadata."""
 
     config: ExperimentConfig
     records: list
-    failures: list
     metadata: dict
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentRun:
     """Solve every configured method on every generated instance of the grid.
 
-    Solver errors are captured per record without aborting the rest of the
-    grid.  Output ordering is (k, b, instance, method-position) regardless
-    of execution order, and the run is fully deterministic for a fixed
-    config (timings aside; set record_wall_time=False to zero them).
+    Every solve returns an answer, so there is one record per (cell,
+    instance, method).  Output ordering is (k, b, instance,
+    method-position) regardless of execution order, and the run is fully
+    deterministic for a fixed config (timings aside; set
+    record_wall_time=False to zero them).
     """
     records: list = []
-    failures: list = []
     for ki, k in enumerate(config.k_list):
         for bi, b in enumerate(config.b_list):
             for inst_idx in range(config.instances_per_cell):
@@ -205,11 +197,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentRun:
                 inst = generate_instance(config.n, k, b, seed)
                 for method in config.methods:
                     begin = time.perf_counter()
-                    try:
-                        result = solve_counterpart(method, inst)
-                    except SolverError as exc:
-                        failures.append(SolveFailure(k, b, inst_idx, method, str(exc)))
-                        continue
+                    result = solve_counterpart(method, inst)
                     elapsed = time.perf_counter() - begin
                     records.append(ExperimentRecord(
                         k=k,
@@ -228,12 +216,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentRun:
         "d_floor": D_FLOOR,
         "package_version": __version__,
         "config": experiment_config_to_dict(config),
-        "failures": [
-            {"k": f.k, "b": f.b, "instance": f.instance, "method": f.method, "message": f.message}
-            for f in failures
-        ],
     }
-    return ExperimentRun(config=config, records=records, failures=failures, metadata=metadata)
+    return ExperimentRun(config=config, records=records, metadata=metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +256,7 @@ def parse_report_csv(path) -> list:
     return records
 
 
+_SVG_SIZE = 420  # the scatter is a square of this many pixels
 _MARKER_SHAPES = {
     "nominal": "cross",
     "budgeted": "triangle",
@@ -303,10 +288,11 @@ def _marker_svg(shape: str, cx: float, cy: float, size: float, color: str, cls: 
             f'stroke="{color}" stroke-width="1.5" fill="none"/>')
 
 
-def cell_scatter_svg(records, title: str, width: int = 420, height: int = 420) -> str:
+def cell_scatter_svg(records, title: str) -> str:
     """Scatter of nominal value (x) against worst case (y), one marker per record."""
     if not records:
         raise ValueError("no records for scatter")
+    width = height = _SVG_SIZE
     xs = [r.nominal_value for r in records]
     ys = [r.worst_case for r in records]
     pad_frac = 0.08
@@ -359,30 +345,26 @@ def cell_scatter_svg(records, title: str, width: int = 420, height: int = 420) -
     return "\n".join(parts)
 
 
-def emit_report(records, out_dir, formats=("csv", "svg"), metadata=None) -> list:
+def emit_report(records, out_dir, metadata=None) -> list:
     """Write results.csv, one scatter SVG per cell and, when metadata is
-    given, metadata.json; returns written paths.  Records may be empty only
-    when formats is.
+    given, metadata.json; returns written paths.  Records must be nonempty.
 
     I/O failures propagate as OSError naming the path.
     """
-    if not records and formats:
+    if not records:
         raise ValueError("no records to report")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    if "csv" in formats:
-        path = out_dir / "results.csv"
-        path.write_text(records_to_csv(records))
+    path = out_dir / "results.csv"
+    path.write_text(records_to_csv(records))
+    written = [path]
+    cells = {}
+    for r in records:
+        cells.setdefault((r.k, r.b), []).append(r)
+    for (k, b), cell_records in sorted(cells.items()):
+        path = out_dir / f"cell_k{k}_b{b:g}.svg"
+        path.write_text(cell_scatter_svg(cell_records, title=f"k={k}, b={b:g}"))
         written.append(path)
-    if "svg" in formats:
-        cells = {}
-        for r in records:
-            cells.setdefault((r.k, r.b), []).append(r)
-        for (k, b), cell_records in sorted(cells.items()):
-            path = out_dir / f"cell_k{k}_b{b:g}.svg"
-            path.write_text(cell_scatter_svg(cell_records, title=f"k={k}, b={b:g}"))
-            written.append(path)
     if metadata is not None:
         import json
 

@@ -48,3 +48,35 @@ def test_summarize_flags_a_gap_past_the_parent_spread():
     assert out["change_wins"] == "0/3"
     assert out["parent_iqr_over_median"] == 0.0
     assert out["ratio_change_over_parent"] == pytest.approx(41.0 / 40.0)
+
+
+def _bench(parent, seeds):
+    pairs = [{"seed": seed, "first": "parent",
+              "parent": {"ms": 2.0, "correct": True, "failed": 0},
+              "change": {"ms": 1.0, "correct": True, "failed": 1}} for seed in seeds]
+    return {"parent": parent, "workloads": {"grid": {"seeds": list(seeds), "pairs": pairs}}}
+
+
+def test_new_pairs_join_the_entry_measured_against_the_same_parent():
+    bench = _bench("abc", [1, 2])
+    prior = bench_pairs.prior_pairs(bench, "abc", "grid", [3])
+    assert [pair["seed"] for pair in prior] == [1, 2]
+    new = {"seed": 3, "first": "change", "parent": {"ms": 4.0, "correct": True, "failed": 0},
+           "change": {"ms": 1.0, "correct": False, "failed": 0}}
+    entry = bench_pairs.workload_entry(prior + [new], {"ms": "lower"}, 30, {"nproc": 2})
+    assert entry["seeds"] == [1, 2, 3]
+    assert entry["pairs"][:2] == bench["workloads"]["grid"]["pairs"]
+    # the summary covers every pair, the recorded ones too
+    assert entry["metrics"]["ms"]["parent_median"] == 2.0
+    assert entry["metrics"]["ms"]["change_wins"] == "3/3"
+    assert entry["failed_ops"] == {"parent": 0, "change": 2}
+    assert entry["all_correct"] is False
+
+
+def test_a_recorded_seed_is_an_error_and_another_parent_replaces_the_entry():
+    bench = _bench("abc", [1, 2])
+    with pytest.raises(ValueError, match=r"seeds \[2\]"):
+        bench_pairs.prior_pairs(bench, "abc", "grid", [2, 3])
+    assert bench_pairs.prior_pairs(bench, "def", "grid", [2, 3]) == []
+    assert bench_pairs.prior_pairs(bench, "abc", "hull", [1]) == []
+    assert bench_pairs.prior_pairs({}, "abc", "grid", [1]) == []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sparseball import robust
-from sparseball.cli import EXIT_IO, EXIT_OK, EXIT_SOLVER, EXIT_USAGE, main
+from sparseball.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from sparseball.core import DEFAULT_TOL, MixedPoint
 from sparseball.hull import submodular_cut_1, submodular_cut_2
 
@@ -204,11 +204,12 @@ class TestRobust:
         assert abs(sum(payload["y"]) - 1.0) < 1e-9
         assert payload["worst_case"] >= payload["nominal_value"]
 
-    def test_iteration_cap_is_solver_failure(self, capsys, robust_file, monkeypatch):
+    def test_iteration_cap_returns_an_answer(self, capsys, robust_file, monkeypatch):
         monkeypatch.setattr(robust, "_MAX_ITER", 50)
-        code, _ = _run(capsys, ["robust", "--method", "budgeted",
-                                "--instance", str(robust_file)])
-        assert code == EXIT_SOLVER
+        code, out = _run(capsys, ["robust", "--method", "budgeted",
+                                  "--instance", str(robust_file)])
+        assert code == EXIT_OK
+        assert json.loads(out)["iterations"] == 50
 
     @pytest.mark.parametrize("flags", [["--max-iter", "50"], ["--tol", "1e-3"]])
     def test_solver_flags_are_gone(self, capsys, robust_file, flags):
@@ -302,7 +303,7 @@ class TestExperiment:
         assert captured.err.startswith("input error: ") and message in captured.err
         assert not (tmp_path / "out").exists()
 
-    def test_failed_solves_exit_2_and_keep_the_rest(self, capsys, tmp_path, monkeypatch):
+    def test_capped_solves_exit_0_and_keep_every_record(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(robust, "_MAX_ITER", 10)
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({"n": 10, "k_list": [2], "b_list": [1.0],
@@ -310,14 +311,14 @@ class TestExperiment:
         out_dir = tmp_path / "out"
         code, out = _run(capsys, ["experiment", "--config", str(config_path),
                                   "--out", str(out_dir)])
-        assert code == EXIT_SOLVER
-        assert "wrote 6 records" in out and "2 solves failed" in out
+        assert code == EXIT_OK
+        assert out == f"wrote 8 records to {out_dir}\n"
         rows = (out_dir / "results.csv").read_text().splitlines()[1:]
-        assert [row.split(",")[4] for row in rows] == ["nominal", "ellipsoidal", "perspective"] * 2
-        failures = json.loads((out_dir / "metadata.json").read_text())["failures"]
-        assert [f["method"] for f in failures] == ["budgeted"] * 2
+        assert [row.split(",")[4] for row in rows] == ["nominal", "budgeted", "ellipsoidal",
+                                                       "perspective"] * 2
+        assert "failures" not in json.loads((out_dir / "metadata.json").read_text())
 
-    def test_every_solve_failing_exits_2(self, capsys, tmp_path, monkeypatch):
+    def test_capped_budgeted_grid_writes_every_file(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(robust, "_MAX_ITER", 10)
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({"n": 10, "k_list": [2], "b_list": [1.0],
@@ -325,12 +326,12 @@ class TestExperiment:
         out_dir = tmp_path / "out"
         code = main(["experiment", "--config", str(config_path), "--out", str(out_dir)])
         captured = capsys.readouterr()
-        assert code == EXIT_SOLVER
-        assert "every solve in the grid failed" in captured.err
-        assert sorted(path.name for path in out_dir.iterdir()) == ["metadata.json"]
-        failures = json.loads((out_dir / "metadata.json").read_text())["failures"]
-        assert [(f["k"], f["b"], f["instance"], f["method"]) for f in failures] == [(2, 1.0, 0, "budgeted")]
-        assert "did not stall within 10 iterations" in failures[0]["message"]
+        assert code == EXIT_OK
+        assert captured.err == ""
+        assert sorted(path.name for path in out_dir.iterdir()) == [
+            "cell_k2_b1.svg", "metadata.json", "results.csv"]
+        rows = (out_dir / "results.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[4] for row in rows] == ["budgeted"]
 
 
 class TestUsage:

@@ -262,7 +262,6 @@ class TestConfigTypes:
 class TestRunExperiment:
     def test_smoke_grid_counts(self, smoke_run):
         assert len(smoke_run.records) == 2 * len(SMOKE.methods)
-        assert not smoke_run.failures
 
     def test_worst_case_dominates_nominal(self, smoke_run):
         for record in smoke_run.records:
@@ -278,19 +277,15 @@ class TestRunExperiment:
         assert "seed_rule" in smoke_run.metadata
         assert smoke_run.metadata["config"]["seed"] == 7
 
-    def test_capped_solves_are_recorded_as_failures(self, monkeypatch):
+    def test_capped_solves_keep_every_record(self, monkeypatch):
         monkeypatch.setattr(robust, "_MAX_ITER", 10)
         run = run_experiment(dataclasses.replace(SMOKE, record_wall_time=False))
+        assert [(r.k, r.b, r.instance, r.method) for r in run.records] == [
+            (3, 2.0, i, m) for i in range(2) for m in SMOKE.methods]
+        assert "failures" not in run.metadata
         exact = ("nominal", "ellipsoidal", "perspective")
-        assert [r.method for r in run.records] == list(exact) * 2
-        assert [(f.k, f.b, f.instance, f.method) for f in run.failures] == [
-            (3, 2.0, i, "budgeted") for i in range(2)]
-        assert run.metadata["failures"] == [
-            {"k": f.k, "b": f.b, "instance": f.instance, "method": f.method, "message": f.message}
-            for f in run.failures]
-        assert all("did not stall within 10 iterations" in f.message for f in run.failures)
         exact_only = dataclasses.replace(SMOKE, record_wall_time=False, methods=exact)
-        assert run.records == run_experiment(exact_only).records
+        assert [r for r in run.records if r.method in exact] == run_experiment(exact_only).records
 
     def test_deterministic_csv_without_timings(self):
         config = dataclasses.replace(SMOKE, record_wall_time=False)
@@ -301,9 +296,9 @@ class TestRunExperiment:
 
 class TestReporting:
     def test_csv_round_trip(self, smoke_run, tmp_path):
-        paths = emit_report(smoke_run.records, tmp_path, formats=("csv",))
-        assert paths[0].name == "results.csv"
-        back = parse_report_csv(paths[0])
+        paths = emit_report(smoke_run.records, tmp_path)
+        [path] = [p for p in paths if p.name == "results.csv"]
+        back = parse_report_csv(path)
         assert back == smoke_run.records
 
     def test_csv_header(self, smoke_run):
@@ -315,9 +310,9 @@ class TestReporting:
             emit_report([], tmp_path)
 
     def test_svg_marker_counts(self, smoke_run, tmp_path):
-        paths = emit_report(smoke_run.records, tmp_path, formats=("svg",))
-        assert len(paths) == 1  # one cell
-        svg = paths[0].read_text()
+        paths = emit_report(smoke_run.records, tmp_path)
+        [path] = [p for p in paths if p.suffix == ".svg"]  # one cell
+        svg = path.read_text()
         assert svg.count('class="pt ') == len(smoke_run.records)
         for method in SMOKE.methods:
             assert svg.count(f'class="pt m-{method}"') == 2
