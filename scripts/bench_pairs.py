@@ -11,7 +11,9 @@ is even.  It writes (or updates, one workload
 at a time) a BENCH json at the repository root: per end-to-end metric of
 BENCHMARK.json the two medians, their IQR over median, how many pairs the
 change wins and whether the medians differ by more than the parent's IQR;
-every run's metrics, correctness and failed ops; and the machine data that
+each metric's verdict under its bound (better, within_bound, worse, or
+unresolved when the parent's own runs spread wider than the bound); every
+run's metrics, correctness and failed ops; and the machine data that
 perfbench records.  When the file was measured against the same parent
 commit, the new pairs join the workload's recorded ones and the summary
 covers them all; a seed already recorded there is an error before anything
@@ -95,7 +97,34 @@ def iqr(values) -> float:
     return float(q3 - q1)
 
 
-def summarize(pairs, metrics) -> dict:
+def verdict(parent, change, better: str, bound: float) -> str:
+    """How the change's runs of one metric compare with the parent's.
+
+    "unresolved" when the parent's IQR over its median exceeds the bound
+    and not every change run beats every parent run; else "better" when
+    every change run beats every parent run, or the change wins at least
+    nine tenths of the pairs (ties count for neither) and the medians
+    differ by more than the parent's IQR; else "worse" when the change's
+    median is worse than the parent's by more than the bound, relative to
+    the parent's median; else "within_bound".
+    """
+    sign = 1.0 if better == "higher" else -1.0
+    p_med, c_med = statistics.median(parent), statistics.median(change)
+    every_run = all(sign * (c - p) > 0.0 for c in change for p in parent)
+    if iqr(parent) / p_med > bound and not every_run:
+        return "unresolved"
+    wins = sum(sign * (c - p) > 0.0 for p, c in zip(parent, change))
+    if every_run or (wins >= 0.9 * len(parent) and sign * (c_med - p_med) > iqr(parent)):
+        return "better"
+    if sign * (c_med - p_med) < -bound * p_med:
+        return "worse"
+    return "within_bound"
+
+
+def summarize(pairs, metrics, bounds=None) -> dict:
+    """Per metric (name -> "higher" or "lower" is better): medians, spreads
+    and wins, plus the verdict under the metric's regression bound when
+    bounds (name -> bound) gives one."""
     out = {}
     for name, better in metrics.items():
         parent = [p["parent"][name] for p in pairs]
@@ -113,6 +142,9 @@ def summarize(pairs, metrics) -> dict:
             "median_gap_exceeds_parent_iqr": abs(c_med - p_med) > iqr(parent),
             "change_wins": f"{wins}/{len(pairs)}",
         }
+        if bounds and name in bounds:
+            out[name]["bound"] = bounds[name]
+            out[name]["verdict"] = verdict(parent, change, better, bounds[name])
     return out
 
 
@@ -130,7 +162,7 @@ def prior_pairs(bench: dict, sha: str, workload: str, seeds) -> list:
     return list(entry["pairs"])
 
 
-def workload_entry(pairs, metrics, seconds: float, machine) -> dict:
+def workload_entry(pairs, metrics, seconds: float, machine, bounds=None) -> dict:
     """A BENCH file's entry for one workload, summarized over all its pairs."""
     return {
         "seeds": [pair["seed"] for pair in pairs],
@@ -138,7 +170,7 @@ def workload_entry(pairs, metrics, seconds: float, machine) -> dict:
         "run_seconds": seconds,
         "all_correct": all(p[side]["correct"] for p in pairs for side in ("parent", "change")),
         "failed_ops": {side: sum(p[side]["failed"] for p in pairs) for side in ("parent", "change")},
-        "metrics": summarize(pairs, metrics),
+        "metrics": summarize(pairs, metrics, bounds),
         "machine": machine,
         "pairs": pairs,
     }
@@ -157,6 +189,7 @@ def main(argv=None) -> int:
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
     out_path = args.out if args.out.is_absolute() else ROOT / args.out
     bench = json.loads(out_path.read_text()) if out_path.exists() else {}
@@ -189,12 +222,12 @@ def main(argv=None) -> int:
                     f"{seconds:g} --trace 0, in an export of the parent and in the working tree")
     bench["parent"] = sha
     bench.setdefault("workloads", {})[args.workload] = workload_entry(pairs, metrics, seconds,
-                                                                      machine)
+                                                                      machine, bounds)
     out_path.write_text(json.dumps(bench, indent=2) + "\n")
     for name, m in bench["workloads"][args.workload]["metrics"].items():
         print(f"{name:<12} parent {m['parent_median']:.6g}  change {m['change_median']:.6g}  "
               f"ratio {m['ratio_change_over_parent']:.3f}  wins {m['change_wins']}  "
-              f"gap>IQR {m['median_gap_exceeds_parent_iqr']}")
+              f"gap>IQR {m['median_gap_exceeds_parent_iqr']}  {m['verdict']}")
     return 0
 
 

@@ -134,9 +134,6 @@ def parse_experiment_config(obj: dict) -> ExperimentConfig:
         raise ValueError(f"experiment config must be a JSON object, got {type(obj).__name__}")
     known = [f.name for f in fields(ExperimentConfig)]
     for key in obj:
-        if key == "solver":
-            raise ValueError("the counterpart solver settings were removed; "
-                             "delete the 'solver' object from the config")
         if key not in known:
             raise ValueError(f"unknown experiment config key {key!r}; expected one of {known}")
     return ExperimentConfig(**obj)

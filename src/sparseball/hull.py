@@ -6,6 +6,9 @@ right-hand side in the activation set, so the classic marginal-based cut
 families apply; this module generates them, evaluates them on ``|x|``
 coefficients directly, and scores them over candidate sets in one place,
 ``violated_cuts``, which separation and ``sparseball cuts`` share.
+Every marginal of g(S) = ||alpha_S||_2 is written once, from the set sum
+q = a^2(S) (``_drop_gain``, ``_add_gain``); the cuts, ``rho`` and both
+scorers share it.
 Heuristic separation scores the nested prefixes by z descending: they
 share running sums along that order, so only two triangles of marginals
 are left to sum (in row blocks of bounded size), and separation builds no
@@ -13,8 +16,7 @@ matrix of candidate sets.  It stops at the prefix that ends at the last
 positive z: by submodularity of g, adding a coordinate with z = 0 never
 makes a prefix more violated, so with m positive z it costs O(n log n +
 m^2), not O(n^2).  ``violated_cuts`` still scores all n + 1 prefixes.
-Exact separation scores every subset, n <= 16, in blocks of marginal
-matrices.
+Exact separation scores every subset, n <= 16, in blocks of set sums.
 
 Nonlinear side: the perspective inequality ``sum_i x_i^2 / z_i <= 1``
 (under the shared zero-division convention) is exactly the condition for a
@@ -137,19 +139,20 @@ def g_value(S, alpha) -> float:
     return math.sqrt(float(np.sum(a[idx] * a[idx])))
 
 
-def _marginals(M: np.ndarray, asq: np.ndarray):
-    """The marginal gains of g on each row S of the 0/1 matrix M.
+def _drop_gain(q, asq):
+    """rho_i(S - i) = sqrt(q) - sqrt(q - a_i^2) for i in S, from the set sum q = a^2(S).
 
-    Returns ``(sq, gain_self, gain_add)`` with q = M a^2: sq[r] = g(S) =
-    sqrt(q_r), gain_self[r, i] = rho_i(S - i) = sqrt(q_r) - sqrt(q_r - a_i^2)
-    (meaningful for i in S) and gain_add[r, i] = rho_i(S) = sqrt(q_r + a_i^2)
-    - sqrt(q_r) (meaningful for i outside S).
+    q and asq = a_i^2 broadcast against each other; rounding can leave
+    q - a_i^2 below zero, so it is clipped there.  When a_i^2 is nearly all
+    of q the rest of S is lost to cancellation: the gain is then accurate to
+    about sqrt(eps) g(S), not eps g(S).
     """
-    q = M @ asq
-    sq = np.sqrt(q)
-    gain_self = sq[:, None] - np.sqrt(np.clip(q[:, None] - asq, 0.0, None))
-    gain_add = np.sqrt(q[:, None] + asq) - sq[:, None]
-    return sq, gain_self, gain_add
+    return np.sqrt(q) - np.sqrt(np.maximum(q - asq, 0.0))
+
+
+def _add_gain(q, asq):
+    """rho_i(S) = sqrt(q + a_i^2) - sqrt(q) for i outside S, from the set sum q = a^2(S)."""
+    return np.sqrt(q + asq) - np.sqrt(q)
 
 
 def rho(i: int, S, alpha) -> float:
@@ -158,11 +161,11 @@ def rho(i: int, S, alpha) -> float:
     i = as_int(i, "i")
     if i < 0 or i >= a.size:
         raise IndexError(f"index {i} out of range")
-    M = np.zeros((1, a.size))
-    M[0, as_index_set(S, a.size)] = 1.0
-    if M[0, i]:
+    in_S = np.zeros(a.size, dtype=bool)
+    in_S[as_index_set(S, a.size)] = True
+    if in_S[i]:
         raise ValueError(f"index {i} already belongs to S")
-    return float(_marginals(M, a * a)[2][0, i])
+    return float(_add_gain(in_S @ (a * a), a[i] * a[i]))
 
 
 def _cut(S, alpha, family) -> LinearCut:
@@ -170,22 +173,23 @@ def _cut(S, alpha, family) -> LinearCut:
 
     Inside S the marginal is rho_i(S - i) (family 2: rho_i(N - i)); outside
     S it is rho_i(empty) = |alpha_i| (family 2: rho_i(S); the base
-    inequality drops it).
+    inequality drops it).  Every marginal comes from the set sums q_S =
+    a^2(S) and q_N = a^2(N), each the dot product of a 0/1 indicator with
+    a^2, as the scorers sum them.
     """
     a = _alpha_of(alpha)
-    M = np.zeros((3, a.size))  # rows: the empty set, S, N
-    M[1, as_index_set(S, a.size)] = 1.0
-    M[2] = 1.0
-    sq, gain_self, gain_add = _marginals(M, a * a)
-    in_S = M[1] == 1.0
+    asq = a * a
+    in_S = np.zeros(a.size, dtype=bool)
+    in_S[as_index_set(S, a.size)] = True
+    q_S = in_S @ asq
     if family == 1:
-        inside, outside = gain_self[1], -gain_add[0]
+        inside, outside = _drop_gain(q_S, asq), -_add_gain(0.0, asq)
     elif family == 2:
-        inside, outside = gain_self[2], -gain_add[1]
+        inside, outside = _drop_gain(np.ones(a.size) @ asq, asq), -_add_gain(q_S, asq)
     else:
-        inside, outside = gain_self[1], 0.0
+        inside, outside = _drop_gain(q_S, asq), 0.0
     rho_z = np.where(in_S, -inside, outside)
-    return LinearCut(np.abs(a), rho_z, float(sq[1] - inside[in_S].sum()))
+    return LinearCut(np.abs(a), rho_z, float(math.sqrt(q_S) - inside[in_S].sum()))
 
 
 def submodular_cut_1(S, alpha) -> LinearCut:
@@ -256,19 +260,16 @@ def _prefix_violations(p: MixedPoint, a: np.ndarray, tail: bool):
     n = a.size
     if p.n != n:
         raise ValueError("dimension mismatch between point and alpha")
-    _, gain_full, _ = _marginals(np.ones((1, n)), a * a)
     order = np.argsort(-p.z, kind="stable")
     z = p.z[order]
     asq = (a * a)[order]
     q = np.concatenate(([0.0], np.cumsum(asq)))
-    sq = np.sqrt(q)
     n1 = int(np.count_nonzero(z == 1.0))
     m = int(np.count_nonzero(z > 0.0))
     rows = n + 1 if tail else m + 1
 
     def gain1(r, j):
-        # on the masked part j >= r, q_r - a_j^2 can be negative
-        return sq[r] - np.sqrt(np.maximum(q[r] - asq[j], 0.0))
+        return _drop_gain(q[r], asq[j])
 
     inside1 = np.zeros(rows)
     inside1[n1 + 1:m + 1] = _triangle_sums(np.arange(n1 + 1, m + 1), n1, m, True, gain1, 1.0 - z)
@@ -276,13 +277,15 @@ def _prefix_violations(p: MixedPoint, a: np.ndarray, tail: bool):
         inside1[m + 1:] = _triangle_sums(np.arange(m + 1, n + 1), n1, n, True, gain1, 1.0 - z)
     outside2 = np.zeros(rows)
     outside2[:m] = _triangle_sums(np.arange(m), 0, m, False,
-                                  lambda r, j: np.sqrt(q[r] + asq[j]) - sq[r], z)
-    outside1 = np.concatenate((np.cumsum((np.abs(a[order]) * z)[::-1])[::-1], [0.0]))[:rows]
-    inside2 = np.concatenate(([0.0], np.cumsum(gain_full[0, order] * (1.0 - z))))[:rows]
+                                  lambda r, j: _add_gain(q[r], asq[j]), z)
+    outside1 = np.concatenate((np.cumsum((_add_gain(0.0, asq) * z)[::-1])[::-1], [0.0]))[:rows]
+    full = _drop_gain(np.ones(n) @ (a * a), asq)  # rho_j(N - j)
+    inside2 = np.concatenate(([0.0], np.cumsum(full * (1.0 - z))))[:rows]
     lhs = float(np.abs(a) @ np.abs(p.x))
+    sq = np.sqrt(q[:rows])
     violations = np.empty((rows, 2))
-    violations[:, 0] = lhs - (sq[:rows] - inside1 + outside1)
-    violations[:, 1] = lhs - (sq[:rows] - inside2 + outside2)
+    violations[:, 0] = lhs - (sq - inside1 + outside1)
+    violations[:, 1] = lhs - (sq - inside2 + outside2)
     return order, violations
 
 
@@ -297,7 +300,8 @@ def violated_cuts(p: MixedPoint, alpha, mode: str):
     (f = 0) or ``submodular_cut_2`` (f = 1) on row r.  No cut is built:
     the prefixes are scored from running sums along the z order and two
     triangles of marginals (:func:`_prefix_violations`), every subset in
-    blocks of 2^12 rows from their :func:`_marginals`.  Every prefix is
+    blocks of 2^12 rows from their set sums q = M a^2, the marginals from
+    :func:`_drop_gain` and :func:`_add_gain` as in the cuts.  Every prefix is
     listed: the head, through the last positive z, with the same bits as
     separation scores it, then the tail, whose rows are never more violated
     than the head's last but by rounding.
@@ -317,21 +321,21 @@ def violated_cuts(p: MixedPoint, alpha, mode: str):
         raise ValueError(f"exact separation is guarded to n <= {SEPARATION_EXACT_GUARD}")
     members = enumerate_Z(ZFamily.free(n))
     asq = a * a
-    _, gain_full, _ = _marginals(np.ones((1, n)), asq)
     lhs = float(np.abs(a) @ np.abs(p.x))
     one_minus_z = 1.0 - p.z
-    abs_a_z = np.abs(a) * p.z
-    full_one_minus_z = gain_full[0] * one_minus_z
+    outside1 = _add_gain(0.0, asq) * p.z
+    inside2 = _drop_gain(np.ones(n) @ asq, asq) * one_minus_z
     violations = np.empty((members.shape[0], 2))
     for start in range(0, members.shape[0], _SCORE_BLOCK):
         M = members[start:start + _SCORE_BLOCK].astype(float)
         out = violations[start:start + _SCORE_BLOCK]
-        sq, gain_self, gain_add = _marginals(M, asq)
+        q = (M @ asq)[:, None]
+        sq = np.sqrt(q[:, 0])
         outside = 1.0 - M
-        out[:, 0] = lhs - (sq - (M * gain_self) @ one_minus_z + outside @ abs_a_z)
-        out[:, 1] = lhs - (sq - M @ full_one_minus_z + (outside * gain_add) @ p.z)
+        out[:, 0] = lhs - (sq - (M * _drop_gain(q, asq)) @ one_minus_z + outside @ outside1)
+        out[:, 1] = lhs - (sq - M @ inside2 + (outside * _add_gain(q, asq)) @ p.z)
         # free this block's arrays before the next block builds its own
-        del M, sq, gain_self, gain_add, outside
+        del M, outside
     return members, violations
 
 
@@ -365,29 +369,26 @@ def separate_submodular(p: MixedPoint, alpha, mode: str = "heuristic"):
 # membership oracles
 
 
-def p0_membership(p: MixedPoint, alpha, zfam: ZFamily) -> bool:
-    """Membership in the mixed-binary weighted inequality set for this alpha."""
+def _weighted_membership(p: MixedPoint, alpha, zfam: ZFamily, binary: bool) -> bool:
+    """Whether z lies in Z (binary; then rounded to 0/1) or in conv(Z), and
+    sum_i |alpha_i x_i| <= sqrt(sum_i alpha_i^2 z_i) holds within feas_abs."""
     a = _alpha_of(alpha)
     if p.n != a.size or p.n != zfam.n:
         raise ValueError("dimension mismatch")
-    if not zfam.contains(p.z):
+    if not (zfam.contains if binary else zfam.conv_contains)(p.z):
         return False
-    zround = np.round(p.z)
-    lhs = float(np.abs(a * p.x).sum())
-    rhs = math.sqrt(float((a * a) @ zround))
-    return lhs <= rhs + DEFAULT_TOL.feas_abs
+    z = np.round(p.z) if binary else p.z
+    return float(np.abs(a * p.x).sum()) <= math.sqrt(float((a * a) @ z)) + DEFAULT_TOL.feas_abs
+
+
+def p0_membership(p: MixedPoint, alpha, zfam: ZFamily) -> bool:
+    """Membership in the mixed-binary weighted inequality set for this alpha."""
+    return _weighted_membership(p, alpha, zfam, binary=True)
 
 
 def c_alpha_membership(p: MixedPoint, alpha, zfam: ZFamily) -> bool:
     """Membership in the natural relaxation: z in conv(Z), same inequality."""
-    a = _alpha_of(alpha)
-    if p.n != a.size or p.n != zfam.n:
-        raise ValueError("dimension mismatch")
-    if not zfam.conv_contains(p.z):
-        return False
-    lhs = float(np.abs(a * p.x).sum())
-    rhs = math.sqrt(float((a * a) @ p.z))
-    return lhs <= rhs + DEFAULT_TOL.feas_abs
+    return _weighted_membership(p, alpha, zfam, binary=False)
 
 
 def perspective_sum(x, z) -> float:
@@ -609,17 +610,14 @@ def _psd_pivot_check(M: np.ndarray, shift: float):
                 f"pivot {j} evaluates to {pivot:.6e}"
             )
         L[j, j] = math.sqrt(max(pivot, 0.0))
-        for i in range(j + 1, n):
-            val = M[i, j] - float(L[i, :j] @ L[j, :j])
-            if L[j, j] > 0.0:
-                L[i, j] = val / L[j, j]
-            elif abs(val) > col_tol:
-                raise ValueError(
-                    f"matrix is not positive semidefinite within shift {shift:g}: "
-                    f"zero pivot {j} with nonzero column entry {val:.6e}"
-                )
-            else:
-                L[i, j] = 0.0
+        col = M[j + 1:, j] - L[j + 1:, :j] @ L[j, :j]
+        if L[j, j] > 0.0:
+            L[j + 1:, j] = col / L[j, j]
+        elif np.any(np.abs(col) > col_tol):
+            raise ValueError(
+                f"matrix is not positive semidefinite within shift {shift:g}: "
+                f"zero pivot {j} with nonzero column entry {col[np.abs(col) > col_tol][0]:.6e}"
+            )
     return L
 
 

@@ -188,3 +188,38 @@ def prefix_sets(z):
     """The n + 1 nested prefixes of the indices sorted by (-z_i, i), smallest first."""
     order = sorted(range(len(z)), key=lambda i: (-z[i], i))
     return [order[:size] for size in range(len(z) + 1)]
+
+
+def g_fsum(S, alpha):
+    """g(S) = sqrt(sum of alpha_i^2 over S), the sum by math.fsum."""
+    return math.sqrt(math.fsum(float(alpha[i]) ** 2 for i in S))
+
+
+def rho_from_g(i, S, alpha):
+    """rho_i(S) = g(S + i) - g(S), from g values alone."""
+    return g_fsum(set(S) | {i}, alpha) - g_fsum(S, alpha)
+
+
+def cut_from_g(S, alpha, family):
+    """(rho_z, rhs) of submodular cut 1 or 2, or of the base inequality
+    ("base"), on S, from g values alone.
+
+    Inside S the coefficient is -rho_i(S - i) (family 2: -rho_i(N - i))
+    and rhs = g(S) minus those marginals; outside S it is -rho_i(empty)
+    (family 2: -rho_i(S); base: 0).  Shares no code with the library's
+    marginals.
+    """
+    S = set(int(i) for i in S)
+    T = set(range(len(alpha))) if family == 2 else S  # the set each inside i drops from
+    inside = {i: g_fsum(T, alpha) - g_fsum(T - {i}, alpha) for i in S}
+    rho_z = []
+    for i in range(len(alpha)):
+        if i in S:
+            rho_z.append(-inside[i])
+        elif family == 1:
+            rho_z.append(-rho_from_g(i, (), alpha))
+        elif family == 2:
+            rho_z.append(-rho_from_g(i, S, alpha))
+        else:
+            rho_z.append(0.0)
+    return np.array(rho_z), g_fsum(S, alpha) - math.fsum(inside.values())

@@ -80,3 +80,31 @@ def test_a_recorded_seed_is_an_error_and_another_parent_replaces_the_entry():
     assert bench_pairs.prior_pairs(bench, "def", "grid", [2, 3]) == []
     assert bench_pairs.prior_pairs(bench, "abc", "hull", [1]) == []
     assert bench_pairs.prior_pairs({}, "abc", "grid", [1]) == []
+
+
+@pytest.mark.parametrize("parent, change, better, expected", [
+    # the parent's runs spread wider than the bound (IQR 10 on a median of 15)
+    ([10.0, 20.0, 10.0, 20.0], [12.0, 12.0, 12.0, 12.0], "lower", "unresolved"),
+    # ... unless every change run beats every parent run
+    ([10.0, 20.0, 10.0, 20.0], [9.0, 9.5, 9.0, 9.5], "lower", "better"),
+    # 9 of 10 pairs won and a median gap past the parent's IQR
+    ([10.0] * 10, [9.0] * 9 + [11.0], "lower", "better"),
+    # 8 of 10 pairs are not enough, and the medians are equal
+    ([10.0] * 10, [9.0] * 8 + [11.0] * 2, "lower", "within_bound"),
+    ([10.0] * 4, [12.0] * 4, "lower", "within_bound"),
+    ([10.0] * 4, [13.0] * 4, "lower", "worse"),
+    ([100.0] * 4, [80.0] * 4, "higher", "within_bound"),
+    ([100.0] * 4, [70.0] * 4, "higher", "worse"),
+    ([100.0, 101.0, 100.0, 101.0], [102.0, 103.0, 102.0, 103.0], "higher", "better"),
+])
+def test_verdict_reads_the_bound_and_the_parent_spread(parent, change, better, expected):
+    assert bench_pairs.verdict(parent, change, better, 0.25) == expected
+
+
+def test_summarize_gives_a_verdict_for_each_bounded_metric():
+    pairs = _pairs(ms=([10.0, 10.0, 10.0], [13.0, 13.0, 13.0]),
+                   mb=([40.0, 40.0, 40.0], [41.0, 41.0, 41.0]))
+    out = bench_pairs.summarize(pairs, {"ms": "lower", "mb": "lower"}, {"ms": 0.25, "mb": 0.1})
+    assert (out["ms"]["verdict"], out["ms"]["bound"]) == ("worse", 0.25)
+    assert (out["mb"]["verdict"], out["mb"]["bound"]) == ("within_bound", 0.1)
+    assert "verdict" not in bench_pairs.summarize(pairs, {"ms": "lower"})["ms"]

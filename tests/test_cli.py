@@ -288,7 +288,7 @@ class TestExperiment:
         assert "wrote 4 records" in out
 
     @pytest.mark.parametrize("extra, message", [
-        ({"solver": {"max_iter": 10}}, "counterpart solver settings were removed"),
+        ({"solver": {"max_iter": 10}}, "unknown experiment config key 'solver'"),
         ({"k_lsit": [2]}, "unknown experiment config key 'k_lsit'"),
         ({"methods": ["nominal", "nominal"]}, "methods must not repeat an entry"),
     ])

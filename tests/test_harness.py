@@ -230,8 +230,8 @@ class TestConfigTypes:
             ExperimentConfig(record_wall_time=bad)
 
     @pytest.mark.parametrize("obj, message", [
-        ({"solver": {"max_iter": 10}}, "counterpart solver settings were removed"),
-        ({"n": 8, "k_list": [2], "solver": {}}, "counterpart solver settings were removed"),
+        ({"solver": {"max_iter": 10}}, "unknown experiment config key 'solver'"),
+        ({"n": 8, "k_list": [2], "solver": {}}, "unknown experiment config key 'solver'"),
         ({"k_lsit": [2]}, "unknown experiment config key 'k_lsit'"),
         ({"n": 40, "k_list": [2], "instances_per_cel": 1}, "unknown experiment config key 'instances_per_cel'"),
     ])

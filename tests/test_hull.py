@@ -159,6 +159,36 @@ class TestCutGenerators:
         assert np.allclose(b.rho_z, c1.rho_z)
         assert b.rhs == pytest.approx(c1.rhs)
 
+    def test_cuts_and_rho_match_g_values(self, rng):
+        # against oracles that take every marginal from math.fsum set sums
+        # and differences of square roots.  An added marginal sqrt(q + a_i^2)
+        # - sqrt(q) is off by a few ulps of g(N).  A dropped one takes
+        # q - a_i^2 from the rounded set sum q, off by up to (n + 1) eps q,
+        # and the square root of that error is sqrt((n + 1) eps) g(N): with
+        # a_i^2 near q the rest of the set (here entries near 1e-8) is lost
+        # to cancellation.  rhs adds up to n dropped marginals.
+        makers = {1: submodular_cut_1, 2: submodular_cut_2, "base": base_inequality}
+        eps = np.finfo(float).eps
+        for _ in range(300):
+            n = int(rng.integers(1, 13))
+            alpha = rng.normal(size=n)
+            alpha[rng.random(n) < 0.2] = 0.0
+            alpha[rng.random(n) < 0.2] = 1e-8 * rng.uniform(0.5, 2.0)
+            alpha[rng.random(n) < 0.3] = alpha[0]
+            S = np.flatnonzero(rng.random(n) < 0.5)
+            g_N = oracles.g_fsum(range(n), alpha)
+            added = 8 * (n + 1) * eps * g_N
+            dropped = math.sqrt((n + 1) * eps) * g_N + added
+            in_S = np.isin(np.arange(n), S)
+            for family, make in makers.items():
+                cut = make(S, alpha)
+                rho_z, rhs = oracles.cut_from_g(S, alpha, family)
+                assert np.array_equal(cut.pi_abs, np.abs(alpha))
+                assert np.all(np.abs(cut.rho_z - rho_z) <= np.where(in_S, dropped, added))
+                assert abs(cut.rhs - rhs) <= n * dropped
+            for i in np.flatnonzero(~in_S):
+                assert abs(rho(i, S, alpha) - oracles.rho_from_g(i, S, alpha)) <= added
+
     def test_linear_cut_rejects_negative_pi(self):
         with pytest.raises(ValueError):
             LinearCut([-1.0], [0.0], 0.0)
@@ -973,6 +1003,26 @@ class TestQuadReformulate:
         bad = float(eigs.min()) + 0.5
         with pytest.raises(ValueError, match="pivot"):
             quad_reformulate(Sigma, b=1.0, D=np.full(n, bad))
+
+    def test_zero_pivot_with_nonzero_column_entry_fails(self):
+        # Sigma - diag(D) has a zero pivot 0 above column entries 2 and 3;
+        # the message names the first
+        R = np.array([[0.0, 2.0, 3.0], [2.0, 5.0, 0.0], [3.0, 0.0, 5.0]])
+        with pytest.raises(ValueError, match=r"zero pivot 0 with nonzero column entry 2\.000000e\+00"):
+            quad_reformulate(R + np.eye(3), b=1.0, D=np.ones(3))
+
+    def test_late_bad_pivot_is_named_at_n_200(self, rng):
+        # a dense positive definite residual whose pivot 150 is made
+        # negative; the leading 150 x 150 block is untouched, so pivots
+        # 0..149 pass and 150 is the first offending one
+        n, j = 200, 150
+        G = rng.normal(size=(n, n))
+        R = G @ G.T / n + np.eye(n)
+        head = R[:j, :j]
+        schur = R[j, j] - R[j, :j] @ np.linalg.solve(head, R[:j, j])
+        R[j, j] -= schur + 1.0
+        with pytest.raises(ValueError, match=rf"pivot {j} evaluates to -1\.0"):
+            quad_reformulate(R + np.eye(n), b=1.0, D=np.ones(n))
 
     def test_accepts_modest_diagonal(self, rng):
         n = 5
