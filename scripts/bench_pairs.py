@@ -12,9 +12,10 @@ at a time) a BENCH json at the repository root: per end-to-end metric of
 BENCHMARK.json the two medians, their IQR over median, how many pairs the
 change wins and whether the medians differ by more than the parent's IQR;
 each metric's verdict under its bound (better, within_bound, worse, or
-unresolved when the parent's own runs spread wider than the bound); every
-run's metrics, correctness and failed ops; and the machine data that
-perfbench records.  When the file was measured against the same parent
+unresolved when the parent's own runs spread wider than the bound); each
+side's median count of attempted ops, against which a peak_rss_mb move is
+read; every run's metrics, correctness and failed ops; and the machine data
+that perfbench records.  When the file was measured against the same parent
 commit, the new pairs join the workload's recorded ones and the summary
 covers them all; a seed already recorded there is an error before anything
 runs.  Against a different parent the workload's entry is replaced.  The
@@ -170,6 +171,9 @@ def workload_entry(pairs, metrics, seconds: float, machine, bounds=None) -> dict
         "run_seconds": seconds,
         "all_correct": all(p[side]["correct"] for p in pairs for side in ("parent", "change")),
         "failed_ops": {side: sum(p[side]["failed"] for p in pairs) for side in ("parent", "change")},
+        # perfbench keeps every op's output, so peak_rss_mb moves with the op count
+        "attempted_median": {side: statistics.median(p[side]["attempted"] for p in pairs)
+                             for side in ("parent", "change")},
         "metrics": summarize(pairs, metrics, bounds),
         "machine": machine,
         "pairs": pairs,

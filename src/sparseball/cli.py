@@ -113,22 +113,27 @@ def _cmd_cuts(args) -> int:
     if args.top is not None and args.top < 0:
         raise _UsageError(f"--top must be nonnegative, got {args.top}")
     # only the two globally valid families; the base inequality holds just
-    # on the restricted face and cannot be reported as violated
+    # on the restricted face and cannot be reported as violated.  The
+    # candidates go in score order, each built and kept only when its own
+    # violation at the point exceeds feas_abs (a score can be off by about
+    # sqrt(eps) g(N)); distinct sets can give the same inequality, which is
+    # printed once.
     members, violations = violated_cuts(point, alpha, args.mode)
     flat = violations.ravel()
     order = np.argsort(-flat, kind="stable")
     order = order[flat[order] > DEFAULT_TOL.feas_abs]
-    # distinct sets can give the same inequality; print each one once
     cuts = {}
     for index in order:
         if len(cuts) == args.top:
             break
         row, family = divmod(int(index), 2)
-        make = (submodular_cut_1, submodular_cut_2)[family]
-        entry = make(np.flatnonzero(members[row]), alpha).to_dict()
-        key = (tuple(entry["pi_abs"]), tuple(entry["rho_z"]), entry["rhs"])
-        cuts.setdefault(key, {**entry, "violation": float(flat[index])})
-    _emit(list(cuts.values()))
+        cut = (submodular_cut_1, submodular_cut_2)[family](np.flatnonzero(members[row]), alpha)
+        violation = cut.violation_at(point)
+        if violation > DEFAULT_TOL.feas_abs:
+            entry = cut.to_dict()
+            key = (tuple(entry["pi_abs"]), tuple(entry["rho_z"]), entry["rhs"])
+            cuts.setdefault(key, {**entry, "violation": violation})
+    _emit(sorted(cuts.values(), key=lambda entry: -entry["violation"]))
     return EXIT_OK
 
 

@@ -6,9 +6,14 @@ right-hand side in the activation set, so the classic marginal-based cut
 families apply; this module generates them, evaluates them on ``|x|``
 coefficients directly, and scores them over candidate sets in one place,
 ``violated_cuts``, which separation and ``sparseball cuts`` share.
-Every marginal of g(S) = ||alpha_S||_2 is written once, from the set sum
-q = a^2(S) (``_drop_gain``, ``_add_gain``); the cuts, ``rho`` and both
-scorers share it.
+Every marginal of g(S) = ||alpha_S||_2 is written once, from a set sum q:
+``_drop_gain`` takes rho_i(S - i) from q = a^2(S) and ``_add_gain`` takes
+rho_i(S).  Both scorers use the two.  ``rho`` and the cuts use
+``_add_gain`` alone: a cut's dropped marginal rho_i(S - i) adds i back to
+a^2(S - i), summed from the other members (``_rest_sums``), so a cut is
+accurate to a few ulps of g(N) however much of q one a_i^2 is, while a
+score can be off by about sqrt(eps) g(N).  Separation and ``sparseball
+cuts`` therefore report a cut by its own violation.
 Heuristic separation scores the nested prefixes by z descending: they
 share running sums along that order, so only two triangles of marginals
 are left to sum (in row blocks of bounded size), and separation builds no
@@ -145,9 +150,24 @@ def _drop_gain(q, asq):
     q and asq = a_i^2 broadcast against each other; rounding can leave
     q - a_i^2 below zero, so it is clipped there.  When a_i^2 is nearly all
     of q the rest of S is lost to cancellation: the gain is then accurate to
-    about sqrt(eps) g(S), not eps g(S).
+    about sqrt(eps) g(S), not eps g(S).  The scorers use it; the cuts start
+    from :func:`_rest_sums` instead.
     """
     return np.sqrt(q) - np.sqrt(np.maximum(q - asq, 0.0))
+
+
+def _rest_sums(asq):
+    """a^2(T - i) for every member i of T, from asq = a_i^2 over T's members.
+
+    Each is the sum of the members before i plus the sum of those after it,
+    nonnegative terms only, so the rest of T is kept however much of
+    a^2(T) a_i^2 is.  The cuts take each dropped marginal as the gain of
+    adding i back, rho_i(T - i) = ``_add_gain(a^2(T - i), a_i^2)``,
+    accurate to a few ulps of g(T).
+    """
+    before = np.concatenate(([0.0], np.cumsum(asq)))[:-1]
+    after = np.concatenate((np.cumsum(asq[::-1])[::-1], [0.0]))[1:]
+    return before + after
 
 
 def _add_gain(q, asq):
@@ -171,25 +191,26 @@ def rho(i: int, S, alpha) -> float:
 def _cut(S, alpha, family) -> LinearCut:
     """The cut of one family on S, with rhs = g(S) - sum of its inside marginals.
 
-    Inside S the marginal is rho_i(S - i) (family 2: rho_i(N - i)); outside
-    S it is rho_i(empty) = |alpha_i| (family 2: rho_i(S); the base
-    inequality drops it).  Every marginal comes from the set sums q_S =
-    a^2(S) and q_N = a^2(N), each the dot product of a 0/1 indicator with
-    a^2, as the scorers sum them.
+    Inside S the marginal is rho_i(S - i) (family 2: rho_i(N - i)), the
+    gain of adding i to the rest of S (family 2: of N) summed by
+    :func:`_rest_sums`; outside S it is rho_i(empty) = |alpha_i| (family 2:
+    rho_i(S); the base inequality drops it).  The set sum q_S = a^2(S) is
+    the dot product of a 0/1 indicator with a^2, as the scorers sum it.
     """
     a = _alpha_of(alpha)
     asq = a * a
+    idx = as_index_set(S, a.size)
     in_S = np.zeros(a.size, dtype=bool)
-    in_S[as_index_set(S, a.size)] = True
+    in_S[idx] = True
     q_S = in_S @ asq
-    if family == 1:
-        inside, outside = _drop_gain(q_S, asq), -_add_gain(0.0, asq)
-    elif family == 2:
-        inside, outside = _drop_gain(np.ones(a.size) @ asq, asq), -_add_gain(q_S, asq)
+    if family == 2:
+        inside = _add_gain(_rest_sums(asq), asq)[idx]
+        rho_z = -_add_gain(q_S, asq)
     else:
-        inside, outside = _drop_gain(q_S, asq), 0.0
-    rho_z = np.where(in_S, -inside, outside)
-    return LinearCut(np.abs(a), rho_z, float(math.sqrt(q_S) - inside[in_S].sum()))
+        inside = _add_gain(_rest_sums(asq[idx]), asq[idx])
+        rho_z = -_add_gain(0.0, asq) if family == 1 else np.zeros(a.size)
+    rho_z[idx] = -inside
+    return LinearCut(np.abs(a), rho_z, float(math.sqrt(q_S) - inside.sum()))
 
 
 def submodular_cut_1(S, alpha) -> LinearCut:
@@ -301,10 +322,12 @@ def violated_cuts(p: MixedPoint, alpha, mode: str):
     the prefixes are scored from running sums along the z order and two
     triangles of marginals (:func:`_prefix_violations`), every subset in
     blocks of 2^12 rows from their set sums q = M a^2, the marginals from
-    :func:`_drop_gain` and :func:`_add_gain` as in the cuts.  Every prefix is
-    listed: the head, through the last positive z, with the same bits as
-    separation scores it, then the tail, whose rows are never more violated
-    than the head's last but by rounding.
+    :func:`_drop_gain` and :func:`_add_gain`.  A dropped marginal taken
+    from q - a_i^2 can be off by about sqrt(eps) g(N), so a listed
+    violation is a candidate's score, not the built cut's own.  Every
+    prefix is listed: the head, through the last positive z, with the same
+    bits as separation scores it, then the tail, whose rows are never more
+    violated than the head's last but by rounding.
     """
     a = _alpha_of(alpha)
     n = a.size

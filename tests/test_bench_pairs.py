@@ -52,8 +52,9 @@ def test_summarize_flags_a_gap_past_the_parent_spread():
 
 def _bench(parent, seeds):
     pairs = [{"seed": seed, "first": "parent",
-              "parent": {"ms": 2.0, "correct": True, "failed": 0},
-              "change": {"ms": 1.0, "correct": True, "failed": 1}} for seed in seeds]
+              "parent": {"ms": 2.0, "correct": True, "failed": 0, "attempted": 100},
+              "change": {"ms": 1.0, "correct": True, "failed": 1, "attempted": 200}}
+             for seed in seeds]
     return {"parent": parent, "workloads": {"grid": {"seeds": list(seeds), "pairs": pairs}}}
 
 
@@ -61,8 +62,9 @@ def test_new_pairs_join_the_entry_measured_against_the_same_parent():
     bench = _bench("abc", [1, 2])
     prior = bench_pairs.prior_pairs(bench, "abc", "grid", [3])
     assert [pair["seed"] for pair in prior] == [1, 2]
-    new = {"seed": 3, "first": "change", "parent": {"ms": 4.0, "correct": True, "failed": 0},
-           "change": {"ms": 1.0, "correct": False, "failed": 0}}
+    new = {"seed": 3, "first": "change",
+           "parent": {"ms": 4.0, "correct": True, "failed": 0, "attempted": 100},
+           "change": {"ms": 1.0, "correct": False, "failed": 0, "attempted": 200}}
     entry = bench_pairs.workload_entry(prior + [new], {"ms": "lower"}, 30, {"nproc": 2})
     assert entry["seeds"] == [1, 2, 3]
     assert entry["pairs"][:2] == bench["workloads"]["grid"]["pairs"]
@@ -108,3 +110,15 @@ def test_summarize_gives_a_verdict_for_each_bounded_metric():
     assert (out["ms"]["verdict"], out["ms"]["bound"]) == ("worse", 0.25)
     assert (out["mb"]["verdict"], out["mb"]["bound"]) == ("within_bound", 0.1)
     assert "verdict" not in bench_pairs.summarize(pairs, {"ms": "lower"})["ms"]
+
+
+def test_workload_entry_records_each_sides_median_op_count():
+    # a peak_rss_mb move is read against the op count, since perfbench keeps
+    # every op's output
+    pairs = _pairs(peak_rss_mb=([40.0, 40.0, 40.0], [44.0, 44.0, 44.0]))
+    for seed, pair, (p_ops, c_ops) in zip([1, 2, 3], pairs, [(300, 700), (310, 650), (290, 720)]):
+        pair["seed"] = seed
+        pair["parent"].update(attempted=p_ops, correct=True, failed=0)
+        pair["change"].update(attempted=c_ops, correct=True, failed=0)
+    entry = bench_pairs.workload_entry(pairs, {"peak_rss_mb": "lower"}, 30, {"nproc": 2})
+    assert entry["attempted_median"] == {"parent": 300, "change": 700}

@@ -1,12 +1,15 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sparseball import robust
 from sparseball.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from sparseball.core import DEFAULT_TOL, MixedPoint
-from sparseball.hull import submodular_cut_1, submodular_cut_2
+from sparseball.hull import separate_submodular, submodular_cut_1, submodular_cut_2
 
 import oracles
 
@@ -192,6 +195,49 @@ class TestCuts:
             for e in cuts:
                 lhs = np.abs(x) @ np.array(e["pi_abs"]) + z @ np.array(e["rho_z"])
                 assert lhs - e["rhs"] == pytest.approx(e["violation"], rel=1e-12, abs=1e-12)
+
+
+    @pytest.mark.parametrize("mode", ["heuristic", "exact"])
+    def test_dominant_alpha_point_of_X_has_no_cut(self, capsys, mode):
+        # x on z's support with sum |alpha_i x_i| = g({0, 1, 2}) exactly: a
+        # dropped marginal that lost the three small alpha to the two large
+        # ones outside the support once gave cuts violated by 1.16e-8
+        x = [3.0 ** -0.5] * 3 + [0.0, 0.0]
+        z = [1.0, 1.0, 1.0, 0.0, 0.0]
+        alpha = [6.7077515e-9] * 3 + [-1.49378568, -1.49365033]
+        assert separate_submodular(MixedPoint(np.array(x), np.array(z)), alpha, mode) is None
+        code, out = _run(capsys, ["cuts", "--point", json.dumps({"x": x, "z": z}),
+                                  "--alpha", json.dumps(alpha), "--mode", mode])
+        assert code == EXIT_OK and json.loads(out) == []
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=150)
+    def test_no_path_reports_a_cut_at_a_point_of_X(self, seed):
+        # x in the unit ball on z's support, tight along alpha there half of
+        # the time, satisfies every weighted inequality: no cut is violated.
+        # alpha spans 1e-9 to 1, in half of the examples with the small
+        # entries on the support and the large ones off it
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 9))
+        z = (rng.random(n) < 0.6).astype(float)
+        support = np.flatnonzero(z)
+        if rng.random() < 0.5:
+            size = np.where(z > 0.0, 10.0 ** rng.uniform(-9.0, -7.0, n), rng.uniform(0.5, 1.0, n))
+        else:
+            size = 10.0 ** rng.uniform(-9.0, 0.0, n)
+        alpha = size * rng.choice([-1.0, 1.0], n)
+        x = np.zeros(n)
+        if support.size:
+            v = np.abs(alpha[support]) if rng.random() < 0.5 else rng.normal(size=support.size)
+            x[support] = v / np.linalg.norm(v) * rng.choice([-1.0, 1.0], support.size)
+        argv = ["cuts", "--point", json.dumps({"x": x.tolist(), "z": z.tolist()}),
+                "--alpha", json.dumps(alpha.tolist())]
+        for mode in ("heuristic", "exact"):
+            assert separate_submodular(MixedPoint(x, z), alpha, mode) is None
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main([*argv, "--mode", mode]) == EXIT_OK
+            assert json.loads(out.getvalue()) == []
 
 
 class TestRobust:

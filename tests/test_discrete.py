@@ -131,7 +131,7 @@ class TestBruteforce:
 def _tied_instances(draw):
     """Instances on a half-integer grid, so every sum is exact and ties are
     exact too; zeroed and duplicated coordinates make them common."""
-    n = draw(st.integers(1, 10))
+    n = draw(st.integers(1, 13))
     kind = draw(st.sampled_from(["free", "card_le", "card_eq"]))
     k = None if kind == "free" else draw(st.integers(1, n))
     entries = st.integers(-4, 4).map(lambda v: v / 2.0)
@@ -190,6 +190,44 @@ class TestBruteforceScan:
         n = ENUMERATION_GUARD + 1
         with pytest.raises(ValueError, match="guarded to n <= 24"):
             solve_discrete_bruteforce(_inst(np.ones(n), np.zeros(n)))
+
+
+_SCALES = pytest.mark.parametrize("s", [1e160, 1e-160, 1e-170, 2.0 ** 600, 2.0 ** -600],
+                                  ids=["1e160", "1e-160", "1e-170", "2^600", "2^-600"])
+
+
+class TestScale:
+    """a = (3, -4, 1) s and c = (0.5, 0.2, 0.1) s, where a^2 over- or
+    underflows: the solvers score on the data divided by a power of two, so
+    every scale gives the unit-scale z and s times the unit value (warnings
+    fail the suite)."""
+
+    @_SCALES
+    @pytest.mark.parametrize("fam", [ZFamily.free(3), ZFamily.card_le(3, 1), ZFamily.card_eq(3, 2)],
+                             ids=lambda fam: fam.kind)
+    def test_bruteforce_at_extreme_scales(self, fam, s):
+        a, c = np.array([3.0, -4.0, 1.0]), np.array([0.5, 0.2, 0.1])
+        unit = solve_discrete_bruteforce(_inst(a, c, fam))
+        sol = solve_discrete_bruteforce(_inst(a * s, c * s, fam))
+        assert np.array_equal(sol.z_opt, unit.z_opt)
+        assert sol.value == pytest.approx(s * unit.value, rel=1e-15)
+        assert np.allclose(sol.x_opt, unit.x_opt, rtol=1e-15, atol=0.0)
+
+    @_SCALES
+    def test_sort_at_extreme_scales(self, s):
+        a = np.array([3.0, -4.0, 1.0])
+        for k in (1, 2, 3):
+            unit = solve_discrete_sort(a, k)
+            sol = solve_discrete_sort(a * s, k)
+            assert np.array_equal(sol.z_opt, unit.z_opt)
+            assert sol.value == pytest.approx(s * unit.value, rel=1e-15)
+
+    def test_unit_scale_optima(self):
+        a, c = [3.0, -4.0, 1.0], [0.5, 0.2, 0.1]
+        assert solve_discrete_bruteforce(_inst(a, c)).z_opt.tolist() == [1.0, 1.0, 0.0]
+        sol = solve_discrete_bruteforce(_inst(a, c, ZFamily.card_eq(3, 2)))
+        assert sol.z_opt.tolist() == [1.0, 1.0, 0.0]
+        assert sol.value == pytest.approx(-4.3, rel=1e-15)
 
 
 class TestSort:

@@ -162,11 +162,10 @@ class TestCutGenerators:
     def test_cuts_and_rho_match_g_values(self, rng):
         # against oracles that take every marginal from math.fsum set sums
         # and differences of square roots.  An added marginal sqrt(q + a_i^2)
-        # - sqrt(q) is off by a few ulps of g(N).  A dropped one takes
-        # q - a_i^2 from the rounded set sum q, off by up to (n + 1) eps q,
-        # and the square root of that error is sqrt((n + 1) eps) g(N): with
-        # a_i^2 near q the rest of the set (here entries near 1e-8) is lost
-        # to cancellation.  rhs adds up to n dropped marginals.
+        # - sqrt(q) is off by a few ulps of g(N), and so is a dropped one: it
+        # adds i back to the rest of the set, summed from nonnegative terms,
+        # so the rest (here entries near 1e-8) is kept even with a_i^2 near
+        # q.  rhs adds up to n dropped marginals.
         makers = {1: submodular_cut_1, 2: submodular_cut_2, "base": base_inequality}
         eps = np.finfo(float).eps
         for _ in range(300):
@@ -177,8 +176,7 @@ class TestCutGenerators:
             alpha[rng.random(n) < 0.3] = alpha[0]
             S = np.flatnonzero(rng.random(n) < 0.5)
             g_N = oracles.g_fsum(range(n), alpha)
-            added = 8 * (n + 1) * eps * g_N
-            dropped = math.sqrt((n + 1) * eps) * g_N + added
+            added = dropped = 8 * (n + 1) * eps * g_N
             in_S = np.isin(np.arange(n), S)
             for family, make in makers.items():
                 cut = make(S, alpha)
