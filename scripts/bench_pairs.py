@@ -180,6 +180,20 @@ def workload_entry(pairs, metrics, seconds: float, machine, bounds=None) -> dict
     }
 
 
+def summary_lines(entry) -> list:
+    """The printed summary of a workload entry: one verdict line per metric,
+    then each side's median count of attempted ops, against which a
+    peak_rss_mb move is read."""
+    lines = [f"{name:<12} parent {m['parent_median']:.6g}  change {m['change_median']:.6g}  "
+             f"ratio {m['ratio_change_over_parent']:.3f}  wins {m['change_wins']}  "
+             f"gap>IQR {m['median_gap_exceeds_parent_iqr']}  {m['verdict']}"
+             for name, m in entry["metrics"].items()]
+    attempted = entry["attempted_median"]
+    lines.append(f"{'attempted':<12} parent {attempted['parent']:.6g}  "
+                 f"change {attempted['change']:.6g}")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="parent commit (any git revision)")
@@ -228,10 +242,7 @@ def main(argv=None) -> int:
     bench.setdefault("workloads", {})[args.workload] = workload_entry(pairs, metrics, seconds,
                                                                       machine, bounds)
     out_path.write_text(json.dumps(bench, indent=2) + "\n")
-    for name, m in bench["workloads"][args.workload]["metrics"].items():
-        print(f"{name:<12} parent {m['parent_median']:.6g}  change {m['change_median']:.6g}  "
-              f"ratio {m['ratio_change_over_parent']:.3f}  wins {m['change_wins']}  "
-              f"gap>IQR {m['median_gap_exceeds_parent_iqr']}  {m['verdict']}")
+    print("\n".join(summary_lines(bench["workloads"][args.workload])))
     return 0
 
 

@@ -51,6 +51,7 @@ from .hull import (
     p0_membership,
     perspective_membership,
     quad_reformulate,
+    reported_cuts,
     rho,
     separate_submodular,
     solve_relaxation,

@@ -1,10 +1,13 @@
 """Command-line interface.
 
-Subcommands: solve (discrete solvers), cuts (separation at a point),
+Subcommands: solve (discrete solvers), cuts (the violated cuts at a point),
 robust (counterpart solve), gen (instance files), experiment (full grid),
-eval (worst case of a given portfolio).  Exit codes: 0 success, 1 usage,
-3 I/O or malformed input.  No solve fails: a budgeted counterpart solve
-that reaches its iteration cap still returns its best point and bound.
+eval (worst case of a given portfolio).  cuts prints the cuts of
+``hull.reported_cuts``, the walk that separation takes, the first --top of
+them sorted by their own violation; it only parses and guards the input.
+Exit codes: 0 success, 1 usage, 3 I/O or malformed input.  No solve
+fails: a budgeted counterpart solve that reaches its iteration cap still
+returns its best point and bound.
 """
 
 from __future__ import annotations
@@ -12,12 +15,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from .core import (
-    DEFAULT_TOL,
     MixedPoint,
     as_vector,
     load_problem_instance,
@@ -31,7 +34,7 @@ from .harness import (
     load_experiment_config,
     run_experiment,
 )
-from .hull import SEPARATION_EXACT_GUARD, submodular_cut_1, submodular_cut_2, violated_cuts
+from .hull import SEPARATION_EXACT_GUARD, reported_cuts
 from .robust import (
     METHODS,
     PortfolioPoint,
@@ -105,35 +108,15 @@ def _cmd_cuts(args) -> int:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"point file must carry x and z arrays ({exc})") from exc
     alpha = _vector_arg(args.alpha, "alpha")
-    n = point.n
-    if alpha.size != n:
+    if alpha.size != point.n:
         raise _UsageError("alpha must match the point dimension")
-    if args.mode == "exact" and n > SEPARATION_EXACT_GUARD:
+    if args.mode == "exact" and point.n > SEPARATION_EXACT_GUARD:
         raise _UsageError(f"exact mode is guarded to n <= {SEPARATION_EXACT_GUARD}")
     if args.top is not None and args.top < 0:
         raise _UsageError(f"--top must be nonnegative, got {args.top}")
-    # only the two globally valid families; the base inequality holds just
-    # on the restricted face and cannot be reported as violated.  The
-    # candidates go in score order, each built and kept only when its own
-    # violation at the point exceeds feas_abs (a score can be off by about
-    # sqrt(eps) g(N)); distinct sets can give the same inequality, which is
-    # printed once.
-    members, violations = violated_cuts(point, alpha, args.mode)
-    flat = violations.ravel()
-    order = np.argsort(-flat, kind="stable")
-    order = order[flat[order] > DEFAULT_TOL.feas_abs]
-    cuts = {}
-    for index in order:
-        if len(cuts) == args.top:
-            break
-        row, family = divmod(int(index), 2)
-        cut = (submodular_cut_1, submodular_cut_2)[family](np.flatnonzero(members[row]), alpha)
-        violation = cut.violation_at(point)
-        if violation > DEFAULT_TOL.feas_abs:
-            entry = cut.to_dict()
-            key = (tuple(entry["pi_abs"]), tuple(entry["rho_z"]), entry["rhs"])
-            cuts.setdefault(key, {**entry, "violation": violation})
-    _emit(sorted(cuts.values(), key=lambda entry: -entry["violation"]))
+    cuts = islice(reported_cuts(point, alpha, args.mode), args.top)
+    entries = [{**cut.to_dict(), "violation": cut.violation_at(point)} for cut in cuts]
+    _emit(sorted(entries, key=lambda entry: -entry["violation"]))
     return EXIT_OK
 
 

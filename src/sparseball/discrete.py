@@ -80,10 +80,20 @@ def support_value(S, inst: ProblemInstance) -> SupportSolution:
     return SupportSolution(S=tuple(sel.tolist()), value=value, x_opt=x)
 
 
-def discrete_objective(z, a, c) -> float:
-    """Objective of the support-reduced problem, c'z - sqrt(sum a_i^2 z_i)."""
+def _objective(z, a, c) -> float:
+    """c'z - sqrt(sum a_i^2 z_i) as written, for (a, c) at unit scale."""
     z = np.asarray(z, dtype=float)
     return float(c @ z) - math.sqrt(float((a * a) @ z))
+
+
+def discrete_objective(z, a, c) -> float:
+    """Objective of the support-reduced problem, c'z - sqrt(sum a_i^2 z_i).
+
+    Taken on (a, c) / 2**e (:func:`_unit_scale`) and scaled back, so no
+    square over- or underflows.
+    """
+    e = _unit_scale(a, c)
+    return math.ldexp(_objective(z, np.ldexp(a, -e), np.ldexp(c, -e)), e)
 
 
 def _low_members(zfam: ZFamily, low: int, ones: int) -> np.ndarray:

@@ -4,23 +4,28 @@ Polyhedral side: for a weight vector alpha the mixed-binary inequality
 ``sum_i |alpha_i x_i| <= sqrt(sum_i alpha_i^2 z_i)`` has a submodular
 right-hand side in the activation set, so the classic marginal-based cut
 families apply; this module generates them, evaluates them on ``|x|``
-coefficients directly, and scores them over candidate sets in one place,
-``violated_cuts``, which separation and ``sparseball cuts`` share.
+coefficients directly, scores them over candidate sets in one place,
+``violated_cuts``, and turns scores into cuts in one walk, shared by
+``separate_submodular`` and ``reported_cuts`` (behind ``sparseball cuts``).
 Every marginal of g(S) = ||alpha_S||_2 is written once, from a set sum q:
-``_drop_gain`` takes rho_i(S - i) from q = a^2(S) and ``_add_gain`` takes
-rho_i(S).  Both scorers use the two.  ``rho`` and the cuts use
-``_add_gain`` alone: a cut's dropped marginal rho_i(S - i) adds i back to
-a^2(S - i), summed from the other members (``_rest_sums``), so a cut is
-accurate to a few ulps of g(N) however much of q one a_i^2 is, while a
-score can be off by about sqrt(eps) g(N).  Separation and ``sparseball
-cuts`` therefore report a cut by its own violation.
+``_add_gain`` takes rho_i(S) and ``_drop_gain`` takes rho_i(S - i) from
+q = a^2(S).  ``rho``, the cuts and rho_i(N - i) in both scorers add i back
+to the rest of the set, summed from the other members (``_rest_sums``), so
+they are accurate to a few ulps of g(N) however much of q one a_i^2 is.
+Only family 1's inside terms in the scorers drop a_i^2 from q, so a score
+can be off by about sqrt(eps) g(N).  The walk therefore takes the
+candidates in score order and reports a cut by its own violation: the top
+candidate is always built, the rest only while their score exceeds
+feas_abs, and each distinct violated cut is yielded once.  Separation
+returns the first, so a spurious top score does not hide a violated cut.
 Heuristic separation scores the nested prefixes by z descending: they
 share running sums along that order, so only two triangles of marginals
 are left to sum (in row blocks of bounded size), and separation builds no
 matrix of candidate sets.  It stops at the prefix that ends at the last
 positive z: by submodularity of g, adding a coordinate with z = 0 never
 makes a prefix more violated, so with m positive z it costs O(n log n +
-m^2), not O(n^2).  ``violated_cuts`` still scores all n + 1 prefixes.
+m^2), not O(n^2).  ``violated_cuts`` and ``reported_cuts`` score all
+n + 1 prefixes.
 Exact separation scores every subset, n <= 16, in blocks of set sums.
 
 Nonlinear side: the perspective inequality ``sum_i x_i^2 / z_i <= 1``
@@ -63,7 +68,7 @@ from .core import (
     enumerate_Z,
     safe_div_arr,
 )
-from .discrete import discrete_objective
+from .discrete import _objective, _unit_scale
 
 SEPARATION_EXACT_GUARD = 16
 
@@ -150,8 +155,8 @@ def _drop_gain(q, asq):
     q and asq = a_i^2 broadcast against each other; rounding can leave
     q - a_i^2 below zero, so it is clipped there.  When a_i^2 is nearly all
     of q the rest of S is lost to cancellation: the gain is then accurate to
-    about sqrt(eps) g(S), not eps g(S).  The scorers use it; the cuts start
-    from :func:`_rest_sums` instead.
+    about sqrt(eps) g(S), not eps g(S).  Family 1's inside terms in the
+    scorers use it; everything else starts from :func:`_rest_sums`.
     """
     return np.sqrt(q) - np.sqrt(np.maximum(q - asq, 0.0))
 
@@ -300,7 +305,7 @@ def _prefix_violations(p: MixedPoint, a: np.ndarray, tail: bool):
     outside2[:m] = _triangle_sums(np.arange(m), 0, m, False,
                                   lambda r, j: _add_gain(q[r], asq[j]), z)
     outside1 = np.concatenate((np.cumsum((_add_gain(0.0, asq) * z)[::-1])[::-1], [0.0]))[:rows]
-    full = _drop_gain(np.ones(n) @ (a * a), asq)  # rho_j(N - j)
+    full = _add_gain(_rest_sums(asq), asq)  # rho_j(N - j)
     inside2 = np.concatenate(([0.0], np.cumsum(full * (1.0 - z))))[:rows]
     lhs = float(np.abs(a) @ np.abs(p.x))
     sq = np.sqrt(q[:rows])
@@ -321,13 +326,14 @@ def violated_cuts(p: MixedPoint, alpha, mode: str):
     (f = 0) or ``submodular_cut_2`` (f = 1) on row r.  No cut is built:
     the prefixes are scored from running sums along the z order and two
     triangles of marginals (:func:`_prefix_violations`), every subset in
-    blocks of 2^12 rows from their set sums q = M a^2, the marginals from
-    :func:`_drop_gain` and :func:`_add_gain`.  A dropped marginal taken
-    from q - a_i^2 can be off by about sqrt(eps) g(N), so a listed
-    violation is a candidate's score, not the built cut's own.  Every
-    prefix is listed: the head, through the last positive z, with the same
-    bits as separation scores it, then the tail, whose rows are never more
-    violated than the head's last but by rounding.
+    blocks of 2^12 rows from their set sums q = M a^2.  Family 1's dropped
+    marginals are taken from q - a_i^2 and can be off by about sqrt(eps)
+    g(N), so a listed violation is a candidate's score, not the built cut's
+    own; :func:`separate_submodular` and :func:`reported_cuts` build the
+    cuts from these scores and keep those violated by their own measure.
+    Every prefix is listed: the head, through the last positive z, with the
+    same bits as separation scores it, then the tail, whose rows are never
+    more violated than the head's last but by rounding.
     """
     a = _alpha_of(alpha)
     n = a.size
@@ -347,7 +353,7 @@ def violated_cuts(p: MixedPoint, alpha, mode: str):
     lhs = float(np.abs(a) @ np.abs(p.x))
     one_minus_z = 1.0 - p.z
     outside1 = _add_gain(0.0, asq) * p.z
-    inside2 = _drop_gain(np.ones(n) @ asq, asq) * one_minus_z
+    inside2 = _add_gain(_rest_sums(asq), asq) * one_minus_z
     violations = np.empty((members.shape[0], 2))
     for start in range(0, members.shape[0], _SCORE_BLOCK):
         M = members[start:start + _SCORE_BLOCK].astype(float)
@@ -362,30 +368,53 @@ def violated_cuts(p: MixedPoint, alpha, mode: str):
     return members, violations
 
 
-def separate_submodular(p: MixedPoint, alpha, mode: str = "heuristic"):
-    """Most violated submodular cut at p, or None when none is violated.
-
-    Builds the one cut at the maximum of :func:`violated_cuts` (heuristic:
-    nested prefixes by z descending, read from the z order with no members
-    matrix; exact: every subset, n <= 16).  Exact ties keep the earliest
-    candidate in scan order, first family first.  Heuristic separation
-    scores only the prefixes through the last positive z: by submodularity
-    of g, a prefix that goes on to add coordinates with z = 0 is never more
-    violated, so the maximum is the head's, up to rounding in the tail
-    (a few ulps).  The cut is returned only when its ``violation_at(p)``
-    exceeds feas_abs.
-    """
-    a = _alpha_of(alpha)
+def _scored(p: MixedPoint, a: np.ndarray, mode: str, tail: bool):
+    """Candidate scores at p and the set of a row: a prefix of the z order, or a member."""
     if mode == "heuristic":
-        order, violations = _prefix_violations(p, a, tail=False)
-        row, family = divmod(int(np.argmax(violations)), 2)
-        S = order[:row]
-    else:
-        members, violations = violated_cuts(p, a, mode)
-        row, family = divmod(int(np.argmax(violations)), 2)
-        S = np.flatnonzero(members[row])
-    cut = (submodular_cut_1, submodular_cut_2)[family](S, a)
-    return cut if cut.violation_at(p) > DEFAULT_TOL.feas_abs else None
+        order, violations = _prefix_violations(p, a, tail)
+        return violations, lambda row: order[:row]
+    members, violations = violated_cuts(p, a, mode)
+    return violations, lambda row: np.flatnonzero(members[row])
+
+
+def _walk(p: MixedPoint, a: np.ndarray, violations: np.ndarray, set_of):
+    """The cuts of scored candidates in score order, ties in scan order, family 1 first.
+
+    The top one is always built, the rest where their score exceeds feas_abs,
+    sorted once the top one is passed.  A cut is yielded when its own violation
+    at p exceeds feas_abs and its rho_z and rhs are new as floats (pi_abs = |alpha|).
+    """
+    flat, seen = violations.ravel(), set()
+    top = int(np.argmax(flat))
+
+    def candidates():
+        yield top
+        above = np.flatnonzero(flat > DEFAULT_TOL.feas_abs)
+        above = above[np.argsort(-flat[above], kind="stable")]
+        yield from above[above != top]
+
+    for row, family in (divmod(int(index), 2) for index in candidates()):
+        cut = _cut(set_of(row), a, family + 1)
+        if cut.violation_at(p) > DEFAULT_TOL.feas_abs:
+            key = (tuple(cut.rho_z.tolist()), cut.rhs)
+            if key not in seen:
+                seen.add(key)
+                yield cut
+
+
+def separate_submodular(p: MixedPoint, alpha, mode: str = "heuristic"):
+    """The first cut of :func:`reported_cuts`' walk, or None; heuristic separation
+    walks only the prefixes through the last positive z, which hold the maximum."""
+    a = _alpha_of(alpha)
+    return next(_walk(p, a, *_scored(p, a, mode, tail=False)), None)
+
+
+def reported_cuts(p: MixedPoint, alpha, mode: str):
+    """An iterator over the distinct violated cuts at p, in candidate score order:
+    every candidate of :func:`violated_cuts` is scored now (heuristic sets read
+    from the z order), each cut built as the iterator reaches it."""
+    a = _alpha_of(alpha)
+    return _walk(p, a, *_scored(p, a, mode, tail=True))
 
 
 # ---------------------------------------------------------------------------
@@ -486,6 +515,7 @@ def _segment_argmin(z0: np.ndarray, z1: np.ndarray, a: np.ndarray, c: np.ndarray
 
     On the segment phi(gamma) = const + gamma * cd - sqrt(sigma + gamma * ds)
     with cd, ds linear coefficients, so the stationary point is closed form.
+    (a, c) are at unit scale, so the objective is taken as written.
     """
     asq = a * a
     d = z1 - z0
@@ -501,7 +531,7 @@ def _segment_argmin(z0: np.ndarray, z1: np.ndarray, a: np.ndarray, c: np.ndarray
                 candidates.append(gamma)
     best_g, best_v = 0.0, math.inf
     for gamma in candidates:
-        v = discrete_objective(z0 + gamma * d, a, c)
+        v = _objective(z0 + gamma * d, a, c)
         if v < best_v:
             best_g, best_v = gamma, v
     return z0 + best_g * d, best_v
@@ -523,7 +553,7 @@ def _lp_vertex(g: np.ndarray, zfam: ZFamily) -> np.ndarray:
     return v
 
 
-def _relax(inst: ProblemInstance):
+def _relax(a: np.ndarray, c: np.ndarray, zfam: ZFamily):
     """Exact minimizer of the objective over conv(Z) by a breakpoint search on the dual scalar.
 
     With -sqrt(sigma) = max_{t>0} (-t sigma - 1/(4t)) the relaxation is
@@ -543,7 +573,6 @@ def _relax(inst: ProblemInstance):
     Returns ``(z_bar, value, v_lo, v_hi)``: the minimizer, its value and the
     two bracketing vertices, whose segment holds z_bar.
     """
-    a, c, zfam = inst.a, inst.c, inst.zfam
     asq = a * a
     lo, hi = 0.0, math.inf
     v_lo, v_hi = _lp_vertex(c, zfam), _lp_vertex(-asq, zfam)
@@ -581,16 +610,20 @@ def solve_relaxation(inst: ProblemInstance) -> RelaxationSolution:
     general position (exactly tied coordinates may share the fraction).
     The rounding is the better of the edge's two endpoint vertices by the
     support-reduced objective, ties to the lexicographically smaller, so it
-    is always a family member and the solve cannot fail.
+    is always a family member and the solve cannot fail.  The search and
+    the rounding run on (a, c) / 2**e (``discrete._unit_scale``) and both
+    values are scaled back, so no square of finite data over- or
+    underflows.
     """
-    a, c = inst.a, inst.c
-    z_bar, value, v_lo, v_hi = _relax(inst)
-    rounded_z = min((v_lo, v_hi), key=lambda v: (discrete_objective(v, a, c), v.tolist()))
+    e = _unit_scale(inst.a, inst.c)
+    a, c = np.ldexp(inst.a, -e), np.ldexp(inst.c, -e)
+    z_bar, value, v_lo, v_hi = _relax(a, c, inst.zfam)
+    rounded_z = min((v_lo, v_hi), key=lambda v: (_objective(v, a, c), v.tolist()))
     return RelaxationSolution(
         z_bar=z_bar,
-        value=value,
+        value=math.ldexp(value, e),
         rounded_z=rounded_z,
-        rounded_value=discrete_objective(rounded_z, a, c),
+        rounded_value=math.ldexp(_objective(rounded_z, a, c), e),
         fractional_count=int(np.count_nonzero(np.minimum(z_bar, 1.0 - z_bar) > FRACTIONAL_EPS)),
     )
 

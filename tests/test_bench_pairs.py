@@ -122,3 +122,16 @@ def test_workload_entry_records_each_sides_median_op_count():
         pair["change"].update(attempted=c_ops, correct=True, failed=0)
     entry = bench_pairs.workload_entry(pairs, {"peak_rss_mb": "lower"}, 30, {"nproc": 2})
     assert entry["attempted_median"] == {"parent": 300, "change": 700}
+
+
+def test_summary_prints_each_sides_op_count_under_the_verdicts():
+    pairs = _pairs(peak_rss_mb=([40.0, 40.0, 40.0], [44.0, 44.0, 44.0]))
+    for pair, (p_ops, c_ops) in zip(pairs, [(300, 700), (310, 650), (290, 720)]):
+        pair["seed"] = p_ops
+        pair["parent"].update(attempted=p_ops, correct=True, failed=0)
+        pair["change"].update(attempted=c_ops, correct=True, failed=0)
+    entry = bench_pairs.workload_entry(pairs, {"peak_rss_mb": "lower"}, 30, {"nproc": 2},
+                                       {"peak_rss_mb": 0.1})
+    verdict_line, attempted_line = bench_pairs.summary_lines(entry)
+    assert verdict_line.startswith("peak_rss_mb ") and verdict_line.endswith("within_bound")
+    assert attempted_line.split() == ["attempted", "parent", "300", "change", "700"]

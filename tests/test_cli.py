@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from sparseball import robust
 from sparseball.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from sparseball.core import DEFAULT_TOL, MixedPoint
-from sparseball.hull import separate_submodular, submodular_cut_1, submodular_cut_2
+from sparseball.hull import reported_cuts, separate_submodular, submodular_cut_1, submodular_cut_2
 
 import oracles
 
@@ -209,6 +210,24 @@ class TestCuts:
         code, out = _run(capsys, ["cuts", "--point", json.dumps({"x": x, "z": z}),
                                   "--alpha", json.dumps(alpha), "--mode", mode])
         assert code == EXIT_OK and json.loads(out) == []
+
+    @pytest.mark.parametrize("mode", ["heuristic", "exact"])
+    def test_prints_the_reported_cuts_capped_by_top(self, capsys, mode):
+        rng = np.random.default_rng(23)
+        longest = 0
+        for n in (2, 4, 7):
+            x, z, alpha = rng.normal(size=n), rng.uniform(size=n), rng.normal(size=n)
+            p = MixedPoint(x, z)
+            argv = ["cuts", "--point", json.dumps({"x": x.tolist(), "z": z.tolist()}),
+                    "--alpha", json.dumps(alpha.tolist()), "--mode", mode]
+            for top in (None, 0, 1, 3):
+                cuts = list(itertools.islice(reported_cuts(p, alpha, mode), top))
+                longest = max(longest, len(cuts))
+                expected = sorted(({**c.to_dict(), "violation": c.violation_at(p)} for c in cuts),
+                                  key=lambda entry: -entry["violation"])
+                code, out = _run(capsys, argv if top is None else [*argv, "--top", str(top)])
+                assert code == EXIT_OK and json.loads(out) == expected
+        assert longest > 3
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=150)

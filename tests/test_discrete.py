@@ -12,6 +12,7 @@ from sparseball.discrete import (
     solve_discrete_sort,
     support_value,
 )
+from sparseball.hull import solve_relaxation
 
 import oracles
 
@@ -221,6 +222,29 @@ class TestScale:
             sol = solve_discrete_sort(a * s, k)
             assert np.array_equal(sol.z_opt, unit.z_opt)
             assert sol.value == pytest.approx(s * unit.value, rel=1e-15)
+
+    @_SCALES
+    @pytest.mark.parametrize("fam", [ZFamily.free(3), ZFamily.card_le(3, 1), ZFamily.card_eq(3, 2)],
+                             ids=lambda fam: fam.kind)
+    def test_relaxation_at_extreme_scales(self, fam, s):
+        # the free unit optimum is tied along z_2, so z_bar may move there by rounding
+        a, c = np.array([3.0, -4.0, 1.0]), np.array([0.5, 0.2, 0.1])
+        unit = solve_relaxation(_inst(a, c, fam))
+        sol = solve_relaxation(_inst(a * s, c * s, fam))
+        assert np.allclose(sol.z_bar, unit.z_bar, rtol=0.0, atol=1e-12)
+        assert np.array_equal(sol.rounded_z, unit.rounded_z)
+        assert sol.fractional_count == unit.fractional_count
+        assert sol.value == pytest.approx(s * unit.value, rel=1e-15)
+        assert sol.rounded_value == pytest.approx(s * unit.value, rel=1e-15)
+        exact = solve_discrete_bruteforce(_inst(a * s, c * s, fam))
+        assert sol.rounded_value == pytest.approx(exact.value, rel=1e-15)
+
+    @_SCALES
+    def test_objective_at_extreme_scales(self, s):
+        a, c = np.array([3.0, -4.0, 1.0]), np.array([0.5, 0.2, 0.1])
+        for z in ([1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.25, 1.0]):
+            expected = s * discrete_objective(z, a, c)
+            assert discrete_objective(z, a * s, c * s) == pytest.approx(expected, rel=1e-15)
 
     def test_unit_scale_optima(self):
         a, c = [3.0, -4.0, 1.0], [0.5, 0.2, 0.1]

@@ -19,6 +19,7 @@ from sparseball.hull import (
     perspective_membership,
     perspective_sum,
     quad_reformulate,
+    reported_cuts,
     rho,
     separate_submodular,
     solve_relaxation,
@@ -235,6 +236,35 @@ class TestSeparation:
         cut = separate_submodular(p, [1.0, 1.0], mode="exact")
         assert cut is not None
         assert cut.violation_at(p) > 0.0
+
+    def test_spurious_top_score_falls_through_to_a_violated_cut(self):
+        # the top exact score, 1.19e-9, takes its dropped marginal from
+        # q - a_i^2 and its cut is not violated past feas_abs; the walk goes
+        # on to a candidate whose cut is violated by 1.18e-9
+        alpha = [-0.49766507562265827, 3.5874683690849527e-09, -4.2861888364689066e-07]
+        p = MixedPoint([0.0, 0.008392513593145402, 1.0027098324501365], [0.0, 1.0, 1.0])
+        members, violations = violated_cuts(p, alpha, "exact")
+        row, family = divmod(int(np.argmax(violations)), 2)
+        top = (submodular_cut_1, submodular_cut_2)[family](np.flatnonzero(members[row]), alpha)
+        assert violations.max() > DEFAULT_TOL.feas_abs >= top.violation_at(p)
+        cut = separate_submodular(p, alpha, mode="exact")
+        assert cut is not None and cut.violation_at(p) > DEFAULT_TOL.feas_abs
+
+    def test_separation_is_the_first_reported_cut(self):
+        for mode, n, p, alpha in _scorer_cases():
+            cut = separate_submodular(p, alpha, mode=mode)
+            cuts = list(reported_cuts(p, alpha, mode))
+            assert all(c.violation_at(p) > DEFAULT_TOL.feas_abs for c in cuts)
+            keys = [(tuple(c.pi_abs.tolist()), tuple(c.rho_z.tolist()), c.rhs) for c in cuts]
+            assert len(set(keys)) == len(keys)
+            if cut is None:
+                # heuristic separation leaves out the tail, violated only by rounding
+                assert mode == "heuristic" or not cuts
+                continue
+            if mode == "exact":
+                assert keys[0] == (tuple(cut.pi_abs.tolist()), tuple(cut.rho_z.tolist()), cut.rhs)
+            best = max(c.violation_at(p) for c in cuts)
+            assert cut.violation_at(p) >= best - 1e-12 * max(1.0, best)
 
     def test_heuristic_never_beats_exact(self, rng):
         for _ in range(60):
@@ -482,6 +512,16 @@ class TestViolatedCuts:
         rows = np.concatenate(([0, 1, n - 1, n], rng.choice(np.arange(2, n - 1), size=40, replace=False)))
         reference = oracles.cut_violations(p, alpha, [np.flatnonzero(members[r]) for r in rows])
         assert np.all(np.abs(violations[rows] - reference) <= 1e-12 * np.maximum(1.0, np.abs(reference)))
+
+    def test_family_two_scores_with_one_dominant_alpha(self):
+        # rho_0(N - 0) adds a_0^2 back to the rest of N; a drop from a^2(N)
+        # = 1e16 + 2 loses that rest, and with it the scores' last 1e-8
+        alpha = np.array([1e8, 1.0, 1.0])
+        p = MixedPoint(np.array([0.3, 0.5, 0.5]), np.array([0.5, 0.9, 0.2]))
+        for mode in ("heuristic", "exact"):
+            members, violations = violated_cuts(p, alpha, mode)
+            reference = oracles.cut_violations(p, alpha, [np.flatnonzero(m) for m in members])
+            assert np.all(np.abs(violations[:, 1] - reference[:, 1]) <= 1e-12 * np.abs(reference[:, 1]))
 
     def test_rejects_bad_input(self):
         p = MixedPoint([0.5, 0.5], [0.0, 0.0])
@@ -884,12 +924,12 @@ class TestRelaxationSearch:
 
 
 def _spy_relax(monkeypatch):
-    """Record the (z_bar, value, v_lo, v_hi) of every ``_relax`` call."""
+    """Record the (z_bar, value, v_lo, v_hi) of every ``_relax`` call, value on the scaled data."""
     calls = []
     real = hull._relax
 
-    def spy(inst):
-        out = real(inst)
+    def spy(a, c, zfam):
+        out = real(a, c, zfam)
         calls.append(out)
         return out
 
@@ -944,9 +984,9 @@ class TestEdgeRounding:
         # both endpoints have objective 0; the optimum is inside the edge
         calls = _spy_relax(monkeypatch)
         sol = solve_relaxation(ProblemInstance(a, c, fam))
-        _, value, v_lo, v_hi = calls.pop()
+        _, _, v_lo, v_hi = calls.pop()
         assert (v_lo.tolist(), v_hi.tolist()) == ends
-        assert value == -0.5
+        assert sol.value == -0.5
         assert sol.rounded_value == 0.0
         assert sol.rounded_z.tolist() == rounded
 
