@@ -7,20 +7,23 @@
 For each seed it runs ``python3 perfbench/run.py --trace 0`` for the
 run_seconds of BENCHMARK.json once in a temporary export of the parent
 commit and once in the working tree; pair i runs the parent first when i
-is even.  It writes (or updates, one workload
-at a time) a BENCH json at the repository root: per end-to-end metric of
-BENCHMARK.json the two medians, their IQR over median, how many pairs the
-change wins and whether the medians differ by more than the parent's IQR;
-each metric's verdict under its bound (better, within_bound, worse, or
-unresolved when the parent's own runs spread wider than the bound); each
-side's median count of attempted ops, against which a peak_rss_mb move is
-read; every run's metrics, correctness and failed ops; and the machine data
-that perfbench records.  When the file was measured against the same parent
-commit, the new pairs join the workload's recorded ones and the summary
-covers them all; a seed already recorded there is an error before anything
-runs.  Against a different parent the workload's entry is replaced.  The
-parent is exported with ``git archive``, so the run leaves nothing behind
-in the repository's git metadata.
+is even.  It writes (or updates, one workload at a time) a BENCH json at
+the repository root: per end-to-end metric of BENCHMARK.json the two
+medians, their IQR over median, how many pairs the change wins and whether
+the medians differ by more than the parent's IQR; each metric's verdict
+under its bound (better, within_bound, worse, or unresolved when the
+parent's own runs spread wider than the bound); each side's median count
+of attempted ops, against which a peak_rss_mb move is read; each side's
+correct runs and failed ops; every run's metrics, correctness and failed
+ops; and the machine data that perfbench records.  It prints the verdicts
+with each side's op count, correct runs and failed ops under them, and
+exits 1, after writing the file, when any run was incorrect or had a
+failed op.  When the file was measured against the same parent commit,
+the new pairs join the workload's recorded ones and the summary covers
+them all; a seed already recorded there is an error before anything runs.
+Against a different parent the workload's entry is replaced.  The parent
+is exported with ``git archive``, so the run leaves nothing behind in the
+repository's git metadata.
 """
 
 from __future__ import annotations
@@ -170,6 +173,8 @@ def workload_entry(pairs, metrics, seconds: float, machine, bounds=None) -> dict
         "order": "alternating; pair i of each batch runs the parent first when i is even",
         "run_seconds": seconds,
         "all_correct": all(p[side]["correct"] for p in pairs for side in ("parent", "change")),
+        "correct_runs": {side: sum(bool(p[side]["correct"]) for p in pairs)
+                         for side in ("parent", "change")},
         "failed_ops": {side: sum(p[side]["failed"] for p in pairs) for side in ("parent", "change")},
         # perfbench keeps every op's output, so peak_rss_mb moves with the op count
         "attempted_median": {side: statistics.median(p[side]["attempted"] for p in pairs)
@@ -183,15 +188,23 @@ def workload_entry(pairs, metrics, seconds: float, machine, bounds=None) -> dict
 def summary_lines(entry) -> list:
     """The printed summary of a workload entry: one verdict line per metric,
     then each side's median count of attempted ops, against which a
-    peak_rss_mb move is read."""
+    peak_rss_mb move is read, its correct runs and its failed ops."""
     lines = [f"{name:<12} parent {m['parent_median']:.6g}  change {m['change_median']:.6g}  "
              f"ratio {m['ratio_change_over_parent']:.3f}  wins {m['change_wins']}  "
              f"gap>IQR {m['median_gap_exceeds_parent_iqr']}  {m['verdict']}"
              for name, m in entry["metrics"].items()]
-    attempted = entry["attempted_median"]
+    attempted, correct, failed = entry["attempted_median"], entry["correct_runs"], entry["failed_ops"]
+    runs = len(entry["pairs"])
     lines.append(f"{'attempted':<12} parent {attempted['parent']:.6g}  "
                  f"change {attempted['change']:.6g}")
+    lines.append(f"{'correct':<12} parent {correct['parent']}/{runs}  change {correct['change']}/{runs}")
+    lines.append(f"{'failed_ops':<12} parent {failed['parent']}  change {failed['change']}")
     return lines
+
+
+def clean(entry) -> bool:
+    """Whether every run of a workload entry was correct with no failed op."""
+    return entry["all_correct"] and not any(entry["failed_ops"].values())
 
 
 def main(argv=None) -> int:
@@ -242,8 +255,9 @@ def main(argv=None) -> int:
     bench.setdefault("workloads", {})[args.workload] = workload_entry(pairs, metrics, seconds,
                                                                       machine, bounds)
     out_path.write_text(json.dumps(bench, indent=2) + "\n")
-    print("\n".join(summary_lines(bench["workloads"][args.workload])))
-    return 0
+    entry = bench["workloads"][args.workload]
+    print("\n".join(summary_lines(entry)))
+    return 0 if clean(entry) else 1
 
 
 if __name__ == "__main__":

@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
+    ENUMERATION_GUARD,
     MixedPoint,
     as_vector,
     load_problem_instance,
@@ -34,7 +35,7 @@ from .harness import (
     load_experiment_config,
     run_experiment,
 )
-from .hull import SEPARATION_EXACT_GUARD, reported_cuts
+from .hull import reported_cuts
 from .robust import (
     METHODS,
     PortfolioPoint,
@@ -110,8 +111,8 @@ def _cmd_cuts(args) -> int:
     alpha = _vector_arg(args.alpha, "alpha")
     if alpha.size != point.n:
         raise _UsageError("alpha must match the point dimension")
-    if args.mode == "exact" and point.n > SEPARATION_EXACT_GUARD:
-        raise _UsageError(f"exact mode is guarded to n <= {SEPARATION_EXACT_GUARD}")
+    if args.mode == "exact" and point.n > ENUMERATION_GUARD:
+        raise _UsageError(f"exact mode is guarded to n <= {ENUMERATION_GUARD}")
     if args.top is not None and args.top < 0:
         raise _UsageError(f"--top must be nonnegative, got {args.top}")
     cuts = islice(reported_cuts(point, alpha, args.mode), args.top)

@@ -3,7 +3,9 @@
 The central object is the pair set ``{(x, z) : ||x||_2^2 <= 1,
 x o (1 - z) = 0, z in Z}`` where ``o`` is the entrywise product and Z is a
 binary activation family over {0,1}^n.  Three families are supported: the
-free box, at-most-k and exactly-k cardinality.
+free box, at-most-k and exactly-k cardinality.  Every 0/1 member matrix the
+package builds comes from :func:`enumerate_Z`, under the one enumeration
+guard ``ENUMERATION_GUARD = 16``.
 
 All types are immutable after construction and every operation is pure, so
 everything here is safe to call concurrently.  Ties in sorts and argmins are
@@ -25,9 +27,8 @@ CARD_LE = "card_le"
 CARD_EQ = "card_eq"
 _KINDS = (FREE, CARD_LE, CARD_EQ)
 
-# enumeration of an activation family is an oracle for small n only
-ENUMERATION_GUARD = 24
-_ENUMERATION_CHUNK = 1 << 16
+# enumerate_Z takes its ids as 16-bit words, so the guard cannot exceed 16
+ENUMERATION_GUARD = 16
 
 
 class SolverError(RuntimeError):
@@ -59,6 +60,16 @@ def safe_div(num: float, den: float) -> float:
             return 0.0
         return math.inf if num > 0.0 else -math.inf
     return num / den
+
+
+def unit_scale(*vectors) -> int:
+    """The exponent e with max |entry| / 2**e in [0.5, 1), or 0 when every entry is 0.
+
+    Dividing by 2**e is exact for normal numbers, so squares and sums taken
+    on the scaled data neither over- nor underflow, and they keep the order
+    and the ties of the unscaled ones wherever those are representable.
+    """
+    return math.frexp(max(float(np.abs(v).max(initial=0.0)) for v in vectors))[1]
 
 
 def safe_div_arr(num, den) -> np.ndarray:
@@ -286,37 +297,25 @@ def satisfies_bigM(p: MixedPoint) -> bool:
     return bool(np.all(np.abs(p.x) <= p.z + DEFAULT_TOL.feas_abs))
 
 
-def check_enumeration_guard(n: int) -> None:
-    """Raise ValueError when n exceeds the enumeration guard."""
-    if n > ENUMERATION_GUARD:
-        raise ValueError(f"enumeration is guarded to n <= {ENUMERATION_GUARD}, got n = {n}")
-
-
 def enumerate_Z(zfam: ZFamily) -> np.ndarray:
     """All members of the family as an (m, n) 0/1 int8 matrix, rows lexicographic.
 
-    Guarded to n <= 24.  One path serves every family: the ids 0 .. 2^n - 1
-    are walked in chunks of 2^16 (counting order is lexicographic order), a
-    cardinality family keeps the ids whose popcount fits, and their bits
-    are unpacked into an output preallocated at ``member_count()`` rows.
-    The scan costs time proportional to 2^n, not to the member count; no
-    library path enumerates a cardinality family above n = 12, because
-    brute force splits z into halves.
+    Guarded to n <= ENUMERATION_GUARD = 16: no library path enumerates
+    more (exact separation at n = 16, brute force's halves at n <= 12), and
+    at n = 16 the output is 1 MB.  One pass serves every family: the ids
+    0 .. 2^n - 1 (counting order is lexicographic order) as big-endian
+    16-bit words, a cardinality family keeps the ids whose popcount fits,
+    and their bits are unpacked, the low n of each word kept.
     """
     n = zfam.n
-    check_enumeration_guard(n)
-    out = np.empty((zfam.member_count(), n), dtype=np.int8)
-    filled = 0
-    total = 1 << n
-    for start in range(0, total, _ENUMERATION_CHUNK):
-        ids = np.arange(start, min(start + _ENUMERATION_CHUNK, total), dtype=np.uint32)
-        if zfam.kind != FREE:
-            ones = np.bitwise_count(ids)
-            ids = ids[ones <= zfam.k if zfam.kind == CARD_LE else ones == zfam.k]
-        bits = np.unpackbits(ids.astype(">u4").view(np.uint8).reshape(-1, 4), axis=1)
-        out[filled:filled + ids.size] = bits[:, 32 - n:]
-        filled += ids.size
-    return out
+    if n > ENUMERATION_GUARD:
+        raise ValueError(f"enumeration is guarded to n <= {ENUMERATION_GUARD}, got n = {n}")
+    ids = np.arange(1 << n, dtype=">u2")
+    if zfam.kind != FREE:
+        ones = np.bitwise_count(ids)
+        ids = ids[ones <= zfam.k if zfam.kind == CARD_LE else ones == zfam.k]
+    bits = np.unpackbits(ids.view(np.uint8).reshape(-1, 2), axis=1)
+    return np.ascontiguousarray(bits[:, 16 - n:]).view(np.int8)
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,12 @@ from .core import (
     as_index_set,
     as_int,
     as_vector,
-    check_enumeration_guard,
     enumerate_Z,
+    unit_scale,
 )
+
+# brute force enumerates each half of z, so it reaches twice the enumeration guard
+BRUTEFORCE_GUARD = 24
 
 # most pair values scored at once by the brute-force scan
 _BLOCK = 1 << 16
@@ -50,27 +53,17 @@ class DiscreteSolution:
     value: float
 
 
-def _unit_scale(*vectors) -> int:
-    """The exponent e with max |entry| / 2**e in [0.5, 1), or 0 when every entry is 0.
-
-    Dividing by 2**e is exact for normal numbers, so squares and sums taken
-    on the scaled data neither over- nor underflow, and they keep the order
-    and the ties of the unscaled ones wherever those are representable.
-    """
-    return math.frexp(max(float(np.abs(v).max(initial=0.0)) for v in vectors))[1]
-
-
 def support_value(S, inst: ProblemInstance) -> SupportSolution:
     """Optimal value and minimizer of the fixed-support subproblem.
 
     The continuous minimizer is the negatively scaled unit vector along the
     restriction of a to S; when that restriction vanishes, x = 0 is the
     canonical minimizer.  The empty support has value 0.  The norm of a_S is
-    taken on a_S / 2**e (:func:`_unit_scale`), so no square over- or
+    taken on a_S / 2**e (:func:`core.unit_scale`), so no square over- or
     underflows.
     """
     sel = as_index_set(S, inst.n)
-    e = _unit_scale(inst.a[sel])
+    e = unit_scale(inst.a[sel])
     u = np.ldexp(inst.a[sel], -e)
     unorm = math.sqrt(float(np.sum(u * u)))
     value = float(np.sum(inst.c[sel])) - math.ldexp(unorm, e)
@@ -89,10 +82,10 @@ def _objective(z, a, c) -> float:
 def discrete_objective(z, a, c) -> float:
     """Objective of the support-reduced problem, c'z - sqrt(sum a_i^2 z_i).
 
-    Taken on (a, c) / 2**e (:func:`_unit_scale`) and scaled back, so no
+    Taken on (a, c) / 2**e (:func:`core.unit_scale`) and scaled back, so no
     square over- or underflows.
     """
-    e = _unit_scale(a, c)
+    e = unit_scale(a, c)
     return math.ldexp(_objective(z, np.ldexp(a, -e), np.ldexp(c, -e)), e)
 
 
@@ -103,15 +96,11 @@ def _low_members(zfam: ZFamily, low: int, ones: int) -> np.ndarray:
     The empty row stands for a budget the high half has used up.
     """
     room = zfam.k - ones
-    if room < 0 or (zfam.kind == CARD_EQ and room > low):
+    if zfam.kind == CARD_EQ and room > low:
         return np.zeros((0, low), dtype=np.int8)
     if room == 0:
         return np.zeros((1, low), dtype=np.int8)
-    if zfam.kind == CARD_EQ:
-        return enumerate_Z(ZFamily.card_eq(low, room))
-    if room >= low:
-        return enumerate_Z(ZFamily.free(low))
-    return enumerate_Z(ZFamily.card_le(low, room))
+    return enumerate_Z(ZFamily(zfam.kind, low, min(room, low)))
 
 
 def solve_discrete_bruteforce(inst: ProblemInstance) -> DiscreteSolution:
@@ -127,7 +116,7 @@ def solve_discrete_bruteforce(inst: ProblemInstance) -> DiscreteSolution:
     and a^2-sums, and the pairs are scored ``C_hi + C_lo - sqrt(A_hi +
     A_lo)`` in blocks of at most 2**16 values, so no (members, n) matrix is
     ever built.  The scores are taken on (a, c) / 2**e
-    (:func:`_unit_scale`), so any finite scale of the data gives the
+    (:func:`core.unit_scale`), so any finite scale of the data gives the
     unit-scale z; the value is then :func:`support_value` of that z on the
     data as given.  At free n = 24 (2**24 supports) a solve takes about
     40 ms with a tracemalloc peak of about 1.6 MB on one core of a 2-vCPU
@@ -135,11 +124,13 @@ def solve_discrete_bruteforce(inst: ProblemInstance) -> DiscreteSolution:
 
     Exact and deterministic: ties are broken toward the lexicographically
     smallest z, by keeping the first minimum in (value, high row, low row)
-    order.  Guarded to n <= 24 like the enumeration.
+    order.  Guarded to n <= BRUTEFORCE_GUARD = 24, so each half is within
+    the enumeration guard.
     """
     n = inst.n
-    check_enumeration_guard(n)
-    e = _unit_scale(inst.a, inst.c)
+    if n > BRUTEFORCE_GUARD:
+        raise ValueError(f"brute force is guarded to n <= {BRUTEFORCE_GUARD}, got n = {n}")
+    e = unit_scale(inst.a, inst.c)
     c, u = np.ldexp(inst.c, -e), np.ldexp(inst.a, -e)
     asq = u * u
     zfam = inst.zfam
@@ -189,7 +180,7 @@ def solve_discrete_sort(a, k: int) -> DiscreteSolution:
     """Sorting solver for the zero-z-cost, exactly-k cardinality case.
 
     Activates the k largest squared entries of a (smallest index wins ties),
-    squared on a / 2**e (:func:`_unit_scale`) so that none over- or
+    squared on a / 2**e (:func:`core.unit_scale`) so that none over- or
     underflows.
     """
     a = as_vector(a, "a")
@@ -197,7 +188,7 @@ def solve_discrete_sort(a, k: int) -> DiscreteSolution:
     k = as_int(k, "k")
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    u = np.ldexp(a, -_unit_scale(a))
+    u = np.ldexp(a, -unit_scale(a))
     support = np.argsort(-(u * u), kind="stable")[:k]
     inst = ProblemInstance(a, np.zeros(n), ZFamily(CARD_EQ, n, k))
     sol = support_value(support, inst)

@@ -25,8 +25,11 @@ matrix of candidate sets.  It stops at the prefix that ends at the last
 positive z: by submodularity of g, adding a coordinate with z = 0 never
 makes a prefix more violated, so with m positive z it costs O(n log n +
 m^2), not O(n^2).  ``violated_cuts`` and ``reported_cuts`` score all
-n + 1 prefixes.
-Exact separation scores every subset, n <= 16, in blocks of set sums.
+n + 1 prefixes, and read each candidate's set from the z order.
+Exact separation scores every subset in blocks of set sums, from the rows
+of ``enumerate_Z``, so n <= ``core.ENUMERATION_GUARD`` = 16.  Scores and
+cuts are taken on alpha / 2**e (``core.unit_scale``) and scaled back, so
+no scale of finite alpha over- or underflows them.
 
 Nonlinear side: the perspective inequality ``sum_i x_i^2 / z_i <= 1``
 (under the shared zero-division convention) is exactly the condition for a
@@ -67,13 +70,13 @@ from .core import (
     as_vector,
     enumerate_Z,
     safe_div_arr,
+    unit_scale,
 )
-from .discrete import _objective, _unit_scale
+from .discrete import _objective
 
-SEPARATION_EXACT_GUARD = 16
-
-# rows of candidate sets scored at once by violated_cuts in exact mode
-_SCORE_BLOCK = 1 << 12
+# rows of candidate sets scored at once by violated_cuts in exact mode; glibc
+# page-faults 2^12 rows' 512 KB temporaries in on each block at n = 16
+_SCORE_BLOCK = 1 << 11
 
 # entries of a marginal triangle computed at once in heuristic mode
 _TRIANGLE_BLOCK = 1 << 14
@@ -201,9 +204,13 @@ def _cut(S, alpha, family) -> LinearCut:
     :func:`_rest_sums`; outside S it is rho_i(empty) = |alpha_i| (family 2:
     rho_i(S); the base inequality drops it).  The set sum q_S = a^2(S) is
     the dot product of a 0/1 indicator with a^2, as the scorers sum it.
+    The marginals are taken on alpha / 2**e (:func:`core.unit_scale`) and
+    rho_z and rhs scaled back, so no square over- or underflows.
     """
     a = _alpha_of(alpha)
-    asq = a * a
+    e = unit_scale(a)
+    u = np.ldexp(a, -e)
+    asq = u * u
     idx = as_index_set(S, a.size)
     in_S = np.zeros(a.size, dtype=bool)
     in_S[idx] = True
@@ -215,7 +222,7 @@ def _cut(S, alpha, family) -> LinearCut:
         inside = _add_gain(_rest_sums(asq[idx]), asq[idx])
         rho_z = -_add_gain(0.0, asq) if family == 1 else np.zeros(a.size)
     rho_z[idx] = -inside
-    return LinearCut(np.abs(a), rho_z, float(math.sqrt(q_S) - inside.sum()))
+    return LinearCut(np.abs(a), np.ldexp(rho_z, e), math.ldexp(math.sqrt(q_S) - inside.sum(), e))
 
 
 def submodular_cut_1(S, alpha) -> LinearCut:
@@ -259,21 +266,32 @@ def _triangle_sums(rows: np.ndarray, lo: int, hi: int, lower: bool, gain, w: np.
     return sums
 
 
+def _unit_terms(p: MixedPoint, a: np.ndarray):
+    """(e, u^2, sum_i |u_i x_i|) for u = alpha / 2**e (:func:`core.unit_scale`),
+    on which both scorers work before scaling their violations back by 2**e."""
+    if p.n != a.size:
+        raise ValueError("dimension mismatch between point and alpha")
+    e = unit_scale(a)
+    u = np.ldexp(a, -e)
+    return e, u * u, float(np.abs(u) @ np.abs(p.x))
+
+
 def _prefix_violations(p: MixedPoint, a: np.ndarray, tail: bool):
     """Violations at p of both cuts on the nested prefixes by z descending.
 
-    Returns ``(order, violations)``: order is the stable z-descending order
-    and row r of violations scores the prefix S = order[:r], as in
-    :func:`violated_cuts`.  The head, rows 0..m with m = #{z > 0}, is
-    always scored; with tail, rows m+1..n follow, so that there are n + 1.
-    Along that order q_r = a^2(S) is a running sum, and so are family 1's
-    outside term and family 2's inside term.  Family 1's inside term sums
-    rho_j(S - j)(1 - z_j), zero where z_j = 1, so only the columns past
-    the n1 leading ones count; family 2's outside term sums rho_j(S) z_j,
-    zero where z_j = 0, so only the rows and columns before the m positive
-    ones count.  Those two triangles are summed in row blocks of bounded
-    size; family 1's tail rows are a block of their own, after the head's,
-    so the head rows are the same bits with or without the tail.
+    Returns ``(sets, violations)`` as :func:`violated_cuts` does: row r
+    scores the prefix S = order[:r] of the stable z-descending order, and
+    ``sets(r)`` is that prefix, sorted.  The head, rows 0..m with
+    m = #{z > 0}, is always scored; with tail, rows m+1..n follow, so that
+    there are n + 1.  Along that order q_r = a^2(S) is a running sum, and
+    so are family 1's outside term and family 2's inside term.  Family 1's
+    inside term sums rho_j(S - j)(1 - z_j), zero where z_j = 1, so only the
+    columns past the n1 leading ones count; family 2's outside term sums
+    rho_j(S) z_j, zero where z_j = 0, so only the rows and columns before
+    the m positive ones count.  Those two triangles are summed in row
+    blocks of bounded size; family 1's tail rows are a block of their own,
+    after the head's, so the head rows are the same bits with or without
+    the tail.
 
     Past row m each step adds a j with z_j = 0 and no outside z is
     positive, so by submodularity of g family 1's right-hand side grows by
@@ -284,11 +302,10 @@ def _prefix_violations(p: MixedPoint, a: np.ndarray, tail: bool):
     O(n log n + m^2) instead of O(n^2).
     """
     n = a.size
-    if p.n != n:
-        raise ValueError("dimension mismatch between point and alpha")
+    e, asq, lhs = _unit_terms(p, a)
     order = np.argsort(-p.z, kind="stable")
     z = p.z[order]
-    asq = (a * a)[order]
+    asq = asq[order]
     q = np.concatenate(([0.0], np.cumsum(asq)))
     n1 = int(np.count_nonzero(z == 1.0))
     m = int(np.count_nonzero(z > 0.0))
@@ -307,50 +324,42 @@ def _prefix_violations(p: MixedPoint, a: np.ndarray, tail: bool):
     outside1 = np.concatenate((np.cumsum((_add_gain(0.0, asq) * z)[::-1])[::-1], [0.0]))[:rows]
     full = _add_gain(_rest_sums(asq), asq)  # rho_j(N - j)
     inside2 = np.concatenate(([0.0], np.cumsum(full * (1.0 - z))))[:rows]
-    lhs = float(np.abs(a) @ np.abs(p.x))
     sq = np.sqrt(q[:rows])
     violations = np.empty((rows, 2))
     violations[:, 0] = lhs - (sq - inside1 + outside1)
     violations[:, 1] = lhs - (sq - inside2 + outside2)
-    return order, violations
+    return lambda row: np.sort(order[:row]), np.ldexp(violations, e, out=violations)
 
 
 def violated_cuts(p: MixedPoint, alpha, mode: str):
     """Candidate sets and the violations at p of both submodular cuts on each.
 
-    Returns ``(members, violations)``: ``members`` is the (m, n) 0/1 int8
-    matrix of candidate sets in scan order (heuristic: the n + 1 nested
-    prefixes of the coordinates by z descending, stable; exact: the rows of
-    ``enumerate_Z(ZFamily.free(n))``, guarded to n <= 16), and
-    ``violations[r, f]`` is the violation at p of ``submodular_cut_1``
-    (f = 0) or ``submodular_cut_2`` (f = 1) on row r.  No cut is built:
-    the prefixes are scored from running sums along the z order and two
-    triangles of marginals (:func:`_prefix_violations`), every subset in
-    blocks of 2^12 rows from their set sums q = M a^2.  Family 1's dropped
-    marginals are taken from q - a_i^2 and can be off by about sqrt(eps)
-    g(N), so a listed violation is a candidate's score, not the built cut's
-    own; :func:`separate_submodular` and :func:`reported_cuts` build the
-    cuts from these scores and keep those violated by their own measure.
-    Every prefix is listed: the head, through the last positive z, with the
-    same bits as separation scores it, then the tail, whose rows are never
-    more violated than the head's last but by rounding.
+    Returns ``(sets, violations)``.  Row r is a candidate set in scan order
+    (heuristic: the n + 1 nested prefixes of the coordinates by z
+    descending, stable; exact: the rows of ``enumerate_Z(ZFamily.free(n))``,
+    so n <= ENUMERATION_GUARD = 16), ``sets(r)`` is its sorted index array,
+    and ``violations[r, f]`` is the violation at p of ``submodular_cut_1``
+    (f = 0) or ``submodular_cut_2`` (f = 1) on it.  No cut is built and the
+    heuristic mode builds no matrix of sets: the prefixes are scored from
+    running sums along the z order and two triangles of marginals
+    (:func:`_prefix_violations`), every subset in blocks of 2^11 rows from
+    their set sums q = M a^2, both on alpha / 2**e (:func:`_unit_terms`).
+    Family 1's dropped marginals are taken from q - a_i^2 and can be off
+    by about sqrt(eps) g(N), so a listed violation is a candidate's score,
+    not the built cut's own; :func:`separate_submodular` and
+    :func:`reported_cuts` build the cuts from these scores and keep those
+    violated by their own measure.  Every prefix is listed: the head,
+    through the last positive z, with the same bits as separation scores
+    it, then the tail, whose rows are never more violated than the head's
+    last but by rounding.
     """
     a = _alpha_of(alpha)
-    n = a.size
     if mode == "heuristic":
-        order, violations = _prefix_violations(p, a, tail=True)
-        members = np.empty((n + 1, n), dtype=np.int8)
-        members[:, order] = np.tri(n + 1, n, k=-1, dtype=np.int8)
-        return members, violations
-    if p.n != n:
-        raise ValueError("dimension mismatch between point and alpha")
+        return _prefix_violations(p, a, tail=True)
     if mode != "exact":
         raise ValueError(f"unknown separation mode {mode!r}")
-    if n > SEPARATION_EXACT_GUARD:
-        raise ValueError(f"exact separation is guarded to n <= {SEPARATION_EXACT_GUARD}")
-    members = enumerate_Z(ZFamily.free(n))
-    asq = a * a
-    lhs = float(np.abs(a) @ np.abs(p.x))
+    e, asq, lhs = _unit_terms(p, a)
+    members = enumerate_Z(ZFamily.free(a.size))
     one_minus_z = 1.0 - p.z
     outside1 = _add_gain(0.0, asq) * p.z
     inside2 = _add_gain(_rest_sums(asq), asq) * one_minus_z
@@ -365,19 +374,10 @@ def violated_cuts(p: MixedPoint, alpha, mode: str):
         out[:, 1] = lhs - (sq - M @ inside2 + (outside * _add_gain(q, asq)) @ p.z)
         # free this block's arrays before the next block builds its own
         del M, outside
-    return members, violations
+    return lambda row: np.flatnonzero(members[row]), np.ldexp(violations, e, out=violations)
 
 
-def _scored(p: MixedPoint, a: np.ndarray, mode: str, tail: bool):
-    """Candidate scores at p and the set of a row: a prefix of the z order, or a member."""
-    if mode == "heuristic":
-        order, violations = _prefix_violations(p, a, tail)
-        return violations, lambda row: order[:row]
-    members, violations = violated_cuts(p, a, mode)
-    return violations, lambda row: np.flatnonzero(members[row])
-
-
-def _walk(p: MixedPoint, a: np.ndarray, violations: np.ndarray, set_of):
+def _walk(p: MixedPoint, a: np.ndarray, sets, violations: np.ndarray):
     """The cuts of scored candidates in score order, ties in scan order, family 1 first.
 
     The top one is always built, the rest where their score exceeds feas_abs,
@@ -394,7 +394,7 @@ def _walk(p: MixedPoint, a: np.ndarray, violations: np.ndarray, set_of):
         yield from above[above != top]
 
     for row, family in (divmod(int(index), 2) for index in candidates()):
-        cut = _cut(set_of(row), a, family + 1)
+        cut = _cut(sets(row), a, family + 1)
         if cut.violation_at(p) > DEFAULT_TOL.feas_abs:
             key = (tuple(cut.rho_z.tolist()), cut.rhs)
             if key not in seen:
@@ -406,15 +406,17 @@ def separate_submodular(p: MixedPoint, alpha, mode: str = "heuristic"):
     """The first cut of :func:`reported_cuts`' walk, or None; heuristic separation
     walks only the prefixes through the last positive z, which hold the maximum."""
     a = _alpha_of(alpha)
-    return next(_walk(p, a, *_scored(p, a, mode, tail=False)), None)
+    if mode == "heuristic":
+        return next(_walk(p, a, *_prefix_violations(p, a, tail=False)), None)
+    return next(_walk(p, a, *violated_cuts(p, a, mode)), None)
 
 
 def reported_cuts(p: MixedPoint, alpha, mode: str):
     """An iterator over the distinct violated cuts at p, in candidate score order:
-    every candidate of :func:`violated_cuts` is scored now (heuristic sets read
-    from the z order), each cut built as the iterator reaches it."""
+    every candidate of :func:`violated_cuts` is scored now, each cut built as
+    the iterator reaches it."""
     a = _alpha_of(alpha)
-    return _walk(p, a, *_scored(p, a, mode, tail=True))
+    return _walk(p, a, *violated_cuts(p, a, mode))
 
 
 # ---------------------------------------------------------------------------
@@ -444,14 +446,15 @@ def c_alpha_membership(p: MixedPoint, alpha, zfam: ZFamily) -> bool:
 
 
 def perspective_sum(x, z) -> float:
-    """sum_i x_i^2 / z_i under the shared zero-division convention."""
+    """sum_i x_i^2 / z_i under the shared zero-division convention; inf on overflow."""
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
     zero = z == 0.0
     if np.any(zero & (x != 0.0)):
         return math.inf
     live = ~zero
-    return float(np.sum(x[live] ** 2 / z[live]))
+    with np.errstate(over="ignore"):
+        return float(np.sum(x[live] ** 2 / z[live]))
 
 
 def perspective_membership(p: MixedPoint, zfam: ZFamily) -> bool:
@@ -467,16 +470,20 @@ def find_violating_alpha(p: MixedPoint):
     """Weight vector certifying a perspective violation, or None.
 
     When the perspective sum exceeds 1 the returned alpha = x/z (convention
-    safe; a unit vector on the smallest offending index when some z_i = 0
-    with x_i != 0) strictly violates the weighted inequality for alpha.
+    safe) strictly violates the weighted inequality for alpha.  When the
+    sum is infinite (some z_i = 0 with x_i != 0, or an overflow) it is the
+    unit vector e_i at the smallest index of the largest term x_i^2 / z_i,
+    infinite terms first: that term exceeds 1, so |x_i| > sqrt(z_i).
     """
     s = perspective_sum(p.x, p.z)
     if s <= 1.0 + DEFAULT_TOL.feas_abs:
         return None
     if math.isinf(s):
-        i = int(np.flatnonzero((p.z == 0.0) & (p.x != 0.0))[0])
+        with np.errstate(over="ignore"):
+            terms = safe_div_arr(p.x * p.x, p.z)
+        terms[(p.z == 0.0) & (p.x != 0.0)] = math.inf
         alpha = np.zeros(p.n)
-        alpha[i] = 1.0
+        alpha[int(np.argmax(terms))] = 1.0
         return CutVector(alpha)
     return CutVector(safe_div_arr(p.x, p.z))
 
@@ -611,11 +618,11 @@ def solve_relaxation(inst: ProblemInstance) -> RelaxationSolution:
     The rounding is the better of the edge's two endpoint vertices by the
     support-reduced objective, ties to the lexicographically smaller, so it
     is always a family member and the solve cannot fail.  The search and
-    the rounding run on (a, c) / 2**e (``discrete._unit_scale``) and both
+    the rounding run on (a, c) / 2**e (``core.unit_scale``) and both
     values are scaled back, so no square of finite data over- or
     underflows.
     """
-    e = _unit_scale(inst.a, inst.c)
+    e = unit_scale(inst.a, inst.c)
     a, c = np.ldexp(inst.a, -e), np.ldexp(inst.c, -e)
     z_bar, value, v_lo, v_hi = _relax(a, c, inst.zfam)
     rounded_z = min((v_lo, v_hi), key=lambda v: (_objective(v, a, c), v.tolist()))

@@ -1,6 +1,7 @@
 """The pure helpers of scripts/bench_pairs.py, which writes the BENCH files."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -132,6 +133,49 @@ def test_summary_prints_each_sides_op_count_under_the_verdicts():
         pair["change"].update(attempted=c_ops, correct=True, failed=0)
     entry = bench_pairs.workload_entry(pairs, {"peak_rss_mb": "lower"}, 30, {"nproc": 2},
                                        {"peak_rss_mb": 0.1})
-    verdict_line, attempted_line = bench_pairs.summary_lines(entry)
+    verdict_line, attempted_line = bench_pairs.summary_lines(entry)[:2]
     assert verdict_line.startswith("peak_rss_mb ") and verdict_line.endswith("within_bound")
     assert attempted_line.split() == ["attempted", "parent", "300", "change", "700"]
+
+
+def _fake_run(failed_side):
+    """A run_once stand-in whose failed_side runs have one failed op."""
+    def run_once(tree, workload, seed, seconds):
+        side = "parent" if tree != bench_pairs.ROOT else "change"
+        metrics = {"setup_s": 1.0, "ops_per_s": 10.0, "op_ms_p50": 1.0, "op_ms_tail": 2.0,
+                   "peak_rss_mb": 40.0}
+        return {**metrics, "correct": True, "failed": int(side == failed_side),
+                "attempted": 100, "wall_s": 1.0}, {"nproc": 2}
+    return run_once
+
+
+@pytest.mark.parametrize("failed_side, code", [(None, 0), ("change", 1), ("parent", 1)])
+def test_prints_correct_runs_and_failed_ops_and_exits_1_on_a_failed_op(
+        monkeypatch, tmp_path, capsys, failed_side, code):
+    monkeypatch.setattr(bench_pairs, "resolve", lambda rev: "abc")
+    monkeypatch.setattr(bench_pairs, "export", lambda sha, dest: None)
+    monkeypatch.setattr(bench_pairs, "run_once", _fake_run(failed_side))
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", "HEAD", "--workload", "grid", "--seeds", "1-2", "--out", str(out)]
+    assert bench_pairs.main(argv) == code
+    # the file is written either way
+    entry = json.loads(out.read_text())["workloads"]["grid"]
+    assert entry["correct_runs"] == {"parent": 2, "change": 2}
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2].split() == ["correct", "parent", "2/2", "change", "2/2"]
+    failed = {side: 2 * (side == failed_side) for side in ("parent", "change")}
+    assert lines[-1].split() == ["failed_ops", "parent", str(failed["parent"]),
+                                 "change", str(failed["change"])]
+
+
+def test_an_incorrect_run_is_not_clean():
+    pairs = _pairs(ms=([1.0, 1.0], [1.0, 1.0]))
+    for seed, pair, correct in zip((1, 2), pairs, (True, False)):
+        pair["seed"] = seed
+        pair["parent"].update(correct=True, failed=0, attempted=10)
+        pair["change"].update(correct=correct, failed=0, attempted=10)
+    entry = bench_pairs.workload_entry(pairs, {"ms": "lower"}, 30, {"nproc": 2})
+    assert entry["correct_runs"] == {"parent": 2, "change": 1}
+    assert not bench_pairs.clean(entry)
+    pairs[1]["change"]["correct"] = True
+    assert bench_pairs.clean(bench_pairs.workload_entry(pairs, {"ms": "lower"}, 30, {"nproc": 2}))

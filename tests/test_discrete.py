@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sparseball.core import ENUMERATION_GUARD, MixedPoint, ProblemInstance, ZFamily, is_in_X
+from sparseball.core import DEFAULT_TOL, MixedPoint, ProblemInstance, ZFamily, is_in_X
 from sparseball.discrete import (
+    BRUTEFORCE_GUARD,
     discrete_objective,
     solve_discrete_bruteforce,
     solve_discrete_sort,
     support_value,
 )
-from sparseball.hull import solve_relaxation
+from sparseball.hull import reported_cuts, separate_submodular, solve_relaxation, violated_cuts
 
 import oracles
 
@@ -164,9 +165,9 @@ class TestBruteforceScan:
         assert is_in_X(MixedPoint(sol.x_opt, sol.z_opt), inst.zfam)
 
     @pytest.mark.parametrize("fam", [
-        ZFamily.free(ENUMERATION_GUARD),
-        ZFamily.card_le(ENUMERATION_GUARD, ENUMERATION_GUARD // 2),
-        ZFamily.card_eq(ENUMERATION_GUARD, ENUMERATION_GUARD // 2),
+        ZFamily.free(BRUTEFORCE_GUARD),
+        ZFamily.card_le(BRUTEFORCE_GUARD, BRUTEFORCE_GUARD // 2),
+        ZFamily.card_eq(BRUTEFORCE_GUARD, BRUTEFORCE_GUARD // 2),
     ], ids=lambda fam: fam.kind)
     def test_guard_limit_is_safe_in_memory(self, fam, rng):
         n = fam.n
@@ -188,7 +189,7 @@ class TestBruteforceScan:
             assert np.array_equal(ref.z_opt, solve_discrete_sort(a, fam.k).z_opt)
 
     def test_guard(self):
-        n = ENUMERATION_GUARD + 1
+        n = BRUTEFORCE_GUARD + 1
         with pytest.raises(ValueError, match="guarded to n <= 24"):
             solve_discrete_bruteforce(_inst(np.ones(n), np.zeros(n)))
 
@@ -245,6 +246,28 @@ class TestScale:
         for z in ([1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.25, 1.0]):
             expected = s * discrete_objective(z, a, c)
             assert discrete_objective(z, a * s, c * s) == pytest.approx(expected, rel=1e-15)
+
+    @_SCALES
+    @pytest.mark.parametrize("mode", ["heuristic", "exact"])
+    def test_separation_at_extreme_scales(self, mode, s):
+        # alpha = (3, -4, 1) s at x = (0.5, 0.5, 0), z = (0.3, 0.3, 0): the
+        # scores and cuts are s times the unit-scale ones, and a cut is
+        # reported while its violation exceeds the absolute feas_abs
+        p = MixedPoint([0.5, 0.5, 0.0], [0.3, 0.3, 0.0])
+        alpha = np.array([3.0, -4.0, 1.0])
+        _, unit_scores = violated_cuts(p, alpha, mode)
+        _, scores = violated_cuts(p, alpha * s, mode)
+        assert np.allclose(scores / s, unit_scores, rtol=1e-14, atol=1e-14)
+        units = list(reported_cuts(p, alpha, mode))
+        assert units and separate_submodular(p, alpha, mode) is not None
+        expected = [u for u in units if s * u.violation_at(p) > DEFAULT_TOL.feas_abs]
+        cuts = list(reported_cuts(p, alpha * s, mode))
+        first = separate_submodular(p, alpha * s, mode)
+        assert len(cuts) == len(expected) and (first is None) == (not expected)
+        for cut, unit in zip(cuts + [first] * bool(expected), expected + expected[:1]):
+            assert np.array_equal(cut.pi_abs, np.abs(alpha * s))
+            assert np.allclose(cut.rho_z / s, unit.rho_z, rtol=1e-14, atol=1e-14)
+            assert cut.rhs / s == pytest.approx(unit.rhs, rel=1e-14, abs=1e-14)
 
     def test_unit_scale_optima(self):
         a, c = [3.0, -4.0, 1.0], [0.5, 0.2, 0.1]

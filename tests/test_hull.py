@@ -243,9 +243,9 @@ class TestSeparation:
         # on to a candidate whose cut is violated by 1.18e-9
         alpha = [-0.49766507562265827, 3.5874683690849527e-09, -4.2861888364689066e-07]
         p = MixedPoint([0.0, 0.008392513593145402, 1.0027098324501365], [0.0, 1.0, 1.0])
-        members, violations = violated_cuts(p, alpha, "exact")
+        sets, violations = violated_cuts(p, alpha, "exact")
         row, family = divmod(int(np.argmax(violations)), 2)
-        top = (submodular_cut_1, submodular_cut_2)[family](np.flatnonzero(members[row]), alpha)
+        top = (submodular_cut_1, submodular_cut_2)[family](sets(row), alpha)
         assert violations.max() > DEFAULT_TOL.feas_abs >= top.violation_at(p)
         cut = separate_submodular(p, alpha, mode="exact")
         assert cut is not None and cut.violation_at(p) > DEFAULT_TOL.feas_abs
@@ -299,9 +299,9 @@ class TestSeparation:
             assert cut is not None
             assert abs(cut.violation_at(p) - best) <= 1e-12 * max(1.0, abs(best))
             # ties keep the first candidate in scan order, first family first
-            members, violations = violated_cuts(p, alpha, mode)
+            sets, violations = violated_cuts(p, alpha, mode)
             row, family = divmod(int(np.argmax(violations)), 2)
-            first = (submodular_cut_1, submodular_cut_2)[family](np.flatnonzero(members[row]), alpha)
+            first = (submodular_cut_1, submodular_cut_2)[family](sets(row), alpha)
             assert np.array_equal(cut.rho_z, first.rho_z) and cut.rhs == first.rhs
 
     def test_exact_at_the_guard_stays_small(self, rng):
@@ -331,10 +331,10 @@ class TestSeparation:
                 assert best <= DEFAULT_TOL.feas_abs + slack
                 continue
             assert abs(cut.violation_at(p) - best) <= slack
-            members, violations = violated_cuts(p, alpha, "heuristic")
+            sets, violations = violated_cuts(p, alpha, "heuristic")
             head = violations[:np.count_nonzero(p.z > 0.0) + 1]
             row, family = divmod(int(np.argmax(head)), 2)
-            first = (submodular_cut_1, submodular_cut_2)[family](np.flatnonzero(members[row]), alpha)
+            first = (submodular_cut_1, submodular_cut_2)[family](sets(row), alpha)
             assert np.array_equal(cut.rho_z, first.rho_z) and cut.rhs == first.rhs
 
     def test_heuristic_skips_the_zero_tail(self, monkeypatch):
@@ -362,11 +362,11 @@ class TestSeparation:
         separate_submodular(p, alpha)
         assert 0 < sum(entries) <= 2 * (m + 1) ** 2
         # violated_cuts still scores every prefix
-        members, violations = violated_cuts(p, alpha, "heuristic")
+        sets, violations = violated_cuts(p, alpha, "heuristic")
         assert violations.shape == (n + 1, 2)
         rows = np.concatenate(([0, 1, m - 1, m, m + 1, n - 1, n],
                                rng.choice(np.arange(m + 2, n - 1), size=30, replace=False)))
-        reference = oracles.cut_violations(p, alpha, [np.flatnonzero(members[r]) for r in rows])
+        reference = oracles.cut_violations(p, alpha, [sets(r) for r in rows])
         assert np.all(np.abs(violations[rows] - reference) <= 1e-12 * np.maximum(1.0, np.abs(reference)))
 
 
@@ -484,23 +484,20 @@ class TestViolatedCuts:
     def test_matches_the_per_subset_oracle(self):
         for mode, n, p, alpha in _scorer_cases():
             subsets = _oracle_subsets(mode, p)
-            members, violations = violated_cuts(p, alpha, mode)
-            expected = np.zeros((len(subsets), n), dtype=np.int8)
-            for row, S in zip(expected, subsets):
-                row[list(S)] = 1
-            assert members.dtype == np.int8
-            assert np.array_equal(members, expected)
+            sets, violations = violated_cuts(p, alpha, mode)
+            for row, S in enumerate(subsets):
+                assert sets(row).tolist() == sorted(S)
             reference = oracles.cut_violations(p, alpha, subsets)
             assert violations.shape == reference.shape
             assert np.all(np.abs(violations - reference) <= 1e-12 * np.maximum(1.0, np.abs(reference)))
 
     def test_scores_past_one_block(self, rng):
-        n = 13  # 2^13 rows, two scoring blocks
+        n = 13  # 2^13 rows, four scoring blocks
         p = MixedPoint(rng.normal(size=n), rng.uniform(size=n))
         alpha = rng.normal(size=n)
-        members, violations = violated_cuts(p, alpha, "exact")
-        rows = rng.choice(members.shape[0], size=50, replace=False)
-        reference = oracles.cut_violations(p, alpha, [np.flatnonzero(members[r]) for r in rows])
+        sets, violations = violated_cuts(p, alpha, "exact")
+        rows = rng.choice(violations.shape[0], size=50, replace=False)
+        reference = oracles.cut_violations(p, alpha, [sets(r) for r in rows])
         assert np.all(np.abs(violations[rows] - reference) <= 1e-12 * np.maximum(1.0, np.abs(reference)))
 
     def test_heuristic_scores_past_one_block(self, rng):
@@ -508,10 +505,18 @@ class TestViolatedCuts:
         n = 2000
         p = MixedPoint(rng.normal(size=n) * 0.05, rng.uniform(0.01, 0.99, n))
         alpha = rng.normal(size=n)
-        members, violations = violated_cuts(p, alpha, "heuristic")
+        sets, violations = violated_cuts(p, alpha, "heuristic")
         rows = np.concatenate(([0, 1, n - 1, n], rng.choice(np.arange(2, n - 1), size=40, replace=False)))
-        reference = oracles.cut_violations(p, alpha, [np.flatnonzero(members[r]) for r in rows])
+        reference = oracles.cut_violations(p, alpha, [sets(r) for r in rows])
         assert np.all(np.abs(violations[rows] - reference) <= 1e-12 * np.maximum(1.0, np.abs(reference)))
+
+    def test_heuristic_listing_at_n_2000_stays_small(self, rng):
+        # the sets are read from the z order: no (n + 1, n) member matrix
+        n = 2000
+        p = MixedPoint(rng.normal(size=n) * 0.05, rng.uniform(0.01, 0.99, n))
+        (sets, violations), peak = _traced(violated_cuts, p, rng.normal(size=n), "heuristic")
+        assert violations.shape == (n + 1, 2) and sets(n).size == n
+        assert peak < 2 * 2**20
 
     def test_family_two_scores_with_one_dominant_alpha(self):
         # rho_0(N - 0) adds a_0^2 back to the rest of N; a drop from a^2(N)
@@ -519,8 +524,8 @@ class TestViolatedCuts:
         alpha = np.array([1e8, 1.0, 1.0])
         p = MixedPoint(np.array([0.3, 0.5, 0.5]), np.array([0.5, 0.9, 0.2]))
         for mode in ("heuristic", "exact"):
-            members, violations = violated_cuts(p, alpha, mode)
-            reference = oracles.cut_violations(p, alpha, [np.flatnonzero(m) for m in members])
+            sets, violations = violated_cuts(p, alpha, mode)
+            reference = oracles.cut_violations(p, alpha, [sets(r) for r in range(violations.shape[0])])
             assert np.all(np.abs(violations[:, 1] - reference[:, 1]) <= 1e-12 * np.abs(reference[:, 1]))
 
     def test_rejects_bad_input(self):
@@ -598,6 +603,19 @@ class TestPerspective:
     def test_violating_alpha_zero_activation_branch(self):
         alpha = find_violating_alpha(MixedPoint([0.0, 0.3], [1.0, 0.0]))
         assert np.array_equal(alpha.alpha, [0.0, 1.0])
+
+    @pytest.mark.parametrize("x, z, i", [
+        # x_0^2 / z_0 overflows: the sum is inf with every z positive
+        ([1.0, 0.0], [1e-310, 1.0], 0),
+        # z_1 = 0 with x_1 != 0 is an infinite term, taken before the finite 4
+        ([2.0, 1e-200], [1.0, 0.0], 1),
+    ], ids=["overflow", "zero_activation"])
+    def test_violating_alpha_at_the_largest_infinite_term(self, x, z, i):
+        p = MixedPoint(x, z)
+        assert perspective_sum(p.x, p.z) == math.inf
+        alpha = find_violating_alpha(p).alpha
+        assert np.array_equal(alpha, np.eye(2)[i])
+        assert abs(p.x[i]) > math.sqrt(p.z[i])
 
     def test_feasible_gives_none(self):
         assert find_violating_alpha(MixedPoint([0.5], [0.5])) is None
