@@ -5,7 +5,9 @@ x o (1 - z) = 0, z in Z}`` where ``o`` is the entrywise product and Z is a
 binary activation family over {0,1}^n.  Three families are supported: the
 free box, at-most-k and exactly-k cardinality.  Every 0/1 member matrix the
 package builds comes from :func:`enumerate_Z`, under the one enumeration
-guard ``ENUMERATION_GUARD = 16``.
+guard ``ENUMERATION_GUARD = 16``.  Every square of user data in the package
+is taken on the data divided by the power of two of :func:`to_unit` (or by
+:func:`norm`), so no finite scale over- or underflows one.
 
 All types are immutable after construction and every operation is pure, so
 everything here is safe to call concurrently.  Ties in sorts and argmins are
@@ -70,6 +72,22 @@ def unit_scale(*vectors) -> int:
     and the ties of the unscaled ones wherever those are representable.
     """
     return math.frexp(max(float(np.abs(v).max(initial=0.0)) for v in vectors))[1]
+
+
+def to_unit(*vectors) -> tuple:
+    """``(e, v1 / 2**e, v2 / 2**e, ...)`` with e = :func:`unit_scale` of them all:
+    the one scale rule.  Callers square these and scale results back by ``ldexp(r, e)``."""
+    e = unit_scale(*vectors)
+    return (e, *(np.ldexp(v, -e) for v in vectors))
+
+
+def norm(v) -> float:
+    """Euclidean norm of v, summed on :func:`to_unit`'s v / 2**e; inf past the float range."""
+    e, u = to_unit(v)
+    try:
+        return math.ldexp(math.sqrt(float(u @ u)), e)
+    except OverflowError:
+        return math.inf
 
 
 def safe_div_arr(num, den) -> np.ndarray:

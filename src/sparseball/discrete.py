@@ -4,9 +4,9 @@ For a fixed activation pattern the continuous part has a closed form
 (value ``sum_{i in S} c_i - sqrt(sum_{i in S} a_i^2)``), so exact solving
 reduces to a search over activation patterns.  The search is brute force in
 general and a sort in the zero-activation-cost, exactly-k case.  Brute force
-meets in the middle over the two halves of z.  Both solvers square a
-divided by a power of two, so no scale of finite data over- or underflows
-them.
+meets in the middle over the two halves of z.  Every square of a here is
+taken on a divided by the power of two of :func:`core.to_unit`, so no
+scale of finite data over- or underflows it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .core import (
     as_int,
     as_vector,
     enumerate_Z,
-    unit_scale,
+    to_unit,
 )
 
 # brute force enumerates each half of z, so it reaches twice the enumeration guard
@@ -59,12 +59,11 @@ def support_value(S, inst: ProblemInstance) -> SupportSolution:
     The continuous minimizer is the negatively scaled unit vector along the
     restriction of a to S; when that restriction vanishes, x = 0 is the
     canonical minimizer.  The empty support has value 0.  The norm of a_S is
-    taken on a_S / 2**e (:func:`core.unit_scale`), so no square over- or
+    taken on a_S / 2**e (:func:`core.to_unit`), so no square over- or
     underflows.
     """
     sel = as_index_set(S, inst.n)
-    e = unit_scale(inst.a[sel])
-    u = np.ldexp(inst.a[sel], -e)
+    e, u = to_unit(inst.a[sel])
     unorm = math.sqrt(float(np.sum(u * u)))
     value = float(np.sum(inst.c[sel])) - math.ldexp(unorm, e)
     x = np.zeros(inst.n)
@@ -82,11 +81,11 @@ def _objective(z, a, c) -> float:
 def discrete_objective(z, a, c) -> float:
     """Objective of the support-reduced problem, c'z - sqrt(sum a_i^2 z_i).
 
-    Taken on (a, c) / 2**e (:func:`core.unit_scale`) and scaled back, so no
+    Taken on (a, c) / 2**e (:func:`core.to_unit`) and scaled back, so no
     square over- or underflows.
     """
-    e = unit_scale(a, c)
-    return math.ldexp(_objective(z, np.ldexp(a, -e), np.ldexp(c, -e)), e)
+    e, a, c = to_unit(a, c)
+    return math.ldexp(_objective(z, a, c), e)
 
 
 def _low_members(zfam: ZFamily, low: int, ones: int) -> np.ndarray:
@@ -116,7 +115,7 @@ def solve_discrete_bruteforce(inst: ProblemInstance) -> DiscreteSolution:
     and a^2-sums, and the pairs are scored ``C_hi + C_lo - sqrt(A_hi +
     A_lo)`` in blocks of at most 2**16 values, so no (members, n) matrix is
     ever built.  The scores are taken on (a, c) / 2**e
-    (:func:`core.unit_scale`), so any finite scale of the data gives the
+    (:func:`core.to_unit`), so any finite scale of the data gives the
     unit-scale z; the value is then :func:`support_value` of that z on the
     data as given.  At free n = 24 (2**24 supports) a solve takes about
     40 ms with a tracemalloc peak of about 1.6 MB on one core of a 2-vCPU
@@ -130,8 +129,7 @@ def solve_discrete_bruteforce(inst: ProblemInstance) -> DiscreteSolution:
     n = inst.n
     if n > BRUTEFORCE_GUARD:
         raise ValueError(f"brute force is guarded to n <= {BRUTEFORCE_GUARD}, got n = {n}")
-    e = unit_scale(inst.a, inst.c)
-    c, u = np.ldexp(inst.c, -e), np.ldexp(inst.a, -e)
+    _, u, c = to_unit(inst.a, inst.c)
     asq = u * u
     zfam = inst.zfam
     high, low = n // 2, n - n // 2
@@ -180,7 +178,7 @@ def solve_discrete_sort(a, k: int) -> DiscreteSolution:
     """Sorting solver for the zero-z-cost, exactly-k cardinality case.
 
     Activates the k largest squared entries of a (smallest index wins ties),
-    squared on a / 2**e (:func:`core.unit_scale`) so that none over- or
+    squared on a / 2**e (:func:`core.to_unit`) so that none over- or
     underflows.
     """
     a = as_vector(a, "a")
@@ -188,7 +186,7 @@ def solve_discrete_sort(a, k: int) -> DiscreteSolution:
     k = as_int(k, "k")
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    u = np.ldexp(a, -unit_scale(a))
+    _, u = to_unit(a)
     support = np.argsort(-(u * u), kind="stable")[:k]
     inst = ProblemInstance(a, np.zeros(n), ZFamily(CARD_EQ, n, k))
     sol = support_value(support, inst)

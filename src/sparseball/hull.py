@@ -7,29 +7,16 @@ families apply; this module generates them, evaluates them on ``|x|``
 coefficients directly, scores them over candidate sets in one place,
 ``violated_cuts``, and turns scores into cuts in one walk, shared by
 ``separate_submodular`` and ``reported_cuts`` (behind ``sparseball cuts``).
-Every marginal of g(S) = ||alpha_S||_2 is written once, from a set sum q:
-``_add_gain`` takes rho_i(S) and ``_drop_gain`` takes rho_i(S - i) from
-q = a^2(S).  ``rho``, the cuts and rho_i(N - i) in both scorers add i back
-to the rest of the set, summed from the other members (``_rest_sums``), so
-they are accurate to a few ulps of g(N) however much of q one a_i^2 is.
-Only family 1's inside terms in the scorers drop a_i^2 from q, so a score
-can be off by about sqrt(eps) g(N).  The walk therefore takes the
-candidates in score order and reports a cut by its own violation: the top
-candidate is always built, the rest only while their score exceeds
-feas_abs, and each distinct violated cut is yielded once.  Separation
-returns the first, so a spurious top score does not hide a violated cut.
-Heuristic separation scores the nested prefixes by z descending: they
-share running sums along that order, so only two triangles of marginals
-are left to sum (in row blocks of bounded size), and separation builds no
-matrix of candidate sets.  It stops at the prefix that ends at the last
-positive z: by submodularity of g, adding a coordinate with z = 0 never
-makes a prefix more violated, so with m positive z it costs O(n log n +
-m^2), not O(n^2).  ``violated_cuts`` and ``reported_cuts`` score all
-n + 1 prefixes, and read each candidate's set from the z order.
-Exact separation scores every subset in blocks of set sums, from the rows
-of ``enumerate_Z``, so n <= ``core.ENUMERATION_GUARD`` = 16.  Scores and
-cuts are taken on alpha / 2**e (``core.unit_scale``) and scaled back, so
-no scale of finite alpha over- or underflows them.
+Every marginal of g(S) = ||alpha_S||_2 is written once, from a set sum
+(``_add_gain``, ``_drop_gain``, ``_rest_sums``).  A score can be off by
+about sqrt(eps) g(N), so the walk reports a cut by its own violation
+(``_walk``).  Heuristic separation scores the nested prefixes by z
+descending through the last positive z from running sums, in
+O(n log n + m^2) for m positive z (``_prefix_violations``); exact
+separation scores every subset from the rows of ``enumerate_Z``, so
+n <= ``core.ENUMERATION_GUARD`` = 16.  Every square of alpha or a here is
+taken on it divided by the power of two of ``core.to_unit`` and scaled
+back, so no finite scale over- or underflows.
 
 Nonlinear side: the perspective inequality ``sum_i x_i^2 / z_i <= 1``
 (under the shared zero-division convention) is exactly the condition for a
@@ -38,15 +25,10 @@ turns a perspective violation into an explicit violated weight vector.
 
 Also included: the natural convex relaxation of the support-reduced problem
 over conv(Z) with edge rounding, and the lifting of a general convex
-quadratic row into indicator-ball form.  The relaxation is solved exactly,
-with no iteration cap: writing -sqrt(s) = max_{t>0} (-t s - 1/(4t)) makes
-it a concave problem in the one scalar t whose inner minimizer is the LP
-vertex of c - t a^2 (ties to the smallest index).  A breakpoint search
-probes t where the lines of the two bracketing vertices cross, each probe
-adding a piece of their lower envelope, and the optimum is the closed-form
-minimizer on the segment (an edge of conv(Z)) joining the last two.
-The rounding is the better of those two vertices, both family members, so
-the relaxation never fails.
+quadratic row into indicator-ball form.  The relaxation is solved exactly
+by a breakpoint search on the dual scalar t of -sqrt(s) = max_{t>0}
+(-t s - 1/(4t)) (``_relax``), with no iteration cap, and it is rounded to
+a family member, so it never fails.
 """
 
 from __future__ import annotations
@@ -69,8 +51,9 @@ from .core import (
     as_int,
     as_vector,
     enumerate_Z,
+    norm,
     safe_div_arr,
-    unit_scale,
+    to_unit,
 )
 from .discrete import _objective
 
@@ -146,10 +129,9 @@ class LinearCut:
 
 
 def g_value(S, alpha) -> float:
-    """Euclidean norm of the alpha entries on S; a submodular set function."""
+    """Euclidean norm of the alpha entries on S (:func:`core.norm`); a submodular set function."""
     a = _alpha_of(alpha)
-    idx = as_index_set(S, a.size)
-    return math.sqrt(float(np.sum(a[idx] * a[idx])))
+    return norm(a[as_index_set(S, a.size)])
 
 
 def _drop_gain(q, asq):
@@ -193,7 +175,8 @@ def rho(i: int, S, alpha) -> float:
     in_S[as_index_set(S, a.size)] = True
     if in_S[i]:
         raise ValueError(f"index {i} already belongs to S")
-    return float(_add_gain(in_S @ (a * a), a[i] * a[i]))
+    e, u = to_unit(a)
+    return math.ldexp(float(_add_gain(in_S @ (u * u), u[i] * u[i])), e)
 
 
 def _cut(S, alpha, family) -> LinearCut:
@@ -204,12 +187,11 @@ def _cut(S, alpha, family) -> LinearCut:
     :func:`_rest_sums`; outside S it is rho_i(empty) = |alpha_i| (family 2:
     rho_i(S); the base inequality drops it).  The set sum q_S = a^2(S) is
     the dot product of a 0/1 indicator with a^2, as the scorers sum it.
-    The marginals are taken on alpha / 2**e (:func:`core.unit_scale`) and
+    The marginals are taken on alpha / 2**e (:func:`core.to_unit`) and
     rho_z and rhs scaled back, so no square over- or underflows.
     """
     a = _alpha_of(alpha)
-    e = unit_scale(a)
-    u = np.ldexp(a, -e)
+    e, u = to_unit(a)
     asq = u * u
     idx = as_index_set(S, a.size)
     in_S = np.zeros(a.size, dtype=bool)
@@ -266,18 +248,9 @@ def _triangle_sums(rows: np.ndarray, lo: int, hi: int, lower: bool, gain, w: np.
     return sums
 
 
-def _unit_terms(p: MixedPoint, a: np.ndarray):
-    """(e, u^2, sum_i |u_i x_i|) for u = alpha / 2**e (:func:`core.unit_scale`),
-    on which both scorers work before scaling their violations back by 2**e."""
-    if p.n != a.size:
-        raise ValueError("dimension mismatch between point and alpha")
-    e = unit_scale(a)
-    u = np.ldexp(a, -e)
-    return e, u * u, float(np.abs(u) @ np.abs(p.x))
-
-
-def _prefix_violations(p: MixedPoint, a: np.ndarray, tail: bool):
-    """Violations at p of both cuts on the nested prefixes by z descending.
+def _prefix_violations(p: MixedPoint, asq: np.ndarray, lhs: float, tail: bool):
+    """Violations at p of both cuts on the nested prefixes by z descending,
+    from the unit-scale terms of :func:`_scores`.
 
     Returns ``(sets, violations)`` as :func:`violated_cuts` does: row r
     scores the prefix S = order[:r] of the stable z-descending order, and
@@ -301,8 +274,7 @@ def _prefix_violations(p: MixedPoint, a: np.ndarray, tail: bool):
     alpha are tiny, near 1e-8).  So separation scores the head alone, in
     O(n log n + m^2) instead of O(n^2).
     """
-    n = a.size
-    e, asq, lhs = _unit_terms(p, a)
+    n = asq.size
     order = np.argsort(-p.z, kind="stable")
     z = p.z[order]
     asq = asq[order]
@@ -328,7 +300,7 @@ def _prefix_violations(p: MixedPoint, a: np.ndarray, tail: bool):
     violations = np.empty((rows, 2))
     violations[:, 0] = lhs - (sq - inside1 + outside1)
     violations[:, 1] = lhs - (sq - inside2 + outside2)
-    return lambda row: np.sort(order[:row]), np.ldexp(violations, e, out=violations)
+    return lambda row: np.sort(order[:row]), violations
 
 
 def violated_cuts(p: MixedPoint, alpha, mode: str):
@@ -343,7 +315,7 @@ def violated_cuts(p: MixedPoint, alpha, mode: str):
     heuristic mode builds no matrix of sets: the prefixes are scored from
     running sums along the z order and two triangles of marginals
     (:func:`_prefix_violations`), every subset in blocks of 2^11 rows from
-    their set sums q = M a^2, both on alpha / 2**e (:func:`_unit_terms`).
+    their set sums q = M a^2, both on alpha / 2**e (:func:`_scores`).
     Family 1's dropped marginals are taken from q - a_i^2 and can be off
     by about sqrt(eps) g(N), so a listed violation is a candidate's score,
     not the built cut's own; :func:`separate_submodular` and
@@ -353,12 +325,21 @@ def violated_cuts(p: MixedPoint, alpha, mode: str):
     it, then the tail, whose rows are never more violated than the head's
     last but by rounding.
     """
-    a = _alpha_of(alpha)
+    return _scores(p, _alpha_of(alpha), mode, tail=True)
+
+
+def _scores(p: MixedPoint, a: np.ndarray, mode: str, tail: bool):
+    """:func:`violated_cuts`, scored on u = alpha / 2**e (:func:`core.to_unit`)
+    and scaled back by 2**e; heuristic mode lists the tail rows only with tail."""
+    if p.n != a.size:
+        raise ValueError("dimension mismatch between point and alpha")
+    e, u = to_unit(a)
+    asq, lhs = u * u, float(np.abs(u) @ np.abs(p.x))
     if mode == "heuristic":
-        return _prefix_violations(p, a, tail=True)
+        sets, violations = _prefix_violations(p, asq, lhs, tail)
+        return sets, np.ldexp(violations, e, out=violations)
     if mode != "exact":
         raise ValueError(f"unknown separation mode {mode!r}")
-    e, asq, lhs = _unit_terms(p, a)
     members = enumerate_Z(ZFamily.free(a.size))
     one_minus_z = 1.0 - p.z
     outside1 = _add_gain(0.0, asq) * p.z
@@ -406,9 +387,7 @@ def separate_submodular(p: MixedPoint, alpha, mode: str = "heuristic"):
     """The first cut of :func:`reported_cuts`' walk, or None; heuristic separation
     walks only the prefixes through the last positive z, which hold the maximum."""
     a = _alpha_of(alpha)
-    if mode == "heuristic":
-        return next(_walk(p, a, *_prefix_violations(p, a, tail=False)), None)
-    return next(_walk(p, a, *violated_cuts(p, a, mode)), None)
+    return next(_walk(p, a, *_scores(p, a, mode, tail=False)), None)
 
 
 def reported_cuts(p: MixedPoint, alpha, mode: str):
@@ -425,14 +404,17 @@ def reported_cuts(p: MixedPoint, alpha, mode: str):
 
 def _weighted_membership(p: MixedPoint, alpha, zfam: ZFamily, binary: bool) -> bool:
     """Whether z lies in Z (binary; then rounded to 0/1) or in conv(Z), and
-    sum_i |alpha_i x_i| <= sqrt(sum_i alpha_i^2 z_i) holds within feas_abs."""
+    sum_i |alpha_i x_i| <= sqrt(sum_i alpha_i^2 z_i) holds within feas_abs,
+    both sides taken on alpha / 2**e (:func:`core.to_unit`) and scaled back."""
     a = _alpha_of(alpha)
     if p.n != a.size or p.n != zfam.n:
         raise ValueError("dimension mismatch")
     if not (zfam.contains if binary else zfam.conv_contains)(p.z):
         return False
     z = np.round(p.z) if binary else p.z
-    return float(np.abs(a * p.x).sum()) <= math.sqrt(float((a * a) @ z)) + DEFAULT_TOL.feas_abs
+    e, u = to_unit(a)
+    lhs, rhs = float(np.abs(u * p.x).sum()), math.sqrt(float((u * u) @ z))
+    return math.ldexp(lhs, e) <= math.ldexp(rhs, e) + DEFAULT_TOL.feas_abs
 
 
 def p0_membership(p: MixedPoint, alpha, zfam: ZFamily) -> bool:
@@ -470,10 +452,13 @@ def find_violating_alpha(p: MixedPoint):
     """Weight vector certifying a perspective violation, or None.
 
     When the perspective sum exceeds 1 the returned alpha = x/z (convention
-    safe) strictly violates the weighted inequality for alpha.  When the
-    sum is infinite (some z_i = 0 with x_i != 0, or an overflow) it is the
-    unit vector e_i at the smallest index of the largest term x_i^2 / z_i,
-    infinite terms first: that term exceeds 1, so |x_i| > sqrt(z_i).
+    safe) strictly violates the weighted inequality for alpha, as does any
+    positive multiple: x is first divided by 2**max(0, ex - ez - 1022),
+    with ex and ez the exponents of max |x| and of min z > 0, so that x / z
+    stays finite.  When the sum is infinite (some z_i = 0 with x_i != 0, or
+    an overflow) it is the unit vector e_i at the smallest index of the
+    largest term x_i^2 / z_i, infinite terms first: that term exceeds 1, so
+    |x_i| > sqrt(z_i).
     """
     s = perspective_sum(p.x, p.z)
     if s <= 1.0 + DEFAULT_TOL.feas_abs:
@@ -485,7 +470,8 @@ def find_violating_alpha(p: MixedPoint):
         alpha = np.zeros(p.n)
         alpha[int(np.argmax(terms))] = 1.0
         return CutVector(alpha)
-    return CutVector(safe_div_arr(p.x, p.z))
+    ex, ez = math.frexp(float(np.abs(p.x).max()))[1], math.frexp(float(p.z[p.z > 0.0].min()))[1]
+    return CutVector(safe_div_arr(np.ldexp(p.x, -max(0, ex - ez - 1022)), p.z))
 
 
 def cardinality_cut(zfam: ZFamily) -> LinearCut:
@@ -618,12 +604,11 @@ def solve_relaxation(inst: ProblemInstance) -> RelaxationSolution:
     The rounding is the better of the edge's two endpoint vertices by the
     support-reduced objective, ties to the lexicographically smaller, so it
     is always a family member and the solve cannot fail.  The search and
-    the rounding run on (a, c) / 2**e (``core.unit_scale``) and both
+    the rounding run on (a, c) / 2**e (``core.to_unit``) and both
     values are scaled back, so no square of finite data over- or
     underflows.
     """
-    e = unit_scale(inst.a, inst.c)
-    a, c = np.ldexp(inst.a, -e), np.ldexp(inst.c, -e)
+    e, a, c = to_unit(inst.a, inst.c)
     z_bar, value, v_lo, v_hi = _relax(a, c, inst.zfam)
     rounded_z = min((v_lo, v_hi), key=lambda v: (_objective(v, a, c), v.tolist()))
     return RelaxationSolution(
@@ -691,7 +676,8 @@ def quad_reformulate(Sigma, b: float, D) -> LiftedSystem:
     positive diagonal part (given as a vector of diagonal entries
     or a diagonal matrix); Sigma - diag(D) must be positive semidefinite
     within a 1e-10 shift, checked by symmetric factorization that names the
-    offending pivot on failure.  Malformed input raises ValueError.
+    offending pivot on failure.  Malformed input, and a scale sqrt(D) / sqrt(b)
+    or residual (Sigma - diag(D)) / b past the float range, raise ValueError.
     """
     Sigma = np.array(Sigma, dtype=float, copy=True)
     if Sigma.ndim != 2 or Sigma.shape[0] != Sigma.shape[1]:
@@ -716,4 +702,8 @@ def quad_reformulate(Sigma, b: float, D) -> LiftedSystem:
         raise ValueError("D must have strictly positive diagonal entries")
     R = Sigma - np.diag(D)
     _psd_pivot_check(R, shift=1e-10)
-    return LiftedSystem(scale=np.sqrt(D / b), residual=R / b, dim=Sigma.shape[0] + 1)
+    with np.errstate(over="ignore"):
+        scale, residual = np.sqrt(D) / math.sqrt(b), R / b
+    if not (np.all(np.isfinite(scale)) and np.all(np.isfinite(residual))):
+        raise ValueError(f"the lifted coefficients overflow the float range at budget b={b:g}")
+    return LiftedSystem(scale=scale, residual=residual, dim=Sigma.shape[0] + 1)

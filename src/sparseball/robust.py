@@ -21,7 +21,8 @@ Objective oracles are pure and thread safe; solver calls are independent of
 each other and deterministic for a fixed instance.  Only the budgeted solve
 iterates; at its iteration cap it returns its best iterate and a certified
 bound like any other exit.  The dual solves raise ValueError only when the
-objective overflows the float range at every vertex.
+objective overflows the float range at every vertex.  The oracles and
+``optimal_multipliers`` square y/d only through ``core.norm`` and ``core.to_unit``.
 """
 
 from __future__ import annotations
@@ -39,8 +40,10 @@ from .core import (
     as_int,
     as_vector,
     loads_strict,
+    norm,
     safe_div,
     safe_div_arr,
+    to_unit,
 )
 
 GOLDEN_INV = (math.sqrt(5.0) - 1.0) / 2.0
@@ -149,25 +152,16 @@ def top_k_sq_sum(y, inst: RobustInstance) -> float:
     return float(r[_topk_set(r, inst.k)].sum())
 
 
-def _norm(q: np.ndarray) -> float:
-    """l2 norm of q, scaled by its largest magnitude so that no square over- or underflows."""
-    m = float(np.abs(q).max(initial=0.0))
-    if not 0.0 < m < math.inf:
-        return m
-    q = q / m
-    return m * math.sqrt(float(q @ q))
-
-
 def perspective_value(y, inst: RobustInstance) -> float:
     """Perspective counterpart objective  a~'y + sqrt(b * top-k sum of (y/d)^2).
 
-    The root is taken as sqrt(b) times the scaled norm of the top k of y/d,
-    so neither an extreme budget nor a tiny d over- or underflows a finite
-    objective.
+    The root is taken as sqrt(b) times :func:`core.norm` of the top k of
+    y/d, so neither an extreme budget nor a tiny d over- or underflows a
+    finite objective.
     """
     y = _yvec(y)
     q = y / inst.d
-    return float(inst.a_tilde @ y) + math.sqrt(inst.b) * _norm(q[_topk_set(np.abs(q), inst.k)])
+    return float(inst.a_tilde @ y) + math.sqrt(inst.b) * norm(q[_topk_set(np.abs(q), inst.k)])
 
 
 def budgeted_value(y, inst: RobustInstance) -> float:
@@ -179,9 +173,9 @@ def budgeted_value(y, inst: RobustInstance) -> float:
 
 
 def ellipsoidal_value(y, inst: RobustInstance) -> float:
-    """Ellipsoidal baseline objective  a~'y + sqrt(b) * ||y / d||_2 (norm scaled as above)."""
+    """Ellipsoidal baseline objective  a~'y + sqrt(b) * ||y / d||_2 (:func:`core.norm`)."""
     y = _yvec(y)
-    return float(inst.a_tilde @ y) + math.sqrt(inst.b) * _norm(y / inst.d)
+    return float(inst.a_tilde @ y) + math.sqrt(inst.b) * norm(y / inst.d)
 
 
 def nominal_value(y, inst: RobustInstance) -> float:
@@ -269,25 +263,24 @@ def optimal_multipliers(y, inst: RobustInstance) -> DualCertificate:
     r_i = (y_i/d_i)^2 / 4, mu* = gamma*/lam*, t_i* = max(0, r_i - gamma*)/lam*
     and p_i* = y_i / (lam* d_i), all under the zero-division convention.
     The certificate objective equals the counterpart objective at y.
-    r is computed as m^2 s with m the largest |y_i/d_i|, so no square over-
-    or underflows; a multiplier that overflows the float range raises
-    ValueError.
+    r is squared on u = y/d / 2**e (:func:`core.to_unit`), so no square
+    over- or underflows; a multiplier past the float range raises ValueError.
     """
     y = _yvec(y)
     q = y / inst.d
-    m = float(np.abs(q).max())
-    s = 0.25 * (q / m) ** 2 if m > 0.0 else np.zeros(inst.n)
+    e, u = to_unit(q)
+    s = 0.25 * u ** 2
     order = np.argsort(-s, kind="stable")
     gamma_s = float(s[order[inst.k]]) if inst.k < inst.n else 0.0
     excess_s = np.maximum(s - gamma_s, 0.0)
     root = math.sqrt(gamma_s * inst.k + float(excess_s.sum()))
     if inst.b == 0.0 and root > 0.0:
         raise ValueError("certificate undefined for zero budget with nonzero y")
-    lam = m * root / math.sqrt(inst.b) if inst.b > 0.0 else 0.0
-    gamma = m * (m * gamma_s)
-    mu = safe_div(gamma, lam)
     with np.errstate(over="ignore"):
-        t = safe_div_arr(m * excess_s, root) * math.sqrt(inst.b)
+        lam = float(np.ldexp(root, e)) / math.sqrt(inst.b) if inst.b > 0.0 else 0.0
+        gamma = float(np.ldexp(gamma_s, 2 * e))
+        mu = safe_div(gamma, lam)
+        t = safe_div_arr(np.ldexp(excess_s, e), root) * math.sqrt(inst.b)
         p = safe_div_arr(q, lam)
     if not np.all(np.isfinite(np.concatenate(([lam, mu, gamma], t, p)))):
         raise ValueError("the dual multipliers overflow the float range at this y")

@@ -1,6 +1,8 @@
 import json
 import math
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,14 +18,36 @@ from sparseball.core import (
     is_in_X,
     load_problem_instance,
     loads_strict,
+    norm,
     parse_problem_instance,
     problem_instance_to_dict,
     safe_div,
     safe_div_arr,
     satisfies_bigM,
+    to_unit,
 )
 
 import oracles
+
+
+class TestScaleRule:
+    def test_only_core_chooses_a_scale(self):
+        # every other module squares user data through core.to_unit or
+        # core.norm and only scales results back
+        package = Path(__file__).resolve().parents[1] / "src" / "sparseball"
+        modules = sorted(package.glob("*.py"))
+        assert any(path.name == "core.py" for path in modules)
+        callers = [path.name for path in modules
+                   if path.name != "core.py" and re.search(r"\bunit_scale\(", path.read_text())]
+        assert callers == []
+
+    def test_to_unit_and_norm(self):
+        e, u, v = to_unit(np.array([3.0, -4.0]), [1e-3])
+        assert e == 3 and u.tolist() == [0.375, -0.5] and v.tolist() == [1e-3 / 8]
+        assert to_unit(np.zeros(2))[0] == 0 and norm(np.zeros(0)) == 0.0
+        for s in (1.0, 1e160, 1e-170, 2.0 ** -1000):
+            assert norm(np.array([3.0, -4.0]) * s) == pytest.approx(5.0 * s, rel=1e-15, abs=0.0)
+        assert norm(np.full(3, 1.5e308)) == math.inf
 
 
 class TestSafeDiv:

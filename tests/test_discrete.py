@@ -13,7 +13,20 @@ from sparseball.discrete import (
     solve_discrete_sort,
     support_value,
 )
-from sparseball.hull import reported_cuts, separate_submodular, solve_relaxation, violated_cuts
+from sparseball.hull import (
+    base_inequality,
+    c_alpha_membership,
+    g_value,
+    p0_membership,
+    reported_cuts,
+    rho,
+    separate_submodular,
+    solve_relaxation,
+    submodular_cut_1,
+    submodular_cut_2,
+    violated_cuts,
+)
+from sparseball.robust import RobustInstance, ellipsoidal_value, perspective_value
 
 import oracles
 
@@ -212,7 +225,7 @@ class TestScale:
         unit = solve_discrete_bruteforce(_inst(a, c, fam))
         sol = solve_discrete_bruteforce(_inst(a * s, c * s, fam))
         assert np.array_equal(sol.z_opt, unit.z_opt)
-        assert sol.value == pytest.approx(s * unit.value, rel=1e-15)
+        assert sol.value == pytest.approx(s * unit.value, rel=1e-15, abs=0.0)
         assert np.allclose(sol.x_opt, unit.x_opt, rtol=1e-15, atol=0.0)
 
     @_SCALES
@@ -222,7 +235,7 @@ class TestScale:
             unit = solve_discrete_sort(a, k)
             sol = solve_discrete_sort(a * s, k)
             assert np.array_equal(sol.z_opt, unit.z_opt)
-            assert sol.value == pytest.approx(s * unit.value, rel=1e-15)
+            assert sol.value == pytest.approx(s * unit.value, rel=1e-15, abs=0.0)
 
     @_SCALES
     @pytest.mark.parametrize("fam", [ZFamily.free(3), ZFamily.card_le(3, 1), ZFamily.card_eq(3, 2)],
@@ -235,17 +248,17 @@ class TestScale:
         assert np.allclose(sol.z_bar, unit.z_bar, rtol=0.0, atol=1e-12)
         assert np.array_equal(sol.rounded_z, unit.rounded_z)
         assert sol.fractional_count == unit.fractional_count
-        assert sol.value == pytest.approx(s * unit.value, rel=1e-15)
-        assert sol.rounded_value == pytest.approx(s * unit.value, rel=1e-15)
+        assert sol.value == pytest.approx(s * unit.value, rel=1e-15, abs=0.0)
+        assert sol.rounded_value == pytest.approx(s * unit.value, rel=1e-15, abs=0.0)
         exact = solve_discrete_bruteforce(_inst(a * s, c * s, fam))
-        assert sol.rounded_value == pytest.approx(exact.value, rel=1e-15)
+        assert sol.rounded_value == pytest.approx(exact.value, rel=1e-15, abs=0.0)
 
     @_SCALES
     def test_objective_at_extreme_scales(self, s):
         a, c = np.array([3.0, -4.0, 1.0]), np.array([0.5, 0.2, 0.1])
         for z in ([1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.25, 1.0]):
             expected = s * discrete_objective(z, a, c)
-            assert discrete_objective(z, a * s, c * s) == pytest.approx(expected, rel=1e-15)
+            assert discrete_objective(z, a * s, c * s) == pytest.approx(expected, rel=1e-15, abs=0.0)
 
     @_SCALES
     @pytest.mark.parametrize("mode", ["heuristic", "exact"])
@@ -255,9 +268,11 @@ class TestScale:
         # reported while its violation exceeds the absolute feas_abs
         p = MixedPoint([0.5, 0.5, 0.0], [0.3, 0.3, 0.0])
         alpha = np.array([3.0, -4.0, 1.0])
-        _, unit_scores = violated_cuts(p, alpha, mode)
-        _, scores = violated_cuts(p, alpha * s, mode)
+        unit_sets, unit_scores = violated_cuts(p, alpha, mode)
+        sets, scores = violated_cuts(p, alpha * s, mode)
         assert np.allclose(scores / s, unit_scores, rtol=1e-14, atol=1e-14)
+        for row in range(scores.shape[0]):
+            assert np.array_equal(sets(row), unit_sets(row))
         units = list(reported_cuts(p, alpha, mode))
         assert units and separate_submodular(p, alpha, mode) is not None
         expected = [u for u in units if s * u.violation_at(p) > DEFAULT_TOL.feas_abs]
@@ -269,12 +284,77 @@ class TestScale:
             assert np.allclose(cut.rho_z / s, unit.rho_z, rtol=1e-14, atol=1e-14)
             assert cut.rhs / s == pytest.approx(unit.rhs, rel=1e-14, abs=1e-14)
 
+    @staticmethod
+    def _unit_data(v, s):
+        """(k, v / 2**k) for the power of two 2**k nearest s: v * s rounds where s
+        is not a power of two, and a marginal that cancels, as rho_2({0, 1}) =
+        5.099 - 5 does, amplifies that rounding, so the unit-scale reference
+        is taken on the scaled data itself, divided exactly."""
+        k = round(math.log2(s))
+        return k, np.ldexp(v * s, -k)
+
+    @_SCALES
+    def test_set_function_at_extreme_scales(self, s):
+        alpha = np.array([3.0, -4.0, 1.0])
+        k, unit = self._unit_data(alpha, s)
+        for S in ([], [0], [1, 2], [0, 1, 2]):
+            assert g_value(S, alpha * s) == pytest.approx(math.ldexp(g_value(S, unit), k), rel=1e-15, abs=0.0)
+            assert g_value(S, alpha * s) == pytest.approx(s * g_value(S, alpha), rel=1e-15, abs=0.0)
+        for i, S in ((0, []), (1, [0]), (2, [0, 1]), (0, [1, 2])):
+            expected = math.ldexp(rho(i, S, unit), k)
+            assert rho(i, S, alpha * s) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+    @_SCALES
+    @pytest.mark.parametrize("cut", [submodular_cut_1, submodular_cut_2, base_inequality],
+                             ids=lambda cut: cut.__name__)
+    def test_cut_generators_at_extreme_scales(self, cut, s):
+        alpha = np.array([3.0, -4.0, 1.0])
+        k, unit_alpha = self._unit_data(alpha, s)
+        for S in ([], [0], [1, 2], [0, 1, 2]):
+            unit, scaled = cut(S, unit_alpha), cut(S, alpha * s)
+            assert np.array_equal(scaled.pi_abs, np.abs(alpha * s))
+            assert np.allclose(scaled.rho_z, np.ldexp(unit.rho_z, k), rtol=1e-15, atol=0.0)
+            assert scaled.rhs == pytest.approx(math.ldexp(unit.rhs, k), rel=1e-15, abs=0.0)
+
+    @_SCALES
+    @pytest.mark.parametrize("member", [p0_membership, c_alpha_membership],
+                             ids=lambda member: member.__name__)
+    def test_memberships_at_extreme_scales(self, member, s):
+        # sum |alpha_i x_i| = 1.8 s against sqrt(sum alpha_i^2 z_i) = 1.41 s:
+        # outside at every scale but by the absolute feas_abs, so inside
+        # once 0.39 s <= 1e-9
+        p, fam = MixedPoint([0.9, 0.9], [1.0, 1.0]), ZFamily.free(2)
+        assert not member(p, [1.0, 1.0], fam)
+        expected = s * (1.8 - math.sqrt(2.0)) <= DEFAULT_TOL.feas_abs
+        assert member(p, [s, s], fam) == expected
+        inside = MixedPoint([0.5, 0.5], [1.0, 1.0])
+        assert member(inside, [s, s], fam) and member(inside, [1.0, 1.0], fam)
+
+    @_SCALES
+    def test_support_value_at_extreme_scales(self, s):
+        a, c = np.array([3.0, -4.0, 1.0]), np.array([0.5, 0.2, 0.1])
+        for S in ([], [0], [1, 2], [0, 1, 2]):
+            unit, sol = support_value(S, _inst(a, c)), support_value(S, _inst(a * s, c * s))
+            assert sol.value == pytest.approx(s * unit.value, rel=1e-15, abs=0.0)
+            assert np.allclose(sol.x_opt, unit.x_opt, rtol=1e-15, atol=0.0)
+
+    @_SCALES
+    @pytest.mark.parametrize("value", [perspective_value, ellipsoidal_value],
+                             ids=lambda value: value.__name__)
+    def test_robust_objectives_at_extreme_scales(self, value, s):
+        # a~ times s and d over s scale both terms of a~'y + sqrt(b) ||.|| by s
+        a, d, y = np.array([0.3, -0.2, 0.1]), np.array([0.5, 1.0, 0.25]), np.array([0.2, 0.5, 0.3])
+        for b, k in ((1.0, 1), (2.0, 2), (0.5, 3)):
+            unit = value(y, RobustInstance(a, d, b, k, 3))
+            scaled = value(y, RobustInstance(a * s, d / s, b, k, 3))
+            assert scaled == pytest.approx(s * unit, rel=1e-15, abs=0.0)
+
     def test_unit_scale_optima(self):
         a, c = [3.0, -4.0, 1.0], [0.5, 0.2, 0.1]
         assert solve_discrete_bruteforce(_inst(a, c)).z_opt.tolist() == [1.0, 1.0, 0.0]
         sol = solve_discrete_bruteforce(_inst(a, c, ZFamily.card_eq(3, 2)))
         assert sol.z_opt.tolist() == [1.0, 1.0, 0.0]
-        assert sol.value == pytest.approx(-4.3, rel=1e-15)
+        assert sol.value == pytest.approx(-4.3, rel=1e-15, abs=0.0)
 
 
 class TestSort:

@@ -620,6 +620,15 @@ class TestPerspective:
     def test_feasible_gives_none(self):
         assert find_violating_alpha(MixedPoint([0.5], [0.5])) is None
 
+    def test_violating_alpha_keeps_x_over_z_finite(self):
+        # the sum is about 1e300, but x_0 / z_0 = 4.5e311 would overflow: x is
+        # divided by a power of two first, and the certificate still holds
+        p = MixedPoint([2.2e-12, 0.0], [5e-324, 1.0])
+        alpha = find_violating_alpha(p)
+        assert np.all(np.isfinite(alpha.alpha))
+        assert alpha.alpha[0] > 0.0 and alpha.alpha[1] == 0.0
+        assert not c_alpha_membership(p, alpha, ZFamily.free(2))
+
     def test_equivalence_and_certificate(self, rng):
         fam_cache = {}
         for _ in range(2000):
@@ -1109,6 +1118,14 @@ class TestQuadReformulate:
     def test_rejects_nonfinite_diagonal(self, bad):
         with pytest.raises(ValueError, match="D must contain only finite entries"):
             quad_reformulate(np.eye(2), b=1.0, D=[0.5, bad])
+
+    def test_overflowing_lifted_coefficients_raise(self):
+        # the residual I / 5e-324 overflows; with no residual, the scale
+        # sqrt(1 / 5e-324) = 4.5e161 is finite
+        with pytest.raises(ValueError, match="lifted coefficients overflow the float range"):
+            quad_reformulate(2.0 * np.eye(2), 5e-324, [1.0, 1.0])
+        lifted = quad_reformulate(np.eye(2), 5e-324, [1.0, 1.0])
+        assert np.allclose(lifted.scale, 1.0 / math.sqrt(5e-324), rtol=1e-15, atol=0.0)
 
     def test_accepts_diagonal_matrix_form(self):
         lifted = quad_reformulate(np.eye(2), b=1.0, D=np.diag([0.5, 0.5]))
