@@ -7,7 +7,9 @@ free box, at-most-k and exactly-k cardinality.  Every 0/1 member matrix the
 package builds comes from :func:`enumerate_Z`, under the one enumeration
 guard ``ENUMERATION_GUARD = 16``.  Every square of user data in the package
 is taken on the data divided by the power of two of :func:`to_unit` (or by
-:func:`norm`), so no finite scale over- or underflows one.
+:func:`norm`), so no finite scale over- or underflows one, and scalar results
+come back through :func:`scale_back`, as +-inf when they are past the float
+range.
 
 All types are immutable after construction and every operation is pure, so
 everything here is safe to call concurrently.  Ties in sorts and argmins are
@@ -76,18 +78,24 @@ def unit_scale(*vectors) -> int:
 
 def to_unit(*vectors) -> tuple:
     """``(e, v1 / 2**e, v2 / 2**e, ...)`` with e = :func:`unit_scale` of them all:
-    the one scale rule.  Callers square these and scale results back by ``ldexp(r, e)``."""
+    the one scale rule.  Callers square these and scale results back by
+    :func:`scale_back` (arrays by ``np.ldexp``)."""
     e = unit_scale(*vectors)
     return (e, *(np.ldexp(v, -e) for v in vectors))
+
+
+def scale_back(r: float, e: int) -> float:
+    """r * 2**e, a result taken on :func:`to_unit`'s scale brought back; +-inf past the float range."""
+    try:
+        return math.ldexp(r, e)
+    except OverflowError:
+        return math.copysign(math.inf, r)
 
 
 def norm(v) -> float:
     """Euclidean norm of v, summed on :func:`to_unit`'s v / 2**e; inf past the float range."""
     e, u = to_unit(v)
-    try:
-        return math.ldexp(math.sqrt(float(u @ u)), e)
-    except OverflowError:
-        return math.inf
+    return scale_back(math.sqrt(float(u @ u)), e)
 
 
 def safe_div_arr(num, den) -> np.ndarray:

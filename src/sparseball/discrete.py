@@ -25,6 +25,7 @@ from .core import (
     as_int,
     as_vector,
     enumerate_Z,
+    scale_back,
     to_unit,
 )
 
@@ -65,7 +66,7 @@ def support_value(S, inst: ProblemInstance) -> SupportSolution:
     sel = as_index_set(S, inst.n)
     e, u = to_unit(inst.a[sel])
     unorm = math.sqrt(float(np.sum(u * u)))
-    value = float(np.sum(inst.c[sel])) - math.ldexp(unorm, e)
+    value = float(np.sum(inst.c[sel])) - scale_back(unorm, e)
     x = np.zeros(inst.n)
     if unorm > 0.0:
         x[sel] = -u / unorm
@@ -85,7 +86,7 @@ def discrete_objective(z, a, c) -> float:
     square over- or underflows.
     """
     e, a, c = to_unit(a, c)
-    return math.ldexp(_objective(z, a, c), e)
+    return scale_back(_objective(z, a, c), e)
 
 
 def _low_members(zfam: ZFamily, low: int, ones: int) -> np.ndarray:

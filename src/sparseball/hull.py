@@ -53,6 +53,7 @@ from .core import (
     enumerate_Z,
     norm,
     safe_div_arr,
+    scale_back,
     to_unit,
 )
 from .discrete import _objective
@@ -176,7 +177,7 @@ def rho(i: int, S, alpha) -> float:
     if in_S[i]:
         raise ValueError(f"index {i} already belongs to S")
     e, u = to_unit(a)
-    return math.ldexp(float(_add_gain(in_S @ (u * u), u[i] * u[i])), e)
+    return scale_back(float(_add_gain(in_S @ (u * u), u[i] * u[i])), e)
 
 
 def _cut(S, alpha, family) -> LinearCut:
@@ -204,7 +205,7 @@ def _cut(S, alpha, family) -> LinearCut:
         inside = _add_gain(_rest_sums(asq[idx]), asq[idx])
         rho_z = -_add_gain(0.0, asq) if family == 1 else np.zeros(a.size)
     rho_z[idx] = -inside
-    return LinearCut(np.abs(a), np.ldexp(rho_z, e), math.ldexp(math.sqrt(q_S) - inside.sum(), e))
+    return LinearCut(np.abs(a), np.ldexp(rho_z, e), scale_back(math.sqrt(q_S) - inside.sum(), e))
 
 
 def submodular_cut_1(S, alpha) -> LinearCut:
@@ -405,7 +406,8 @@ def reported_cuts(p: MixedPoint, alpha, mode: str):
 def _weighted_membership(p: MixedPoint, alpha, zfam: ZFamily, binary: bool) -> bool:
     """Whether z lies in Z (binary; then rounded to 0/1) or in conv(Z), and
     sum_i |alpha_i x_i| <= sqrt(sum_i alpha_i^2 z_i) holds within feas_abs,
-    both sides taken on alpha / 2**e (:func:`core.to_unit`) and scaled back."""
+    both sides and the tolerance taken on alpha / 2**e (:func:`core.to_unit`),
+    so sides past the float range still compare."""
     a = _alpha_of(alpha)
     if p.n != a.size or p.n != zfam.n:
         raise ValueError("dimension mismatch")
@@ -414,7 +416,7 @@ def _weighted_membership(p: MixedPoint, alpha, zfam: ZFamily, binary: bool) -> b
     z = np.round(p.z) if binary else p.z
     e, u = to_unit(a)
     lhs, rhs = float(np.abs(u * p.x).sum()), math.sqrt(float((u * u) @ z))
-    return math.ldexp(lhs, e) <= math.ldexp(rhs, e) + DEFAULT_TOL.feas_abs
+    return lhs <= rhs + scale_back(DEFAULT_TOL.feas_abs, -e)
 
 
 def p0_membership(p: MixedPoint, alpha, zfam: ZFamily) -> bool:
@@ -613,9 +615,9 @@ def solve_relaxation(inst: ProblemInstance) -> RelaxationSolution:
     rounded_z = min((v_lo, v_hi), key=lambda v: (_objective(v, a, c), v.tolist()))
     return RelaxationSolution(
         z_bar=z_bar,
-        value=math.ldexp(value, e),
+        value=scale_back(value, e),
         rounded_z=rounded_z,
-        rounded_value=math.ldexp(_objective(rounded_z, a, c), e),
+        rounded_value=scale_back(_objective(rounded_z, a, c), e),
         fractional_count=int(np.count_nonzero(np.minimum(z_bar, 1.0 - z_bar) > FRACTIONAL_EPS)),
     )
 

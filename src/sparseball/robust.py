@@ -20,9 +20,12 @@ that ends when a piece's own root lands on that piece.
 Objective oracles are pure and thread safe; solver calls are independent of
 each other and deterministic for a fixed instance.  Only the budgeted solve
 iterates; at its iteration cap it returns its best iterate and a certified
-bound like any other exit.  The dual solves raise ValueError only when the
-objective overflows the float range at every vertex.  The oracles and
-``optimal_multipliers`` square y/d only through ``core.norm`` and ``core.to_unit``.
+bound like any other exit.  Its polish minimizes the piecewise-linear
+budgeted objective exactly on each segment it searches, by a cutting-plane
+search over the pieces (``_segment_min``).  The dual solves raise ValueError
+only when the objective overflows the float range at every vertex.  The
+oracles and ``optimal_multipliers`` square y/d only through ``core.norm`` and
+``core.to_unit``.
 """
 
 from __future__ import annotations
@@ -45,8 +48,6 @@ from .core import (
     safe_div_arr,
     to_unit,
 )
-
-GOLDEN_INV = (math.sqrt(5.0) - 1.0) / 2.0
 
 # Fixed schedule of the budgeted counterpart's projected-subgradient loop
 # (see solve_counterpart).  It counts iterations, never wall clock, so
@@ -164,12 +165,16 @@ def perspective_value(y, inst: RobustInstance) -> float:
     return float(inst.a_tilde @ y) + math.sqrt(inst.b) * norm(q[_topk_set(np.abs(q), inst.k)])
 
 
+def _budgeted_top(y: np.ndarray, inst: RobustInstance):
+    """The budgeted objective at y and the top-k set of y/d that it sums."""
+    r = y / inst.d
+    top = _topk_set(r, inst.k)
+    return float(inst.a_tilde @ y) + math.sqrt(inst.b) * float(r[top].sum()), top
+
+
 def budgeted_value(y, inst: RobustInstance) -> float:
     """Budgeted baseline objective  a~'y + sqrt(b) * (top-k sum of y_i/d_i); needs y >= 0."""
-    y = _yvec(y)
-    r = y / inst.d
-    top = r[_topk_set(r, inst.k)].sum()
-    return float(inst.a_tilde @ y) + math.sqrt(inst.b) * float(top)
+    return _budgeted_top(_yvec(y), inst)[0]
 
 
 def ellipsoidal_value(y, inst: RobustInstance) -> float:
@@ -530,46 +535,70 @@ class CounterpartResult:
     iterations: int
 
 
-def _golden_segment_min(f, iters: int = 60):
-    """Golden-section minimum of a convex f over [0, 1]; returns (t, f(t)).
+class _Line(NamedTuple):
+    """The budgeted objective phi at t on a segment, and the supporting line
+    c + s t of the top-k set there."""
 
-    Convexity makes exact ties collapse the bracket to the middle interval,
-    so flat pieces are handled.
+    t: float
+    phi: float
+    c: float
+    s: float
+
+
+def _segment_min(inst: RobustInstance, y: np.ndarray, direction: np.ndarray):
+    """Exact minimum of the budgeted objective phi(t) at y + t direction over
+    t in [0, 1]; returns (t, phi(t)).
+
+    phi is convex and piecewise linear: the maximum, over k-sets T, of the
+    lines a~'(y + t dir) + sqrt(b) sum_T (y + t dir)_i / d_i.  One top-k set
+    at t gives the line of phi's piece there, which supports phi everywhere.
+    A slope >= 0 at t = 0 (<= 0 at t = 1) certifies that end.  Otherwise the
+    search keeps the newest lines of negative and of positive slope and
+    probes where they cross (Kelley's cutting plane in one dimension).  It
+    stops when the probe's line does not rise above both lines there, so
+    the two lines' maximum is phi's minimum, when the probe's slope is 0, or
+    when the crossing is not strictly between the two lines' own t, which
+    it always is in exact arithmetic unless one of them is a minimum.  It
+    returns the probe of least phi, with phi taken as ``budgeted_value``
+    takes it, and has no tolerance and no cap.
     """
-    lo, hi = 0.0, 1.0
-    best_t, best_f = 0.0, f(0.0)
-    f_hi = f(1.0)
-    if f_hi < best_f:
-        best_t, best_f = 1.0, f_hi
-    c = hi - GOLDEN_INV * (hi - lo)
-    d = lo + GOLDEN_INV * (hi - lo)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - GOLDEN_INV * (hi - lo)
-            fc = f(c)
-        elif fc > fd:
-            lo, c, fc = c, d, fd
-            d = lo + GOLDEN_INV * (hi - lo)
-            fd = f(d)
+    root_b = math.sqrt(inst.b)
+    y_d, dir_d = y / inst.d, direction / inst.d
+    base, rise = float(inst.a_tilde @ y), float(inst.a_tilde @ direction)
+
+    def probe(t: float) -> _Line:
+        phi, top = _budgeted_top(y + t * direction, inst)
+        return _Line(t, phi, base + root_b * float(y_d[top].sum()),
+                     rise + root_b * float(dir_d[top].sum()))
+
+    lo = probe(0.0)
+    if lo.s >= 0.0:
+        return lo.t, lo.phi
+    hi = probe(1.0)
+    best = hi if hi.phi < lo.phi else lo
+    if hi.s <= 0.0:
+        return best.t, best.phi
+    while True:
+        t = (hi.c - lo.c) / (lo.s - hi.s)
+        if not lo.t < t < hi.t:
+            break
+        line = probe(t)
+        if line.phi < best.phi:
+            best = line
+        if line.s == 0.0 or line.c + line.s * t <= max(lo.c + lo.s * t, hi.c + hi.s * t):
+            break
+        if line.s < 0.0:
+            lo = line
         else:
-            lo, hi = c, d
-            c = hi - GOLDEN_INV * (hi - lo)
-            d = lo + GOLDEN_INV * (hi - lo)
-            fc, fd = f(c), f(d)
-        if fc < best_f:
-            best_t, best_f = c, fc
-        if fd < best_f:
-            best_t, best_f = d, fd
-    return best_t, best_f
+            hi = line
+    return best.t, best.phi
 
 
-def _polish(objective, inst: RobustInstance, y: np.ndarray, value: float, rounds: int):
-    """Exact line searches along segments from y toward each vertex and away
-    from each supported coordinate.  Never worsens the incumbent; at n = 2
-    the vertex segments cover the whole simplex so the result is the global
-    optimum to line-search precision."""
+def _polish(inst: RobustInstance, y: np.ndarray, value: float, rounds: int):
+    """Exact budgeted minima (``_segment_min``) along segments from y toward
+    each vertex and away from each supported coordinate.  Never worsens the
+    incumbent; at n = 2 the vertex segments cover the whole simplex so the
+    result is the global optimum."""
     n = inst.n
     for _ in range(rounds):
         improved = False
@@ -588,7 +617,7 @@ def _polish(objective, inst: RobustInstance, y: np.ndarray, value: float, rounds
                 direction = w - y
                 if not np.any(direction):
                     continue
-                t, f_t = _golden_segment_min(lambda t: objective(y + t * direction, inst))
+                t, f_t = _segment_min(inst, y, direction)
                 if f_t < value - 1e-15:
                     y = y + t * direction
                     value = f_t
@@ -615,10 +644,12 @@ def solve_counterpart(method: str, inst: RobustInstance) -> CounterpartResult:
     iterations) and a certificate test every 5000 iterations (the polished
     incumbent's linearization gap over the simplex falls below
     1e-4 * |objective|).  The loop ends on either test or at the fixed cap
-    of 200 000 iterations; every exit is the same.  Two rounds of
-    deterministic segment line searches polish the best iterate, and its
-    bound is its objective minus its simplex linearization gap, so a capped
-    solve returns a certified answer too, with iterations equal to the cap.
+    of 200 000 iterations; every exit is the same.  Two rounds of exact
+    segment minimizations (``_segment_min``: a search over the pieces of the
+    objective on the segment, with no tolerance or cap) polish the best
+    iterate, and its bound is its objective minus its simplex linearization
+    gap, so a capped solve returns a certified answer too, with iterations
+    equal to the cap.
     The solver has no settings.
     """
     objective = _method_oracle(method)
@@ -654,12 +685,12 @@ def solve_counterpart(method: str, inst: RobustInstance) -> CounterpartResult:
             window_best = best_f
             if t % (10 * _WINDOW) == 0:
                 # certificate test: f(y) - min f <= g'y - min_i g_i on the simplex
-                best_y, best_f = _polish(objective, inst, best_y, best_f, rounds=1)
+                best_y, best_f = _polish(inst, best_y, best_f, rounds=1)
                 g = _budgeted_subgradient(best_y, inst)
                 gap = float(g @ best_y - g.min())
                 if gap <= _GAP_RTOL * (abs(best_f) + 1e-9):
                     break
-    best_y, best_f = _polish(objective, inst, best_y, best_f, _POLISH_ROUNDS)
+    best_y, best_f = _polish(inst, best_y, best_f, _POLISH_ROUNDS)
     g = _budgeted_subgradient(best_y, inst)
     gap = float(g @ best_y - g.min())
     return CounterpartResult(PortfolioPoint(best_y), best_f, best_f - gap, method, t)

@@ -214,7 +214,7 @@ def test_c08_dual_chain():
             z = float(rng.uniform(0.01, 1.0))
             value, p_star = fenchel_identity(x, z)
             assert abs(value - _grid_fenchel_max(x, z)) <= 1e-6
-            assert p_star == pytest.approx(2.0 * x / z, rel=1e-12)
+            assert p_star == pytest.approx(2.0 * x / z, rel=1e-12, abs=0.0)
         for _ in range(1000):
             n = int(rng.integers(2, 10))
             k = int(rng.integers(1, n + 1))

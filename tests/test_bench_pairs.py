@@ -33,9 +33,9 @@ def test_summarize_counts_wins_by_direction_and_ignores_ties():
     assert out["ms"]["change_wins"] == "3/4"
     assert out["ops"]["better"] == "higher" and out["ms"]["better"] == "lower"
     assert (out["ms"]["parent_median"], out["ms"]["change_median"]) == (2.5, 2.25)
-    assert out["ms"]["ratio_change_over_parent"] == pytest.approx(0.9)
+    assert out["ms"]["ratio_change_over_parent"] == pytest.approx(0.9, abs=0.0)
     # parent quartiles of 1, 2, 3, 4 are 1.75 and 3.25
-    assert out["ms"]["parent_iqr_over_median"] == pytest.approx(1.5 / 2.5)
+    assert out["ms"]["parent_iqr_over_median"] == pytest.approx(1.5 / 2.5, abs=0.0)
     assert out["ms"]["median_gap_exceeds_parent_iqr"] is False
     # a gap of 0.5 equal to the parent IQR (10 to 10.5) does not exceed it
     assert (out["ops"]["parent_median"], out["ops"]["change_median"]) == (10.0, 10.5)
@@ -48,7 +48,7 @@ def test_summarize_flags_a_gap_past_the_parent_spread():
     assert out["median_gap_exceeds_parent_iqr"] is True
     assert out["change_wins"] == "0/3"
     assert out["parent_iqr_over_median"] == 0.0
-    assert out["ratio_change_over_parent"] == pytest.approx(41.0 / 40.0)
+    assert out["ratio_change_over_parent"] == pytest.approx(41.0 / 40.0, abs=0.0)
 
 
 def _bench(parent, seeds):

@@ -24,6 +24,7 @@ from sparseball.core import (
     safe_div,
     safe_div_arr,
     satisfies_bigM,
+    scale_back,
     to_unit,
 )
 
@@ -33,12 +34,13 @@ import oracles
 class TestScaleRule:
     def test_only_core_chooses_a_scale(self):
         # every other module squares user data through core.to_unit or
-        # core.norm and only scales results back
+        # core.norm and scales scalar results back through core.scale_back
         package = Path(__file__).resolve().parents[1] / "src" / "sparseball"
         modules = sorted(package.glob("*.py"))
         assert any(path.name == "core.py" for path in modules)
+        scale = re.compile(r"\bunit_scale\(|\bmath\.ldexp\(")
         callers = [path.name for path in modules
-                   if path.name != "core.py" and re.search(r"\bunit_scale\(", path.read_text())]
+                   if path.name != "core.py" and scale.search(path.read_text())]
         assert callers == []
 
     def test_to_unit_and_norm(self):
@@ -48,6 +50,11 @@ class TestScaleRule:
         for s in (1.0, 1e160, 1e-170, 2.0 ** -1000):
             assert norm(np.array([3.0, -4.0]) * s) == pytest.approx(5.0 * s, rel=1e-15, abs=0.0)
         assert norm(np.full(3, 1.5e308)) == math.inf
+
+    def test_scale_back_is_inf_past_the_range(self):
+        assert scale_back(0.75, 3) == 6.0 and scale_back(-0.75, -1) == -0.375
+        assert scale_back(1.5, 1024) == math.inf and scale_back(-1.5, 1024) == -math.inf
+        assert scale_back(0.0, 2000) == 0.0 and scale_back(0.5, -1100) == 0.0
 
 
 class TestSafeDiv:

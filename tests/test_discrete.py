@@ -357,6 +357,53 @@ class TestScale:
         assert sol.value == pytest.approx(-4.3, rel=1e-15, abs=0.0)
 
 
+class TestPastTheFloatRange:
+    """a = 1.5e308: every square of a over- and every sum of them is past
+    the float range, but each result comes back finite where it is finite
+    and as +-inf where it is not (core.scale_back), never as an error."""
+
+    A = np.full(3, 1.5e308)
+
+    def test_support_value_and_objective(self):
+        inst = _inst(self.A, np.zeros(3))
+        assert support_value([0, 1, 2], inst).value == -math.inf
+        assert np.allclose(support_value([0, 1, 2], inst).x_opt, -1.0 / math.sqrt(3.0), rtol=1e-15, atol=0.0)
+        assert support_value([1], inst).value == -1.5e308
+        assert discrete_objective(np.ones(3), self.A, np.zeros(3)) == -math.inf
+        assert discrete_objective([0.0, 1.0, 0.0], self.A, np.zeros(3)) == -1.5e308
+
+    @pytest.mark.parametrize("fam, value", [(ZFamily.free(3), -math.inf), (ZFamily.card_le(3, 1), -1.5e308),
+                                            (ZFamily.card_eq(3, 2), -math.inf)],
+                             ids=lambda v: getattr(v, "kind", ""))
+    def test_exact_and_relaxed_solves(self, fam, value):
+        inst = _inst(self.A, np.zeros(3), fam)
+        sol = solve_discrete_bruteforce(inst)
+        assert sol.value == value and fam.contains(sol.z_opt)
+        relaxed = solve_relaxation(inst)
+        assert relaxed.value == value and relaxed.rounded_value == value
+        assert fam.contains(relaxed.rounded_z)
+
+    @pytest.mark.parametrize("member", [p0_membership, c_alpha_membership],
+                             ids=lambda member: member.__name__)
+    def test_memberships_compare_past_the_range(self, member):
+        # sum |alpha_i x_i| against sqrt(sum alpha_i^2 z_i): 2.7e308 > 2.1e308
+        # at x = 0.9, 1.5e308 < 2.1e308 at x = 0.5, both sides inf unscaled
+        fam, alpha = ZFamily.free(2), self.A[:2]
+        assert not member(MixedPoint([0.9, 0.9], [1.0, 1.0]), alpha, fam)
+        assert member(MixedPoint([0.5, 0.5], [1.0, 1.0]), alpha, fam)
+
+    def test_set_function_and_cuts(self):
+        alpha = np.full(16, 1.5e308)
+        assert g_value([0, 1, 2], alpha) == math.inf and g_value([0], alpha) == 1.5e308
+        # a difference of square roots, exact to a few ulps of g
+        assert rho(2, [0, 1], alpha) == pytest.approx((math.sqrt(3.0) - math.sqrt(2.0)) * 1.5e308,
+                                                      rel=1e-14, abs=0.0)
+        # g(N) - sum_i rho_i(N - i) is about 2 |alpha_i| at n = 16
+        for cut in (submodular_cut_1, submodular_cut_2, base_inequality):
+            built = cut(range(16), alpha)
+            assert built.rhs == math.inf and np.all(np.isfinite(built.rho_z))
+
+
 class TestSort:
     def test_single_largest(self):
         sol = solve_discrete_sort([3.0, 4.0, 0.0], 1)

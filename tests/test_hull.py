@@ -137,7 +137,7 @@ class TestCutGenerators:
         # rhs = g(N) - sum rho_i(N - i); coefficients are the drop marginals
         drop0 = 5.0 - 4.0
         drop1 = 5.0 - 3.0
-        assert cut.rhs == pytest.approx(5.0 - drop0 - drop1)
+        assert cut.rhs == pytest.approx(5.0 - drop0 - drop1, abs=0.0)
         assert np.allclose(cut.rho_z, [-drop0, -drop1])
 
     def test_cut2_equals_cut1_at_full_set(self):
@@ -145,7 +145,7 @@ class TestCutGenerators:
         c1 = submodular_cut_1((0, 1, 2), alpha)
         c2 = submodular_cut_2((0, 1, 2), alpha)
         assert np.allclose(c1.rho_z, c2.rho_z)
-        assert c1.rhs == pytest.approx(c2.rhs)
+        assert c1.rhs == pytest.approx(c2.rhs, abs=0.0)
 
     def test_base_inequality_example(self):
         cut = base_inequality((0,), [1.0, 1.0])
@@ -158,7 +158,7 @@ class TestCutGenerators:
         b = base_inequality((0, 1, 2), alpha)
         c1 = submodular_cut_1((0, 1, 2), alpha)
         assert np.allclose(b.rho_z, c1.rho_z)
-        assert b.rhs == pytest.approx(c1.rhs)
+        assert b.rhs == pytest.approx(c1.rhs, abs=0.0)
 
     def test_cuts_and_rho_match_g_values(self, rng):
         # against oracles that take every marginal from math.fsum set sums
@@ -591,7 +591,7 @@ class TestPerspective:
         from sparseball.core import satisfies_bigM
 
         p = MixedPoint([0.5], [0.4])
-        assert perspective_sum(p.x, p.z) == pytest.approx(0.625)
+        assert perspective_sum(p.x, p.z) == pytest.approx(0.625, abs=0.0)
         assert perspective_membership(p, ZFamily.free(1))
         assert not satisfies_bigM(p)
 

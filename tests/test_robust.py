@@ -117,13 +117,13 @@ class TestPortfolioPoint:
 class TestTopKSqSum:
     def test_uniform_example(self):
         inst = RobustInstance(np.zeros(4), np.ones(4), 1.0, 2, 4)
-        assert top_k_sq_sum(np.full(4, 0.25), inst) == pytest.approx(0.125)
+        assert top_k_sq_sum(np.full(4, 0.25), inst) == pytest.approx(0.125, abs=0.0)
 
     def test_full_k_is_full_sum(self, rng):
         n = 6
         inst = _random_instance(rng, n=n, k=n)
         y = oracles.sample_simplex(n, rng)
-        assert top_k_sq_sum(y, inst) == pytest.approx(float(np.sum((y / inst.d) ** 2)))
+        assert top_k_sq_sum(y, inst) == pytest.approx(float(np.sum((y / inst.d) ** 2)), abs=0.0)
 
     def test_matches_subset_bruteforce(self, rng):
         for _ in range(50):
@@ -138,24 +138,24 @@ class TestObjectiveOracles:
     def test_perspective_single_asset(self):
         inst = RobustInstance([0.3, 0.7], [1.0, 1.0], 1.0, 1, 2)
         y = np.array([1.0, 0.0])
-        assert perspective_value(y, inst) == pytest.approx(0.3 + 1.0)
+        assert perspective_value(y, inst) == pytest.approx(0.3 + 1.0, abs=0.0)
 
     def test_zero_budget_degenerates_to_nominal(self, rng):
         inst = _random_instance(rng, b=0.0)
         y = oracles.sample_simplex(inst.n, rng)
-        assert perspective_value(y, inst) == pytest.approx(float(inst.a_tilde @ y))
-        assert budgeted_value(y, inst) == pytest.approx(float(inst.a_tilde @ y))
+        assert perspective_value(y, inst) == pytest.approx(float(inst.a_tilde @ y), abs=0.0)
+        assert budgeted_value(y, inst) == pytest.approx(float(inst.a_tilde @ y), abs=0.0)
 
     def test_budgeted_single_asset(self):
         inst = RobustInstance([0.3, 0.7], [1.0, 1.0], 1.0, 2, 2)
-        assert budgeted_value([1.0, 0.0], inst) == pytest.approx(1.3)
+        assert budgeted_value([1.0, 0.0], inst) == pytest.approx(1.3, abs=0.0)
 
     def test_ellipsoidal_equals_perspective_at_full_k(self, rng):
         for _ in range(30):
             n = int(rng.integers(2, 8))
             inst = _random_instance(rng, n=n, k=n)
             y = oracles.sample_simplex(n, rng)
-            assert ellipsoidal_value(y, inst) == pytest.approx(perspective_value(y, inst), rel=1e-12)
+            assert ellipsoidal_value(y, inst) == pytest.approx(perspective_value(y, inst), rel=1e-12, abs=0.0)
 
     def test_budgeted_matches_extreme_point_bruteforce(self, rng):
         # inner adversary: per-coordinate box extremes on supports of size <= k
@@ -212,7 +212,7 @@ class TestObjectiveOracles:
 class TestWorstCase:
     def test_single_asset(self):
         inst = RobustInstance([0.3, 0.7], [0.5, 1.0], 4.0, 1, 2)
-        assert worst_case([1.0, 0.0], inst) == pytest.approx(0.3 + 2.0 / 0.5)
+        assert worst_case([1.0, 0.0], inst) == pytest.approx(0.3 + 2.0 / 0.5, abs=0.0)
 
     def test_matches_subset_bruteforce(self, rng):
         for _ in range(60):
@@ -252,7 +252,7 @@ class TestFenchel:
 
     def test_hand_case_and_grid(self):
         value, p = fenchel_identity(1.0, 0.5)
-        assert value == pytest.approx(2.0) and p == pytest.approx(4.0)
+        assert value == pytest.approx(2.0, abs=0.0) and p == pytest.approx(4.0, abs=0.0)
         _, grid_val = oracles.refined_grid_max(lambda q: q * 1.0 - q * q * 0.5 / 4.0, -10.0, 10.0)
         assert value == pytest.approx(grid_val, abs=1e-6)
 
@@ -268,7 +268,7 @@ class TestFenchel:
             bound = 4.0 * (abs(x) + 1.0) / z
             _, grid_val = oracles.refined_grid_max(lambda q: q * x - q * q * z / 4.0, -bound, bound)
             assert value == pytest.approx(grid_val, abs=1e-6)
-            assert p_star == pytest.approx(2.0 * x / z, rel=1e-12)
+            assert p_star == pytest.approx(2.0 * x / z, rel=1e-12, abs=0.0)
 
 
 class TestOptimalMultipliers:
@@ -307,7 +307,8 @@ class TestOptimalMultipliers:
         y = np.full(n, 0.25)
         cert = optimal_multipliers(y, inst)
         assert cert.gamma == 0.0
-        assert certificate_objective(cert, y, inst) == pytest.approx(perspective_value(y, inst), rel=1e-12)
+        assert certificate_objective(cert, y, inst) == pytest.approx(perspective_value(y, inst),
+                                                                       rel=1e-12, abs=0.0)
 
     def test_zero_direction_degenerates_cleanly(self):
         inst = RobustInstance([0.5, 0.5], [1.0, 1.0], 2.0, 1, 2)
@@ -328,7 +329,7 @@ class TestOptimalMultipliers:
         y = np.array([0.5, 0.5])
         cert = optimal_multipliers(y, inst)
         assert certificate_objective(cert, y, inst) == pytest.approx(perspective_value(y, inst),
-                                                                       rel=1e-12)
+                                                                       rel=1e-12, abs=0.0)
 
 
 class TestProjectSimplex:
@@ -444,6 +445,113 @@ class TestSolveCounterpart:
             # grid resolution limits how far below the grid minimum we can sit
             assert res.objective <= robust_min + 1e-9
             assert robust_min - res.objective <= 0.05 * abs(robust_min)
+
+
+def _segments(rng, count):
+    """Seeded (inst, y, direction) triples as the budgeted polish walks them:
+    from a simplex point toward a vertex or away from a supported coordinate.
+    n <= 11 and b = 0 in about one in six; a third lie on a coarse grid, and y
+    has zeros or is proportional to d, so ties in y/d and flat pieces are common."""
+    triples = []
+    while len(triples) < count:
+        n = int(rng.integers(2, 12))
+        k = int(rng.integers(1, n + 1))
+        b = 0.0 if rng.random() < 0.15 else float(rng.uniform(0.5, 20.0))
+        a, d = rng.uniform(0.0, 1.0, n), rng.uniform(0.1, 1.0, n)
+        if rng.random() < 0.3:
+            a, d = np.round(4.0 * a) / 4.0, (np.round(2.0 * d) + 1.0) / 4.0
+        y = rng.dirichlet(np.ones(n))
+        if rng.random() < 0.4:
+            y[rng.random(n) < 0.4] = 0.0
+            y[0] += float(y.sum() == 0.0)
+        elif rng.random() < 0.3:
+            y = d.copy()
+        y /= y.sum()
+        j = int(rng.integers(n))
+        if rng.random() < 0.5 or not 0.0 < y[j] < 1.0:
+            w = np.eye(n)[j]
+        else:
+            w = y.copy()
+            w[j] = 0.0
+            w /= w.sum()
+        if np.any(w != y):
+            triples.append((RobustInstance(a, d, b, k, n), y, w - y))
+    return triples
+
+
+def _grid_min(inst, y, direction, points=2001):
+    """Least budgeted objective over an even grid of t in [0, 1], all points at once."""
+    x = y + np.linspace(0.0, 1.0, points)[:, None] * direction
+    top = np.sort(x / inst.d, axis=1)[:, inst.n - inst.k:]
+    return float((x @ inst.a_tilde + math.sqrt(inst.b) * top.sum(axis=1)).min())
+
+
+class TestSegmentSearch:
+    """robust._segment_min: the exact minimum of the budgeted objective on a segment."""
+
+    def test_matches_golden_section_and_a_dense_grid(self, rng):
+        for inst, y, direction in _segments(rng, 400):
+            t, value = robust._segment_min(inst, y, direction)
+            assert 0.0 <= t <= 1.0
+            assert value == budgeted_value(y + t * direction, inst)
+            _, golden = oracles.golden_min(lambda s: budgeted_value(y + s * direction, inst), 0.0, 1.0,
+                                           iters=200)
+            ref = min(golden, _grid_min(inst, y, direction))
+            assert value <= ref + 2e-15 * max(1.0, abs(ref))
+
+    def test_optimum_at_either_end(self):
+        # b = 0: phi(t) = a~'(y + t dir) falls along e0 -> e1 and rises back
+        inst = RobustInstance([1.0, 0.0], [1.0, 1.0], 0.0, 1, 2)
+        e0, e1 = np.eye(2)
+        assert robust._segment_min(inst, e0, e1 - e0) == (1.0, 0.0)
+        assert robust._segment_min(inst, e1, e0 - e1) == (0.0, 0.0)
+
+    def test_interior_kink(self):
+        # phi(t) = max(1 - t, t) on e0 -> e1
+        inst = RobustInstance([0.0, 0.0], [1.0, 1.0], 1.0, 1, 2)
+        e0, e1 = np.eye(2)
+        assert robust._segment_min(inst, e0, e1 - e0) == (0.5, 0.5)
+
+    def test_flat_pieces(self):
+        # equal costs and b = 0: phi is constant, so t = 0 is certified
+        inst = RobustInstance([0.3, 0.3, 0.5], np.ones(3), 0.0, 1, 3)
+        e0, e1 = np.eye(3)[:2]
+        assert robust._segment_min(inst, e0, e1 - e0) == (0.0, 0.3)
+        # y + t dir = (0.7 - 0.7t, 0.3 + 0.1t, 0.6t) with a~ = (0, -1, 0):
+        # slopes -0.8, 0 and 0.5 on [0, 0.5], [0.5, 0.6] and [0.6, 1]
+        inst = RobustInstance([0.0, -1.0, 0.0], np.ones(3), 1.0, 1, 3)
+        y = np.array([0.7, 0.3, 0.0])
+        t, value = robust._segment_min(inst, y, np.array([0.0, 0.4, 0.6]) - y)
+        assert 0.5 <= t <= 0.6 and value == 0.0
+
+    def test_polish_never_worsens_its_incumbent(self, rng):
+        for inst, y, _ in _segments(rng, 60):
+            value = budgeted_value(y, inst)
+            polished, polished_value = robust._polish(inst, y, value, rounds=2)
+            assert polished_value <= value
+            assert polished_value == budgeted_value(polished, inst)
+            PortfolioPoint(polished)  # raises unless the point is on the simplex
+
+    def test_grid_segment_searches_take_few_top_k_sets(self, monkeypatch):
+        # a default-grid budgeted solve (seed 20260809, k = 10, b = 10,
+        # instance 0) searches about 650 segments with 1-5 top-k sets each,
+        # median 3; a fixed-iteration search takes one per objective value
+        top_k_set, segment_min = robust._topk_set, robust._segment_min
+        calls, per_segment = [], []
+        monkeypatch.setattr(robust, "_topk_set", lambda *args: calls.append(1) or top_k_set(*args))
+
+        def counted(*args):
+            calls.clear()
+            found = segment_min(*args)
+            per_segment.append(len(calls))
+            return found
+
+        monkeypatch.setattr(robust, "_segment_min", counted)
+        config = harness.ExperimentConfig(seed=20260809)
+        inst = harness.generate_instance(config.n, 10, 10.0, harness.instance_seed(config.seed, 1, 1, 0))
+        solve_counterpart("budgeted", inst)
+        assert len(per_segment) > 100
+        assert np.median(per_segment) <= 3 and max(per_segment) <= 8, np.bincount(per_segment)
 
 
 def _certificate_instances():
@@ -615,8 +723,8 @@ class TestDualCertificate:
         res = solve_counterpart(method, inst)
         assert len(probe_calls) <= 2
         assert np.array_equal(res.y_star.y, [1.0, 0.0, 0.0])
-        assert res.bound == pytest.approx(math.sqrt(b) / d0, rel=1e-15)
-        assert res.objective == pytest.approx(math.sqrt(b) / d0, rel=1e-15)
+        assert res.bound == pytest.approx(math.sqrt(b) / d0, rel=1e-15, abs=0.0)
+        assert res.objective == pytest.approx(math.sqrt(b) / d0, rel=1e-15, abs=0.0)
 
     def test_tiny_d_keeps_the_bound_below_the_objective(self):
         # at d near 1e-160 the piece quadratics' sums of d^2 would be
