@@ -7,9 +7,9 @@ free box, at-most-k and exactly-k cardinality.  Every 0/1 member matrix the
 package builds comes from :func:`enumerate_Z`, under the one enumeration
 guard ``ENUMERATION_GUARD = 16``.  Every square of user data in the package
 is taken on the data divided by the power of two of :func:`to_unit` (or by
-:func:`norm`), so no finite scale over- or underflows one, and scalar results
-come back through :func:`scale_back`, as +-inf when they are past the float
-range.
+:func:`norm`), so no finite scale over- or underflows one, and results, scalar
+or array, come back through :func:`scale_back`, as +-inf when they are past
+the float range.  Only this module picks a scale or applies one.
 
 All types are immutable after construction and every operation is pure, so
 everything here is safe to call concurrently.  Ties in sorts and argmins are
@@ -79,13 +79,21 @@ def unit_scale(*vectors) -> int:
 def to_unit(*vectors) -> tuple:
     """``(e, v1 / 2**e, v2 / 2**e, ...)`` with e = :func:`unit_scale` of them all:
     the one scale rule.  Callers square these and scale results back by
-    :func:`scale_back` (arrays by ``np.ldexp``)."""
+    :func:`scale_back`."""
     e = unit_scale(*vectors)
     return (e, *(np.ldexp(v, -e) for v in vectors))
 
 
-def scale_back(r: float, e: int) -> float:
-    """r * 2**e, a result taken on :func:`to_unit`'s scale brought back; +-inf past the float range."""
+def scale_back(r, e):
+    """r * 2**e, a result taken on :func:`to_unit`'s scale brought back; +-inf
+    past the float range and 0 below it, with no warning.
+
+    r is a float, or an array that is left unchanged, with e an int or (for
+    an array) an array of ints broadcast against it.
+    """
+    if isinstance(r, np.ndarray):
+        with np.errstate(over="ignore", under="ignore"):
+            return np.ldexp(r, e)
     try:
         return math.ldexp(r, e)
     except OverflowError:
@@ -308,10 +316,13 @@ def is_in_X(p: MixedPoint, zfam: ZFamily) -> bool:
 
     Requires the squared norm of x at most 1, binary z belonging to the
     family, and the complementarity x_i (1 - z_i) = 0, each within feas_abs.
+    The squared norm is summed on x / 2**e (:func:`to_unit`), so an x past
+    the float range is outside, not an overflow.
     """
     if p.n != zfam.n:
         raise ValueError("dimension mismatch between point and family")
-    if float(p.x @ p.x) > 1.0 + DEFAULT_TOL.feas_abs:
+    e, u = to_unit(p.x)
+    if scale_back(float(u @ u), 2 * e) > 1.0 + DEFAULT_TOL.feas_abs:
         return False
     if not zfam.contains(p.z):
         return False

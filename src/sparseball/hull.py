@@ -15,13 +15,18 @@ descending through the last positive z from running sums, in
 O(n log n + m^2) for m positive z (``_prefix_violations``); exact
 separation scores every subset from the rows of ``enumerate_Z``, so
 n <= ``core.ENUMERATION_GUARD`` = 16.  Every square of alpha or a here is
-taken on it divided by the power of two of ``core.to_unit`` and scaled
-back, so no finite scale over- or underflows.
+taken on it divided by the power of two of ``core.to_unit``, and every
+result, scalar or array, comes back through ``core.scale_back``, so no
+finite scale over- or underflows.
 
 Nonlinear side: the perspective inequality ``sum_i x_i^2 / z_i <= 1``
 (under the shared zero-division convention) is exactly the condition for a
 point to satisfy every weighted inequality above; ``find_violating_alpha``
 turns a perspective violation into an explicit violated weight vector.
+Where a term x_i^2 / z_i leaves the normal range, the perspective sum takes
+each term on the powers of two of x_i and z_i (``_perspective_terms``), so
+it is within a few ulps of exact at every finite x and z, subnormal z
+included.
 
 Also included: the natural convex relaxation of the support-reduced problem
 over conv(Z) with edge rounding, and the lifting of a general convex
@@ -205,7 +210,7 @@ def _cut(S, alpha, family) -> LinearCut:
         inside = _add_gain(_rest_sums(asq[idx]), asq[idx])
         rho_z = -_add_gain(0.0, asq) if family == 1 else np.zeros(a.size)
     rho_z[idx] = -inside
-    return LinearCut(np.abs(a), np.ldexp(rho_z, e), scale_back(math.sqrt(q_S) - inside.sum(), e))
+    return LinearCut(np.abs(a), scale_back(rho_z, e), scale_back(math.sqrt(q_S) - inside.sum(), e))
 
 
 def submodular_cut_1(S, alpha) -> LinearCut:
@@ -338,7 +343,7 @@ def _scores(p: MixedPoint, a: np.ndarray, mode: str, tail: bool):
     asq, lhs = u * u, float(np.abs(u) @ np.abs(p.x))
     if mode == "heuristic":
         sets, violations = _prefix_violations(p, asq, lhs, tail)
-        return sets, np.ldexp(violations, e, out=violations)
+        return sets, scale_back(violations, e)
     if mode != "exact":
         raise ValueError(f"unknown separation mode {mode!r}")
     members = enumerate_Z(ZFamily.free(a.size))
@@ -356,7 +361,7 @@ def _scores(p: MixedPoint, a: np.ndarray, mode: str, tail: bool):
         out[:, 1] = lhs - (sq - M @ inside2 + (outside * _add_gain(q, asq)) @ p.z)
         # free this block's arrays before the next block builds its own
         del M, outside
-    return lambda row: np.flatnonzero(members[row]), np.ldexp(violations, e, out=violations)
+    return lambda row: np.flatnonzero(members[row]), scale_back(violations, e)
 
 
 def _walk(p: MixedPoint, a: np.ndarray, sets, violations: np.ndarray):
@@ -375,13 +380,24 @@ def _walk(p: MixedPoint, a: np.ndarray, sets, violations: np.ndarray):
         above = above[np.argsort(-flat[above], kind="stable")]
         yield from above[above != top]
 
-    for row, family in (divmod(int(index), 2) for index in candidates()):
-        cut = _cut(sets(row), a, family + 1)
-        if cut.violation_at(p) > DEFAULT_TOL.feas_abs:
-            key = (tuple(cut.rho_z.tolist()), cut.rhs)
-            if key not in seen:
-                seen.add(key)
-                yield cut
+    def violated():
+        for row, family in (divmod(int(index), 2) for index in candidates()):
+            cut = _cut(sets(row), a, family + 1)
+            if cut.violation_at(p) > DEFAULT_TOL.feas_abs:
+                key = (tuple(cut.rho_z.tolist()), cut.rhs)
+                if key not in seen:
+                    seen.add(key)
+                    yield cut
+
+    cuts = violated()
+    while True:
+        # past the float range a cut's lhs overflows, or is inf + (-inf): that NaN
+        # is not violated.  One errstate per cut found, none held across a yield.
+        with np.errstate(over="ignore", invalid="ignore"):
+            cut = next(cuts, None)
+        if cut is None:
+            return
+        yield cut
 
 
 def separate_submodular(p: MixedPoint, alpha, mode: str = "heuristic"):
@@ -406,16 +422,17 @@ def reported_cuts(p: MixedPoint, alpha, mode: str):
 def _weighted_membership(p: MixedPoint, alpha, zfam: ZFamily, binary: bool) -> bool:
     """Whether z lies in Z (binary; then rounded to 0/1) or in conv(Z), and
     sum_i |alpha_i x_i| <= sqrt(sum_i alpha_i^2 z_i) holds within feas_abs,
-    both sides and the tolerance taken on alpha / 2**e (:func:`core.to_unit`),
-    so sides past the float range still compare."""
+    both sides and the tolerance taken on alpha / 2**e and the left side
+    summed on x / 2**f (:func:`core.to_unit`), so sides past the float range
+    still compare."""
     a = _alpha_of(alpha)
     if p.n != a.size or p.n != zfam.n:
         raise ValueError("dimension mismatch")
     if not (zfam.contains if binary else zfam.conv_contains)(p.z):
         return False
     z = np.round(p.z) if binary else p.z
-    e, u = to_unit(a)
-    lhs, rhs = float(np.abs(u * p.x).sum()), math.sqrt(float((u * u) @ z))
+    (e, u), (f, w) = to_unit(a), to_unit(p.x)
+    lhs, rhs = scale_back(float(np.abs(u * w).sum()), f), math.sqrt(float((u * u) @ z))
     return lhs <= rhs + scale_back(DEFAULT_TOL.feas_abs, -e)
 
 
@@ -429,16 +446,40 @@ def c_alpha_membership(p: MixedPoint, alpha, zfam: ZFamily) -> bool:
     return _weighted_membership(p, alpha, zfam, binary=False)
 
 
+def _perspective_terms(x, z) -> np.ndarray:
+    """x_i^2 / z_i for z_i != 0, each taken on its own powers of two: with
+    x_i = m_i 2**f_i and z_i = w_i 2**g_i (``np.frexp``), m_i^2 / w_i scaled
+    back by 2**(2 f_i - g_i).  Neither step over- or underflows, so a term is
+    rounded as x_i**2 / z_i is in the normal range (the same bits there),
+    once more only where the term itself is subnormal, and +-inf past the range."""
+    m, f = np.frexp(x)
+    w, g = np.frexp(z)
+    return scale_back(m * m / w, 2 * f - g)
+
+
 def perspective_sum(x, z) -> float:
-    """sum_i x_i^2 / z_i under the shared zero-division convention; inf on overflow."""
+    """sum_i x_i^2 / z_i under the shared zero-division convention; inf past the float range.
+
+    Only the live terms (z_i != 0) are summed.  Where a square, a quotient or
+    the sum leaves the normal range, the terms are taken by
+    :func:`_perspective_terms` instead, which gives the same bits wherever
+    both stay in it.  For z >= 0 a sum of n live terms is within 2n ulps of
+    its exact value at every finite x and z, subnormal z included.
+    """
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
     zero = z == 0.0
     if np.any(zero & (x != 0.0)):
         return math.inf
     live = ~zero
+    x, z = x[live], z[live]
+    with np.errstate(over="raise", under="raise"):
+        try:
+            return float(np.sum(x ** 2 / z))
+        except FloatingPointError:
+            pass
     with np.errstate(over="ignore"):
-        return float(np.sum(x[live] ** 2 / z[live]))
+        return float(np.sum(_perspective_terms(x, z)))
 
 
 def perspective_membership(p: MixedPoint, zfam: ZFamily) -> bool:
@@ -466,14 +507,15 @@ def find_violating_alpha(p: MixedPoint):
     if s <= 1.0 + DEFAULT_TOL.feas_abs:
         return None
     if math.isinf(s):
-        with np.errstate(over="ignore"):
-            terms = safe_div_arr(p.x * p.x, p.z)
-        terms[(p.z == 0.0) & (p.x != 0.0)] = math.inf
+        terms = np.zeros(p.n)
+        live = p.z != 0.0
+        terms[live] = _perspective_terms(p.x[live], p.z[live])
+        terms[~live & (p.x != 0.0)] = math.inf
         alpha = np.zeros(p.n)
         alpha[int(np.argmax(terms))] = 1.0
         return CutVector(alpha)
     ex, ez = math.frexp(float(np.abs(p.x).max()))[1], math.frexp(float(p.z[p.z > 0.0].min()))[1]
-    return CutVector(safe_div_arr(np.ldexp(p.x, -max(0, ex - ez - 1022)), p.z))
+    return CutVector(safe_div_arr(scale_back(p.x, -max(0, ex - ez - 1022)), p.z))
 
 
 def cardinality_cut(zfam: ZFamily) -> LinearCut:

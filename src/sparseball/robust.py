@@ -25,7 +25,7 @@ budgeted objective exactly on each segment it searches, by a cutting-plane
 search over the pieces (``_segment_min``).  The dual solves raise ValueError
 only when the objective overflows the float range at every vertex.  The
 oracles and ``optimal_multipliers`` square y/d only through ``core.norm`` and
-``core.to_unit``.
+``core.to_unit``, and scale results back through ``core.scale_back``.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from .core import (
     norm,
     safe_div,
     safe_div_arr,
+    scale_back,
     to_unit,
 )
 
@@ -147,10 +148,12 @@ def _topk_set(values: np.ndarray, k: int) -> np.ndarray:
 
 
 def top_k_sq_sum(y, inst: RobustInstance) -> float:
-    """Sum of the k largest values of (y_i / d_i)^2."""
-    y = _yvec(y)
-    r = (y / inst.d) ** 2
-    return float(r[_topk_set(r, inst.k)].sum())
+    """Sum of the k largest values of (y_i / d_i)^2, squared on u = y/d / 2**e
+    (:func:`core.to_unit`) and scaled back by 2**(2e); inf past the float range.
+    Within k + 2 ulps of the exact sum."""
+    e, u = to_unit(_yvec(y) / inst.d)
+    r = u * u
+    return scale_back(float(r[_topk_set(r, inst.k)].sum()), 2 * e)
 
 
 def perspective_value(y, inst: RobustInstance) -> float:
@@ -282,10 +285,10 @@ def optimal_multipliers(y, inst: RobustInstance) -> DualCertificate:
     if inst.b == 0.0 and root > 0.0:
         raise ValueError("certificate undefined for zero budget with nonzero y")
     with np.errstate(over="ignore"):
-        lam = float(np.ldexp(root, e)) / math.sqrt(inst.b) if inst.b > 0.0 else 0.0
-        gamma = float(np.ldexp(gamma_s, 2 * e))
+        lam = scale_back(root, e) / math.sqrt(inst.b) if inst.b > 0.0 else 0.0
+        gamma = scale_back(gamma_s, 2 * e)
         mu = safe_div(gamma, lam)
-        t = safe_div_arr(np.ldexp(excess_s, e), root) * math.sqrt(inst.b)
+        t = safe_div_arr(scale_back(excess_s, e), root) * math.sqrt(inst.b)
         p = safe_div_arr(q, lam)
     if not np.all(np.isfinite(np.concatenate(([lam, mu, gamma], t, p)))):
         raise ValueError("the dual multipliers overflow the float range at this y")

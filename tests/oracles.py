@@ -1,4 +1,5 @@
-"""Independent oracles for the test suite: grids, enumerations, line searches.
+"""Independent oracles for the test suite: grids, enumerations, line searches,
+and exact twins in ``fractions`` arithmetic.
 
 These deliberately avoid the library's closed forms so each assertion
 compares two separately derived answers.
@@ -6,6 +7,7 @@ compares two separately derived answers.
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -223,3 +225,34 @@ def cut_from_g(S, alpha, family):
         else:
             rho_z.append(0.0)
     return np.array(rho_z), g_fsum(S, alpha) - math.fsum(inside.values())
+
+
+def perspective_sum_exact(x, z):
+    """sum_i x_i^2 / z_i over the z_i != 0 as an exact Fraction, or inf when
+    some z_i = 0 has x_i != 0."""
+    total = Fraction(0)
+    for xi, zi in zip(map(float, x), map(float, z)):
+        if zi == 0.0:
+            if xi != 0.0:
+                return math.inf
+        else:
+            total += Fraction(xi) ** 2 / Fraction(zi)
+    return total
+
+
+def top_k_sq_sum_exact(y, d, k):
+    """Sum of the k largest (y_i / d_i)^2 as an exact Fraction."""
+    squares = sorted((Fraction(float(yi)) / Fraction(float(di))) ** 2 for yi, di in zip(y, d))
+    return sum(squares[len(squares) - k:], Fraction(0))
+
+
+def ulps_off(value, exact):
+    """|value - exact| in ulps of the float nearest exact (a subnormal ulp
+    below the normal range); 0 when both are inf, inf when only one is."""
+    try:
+        nearest = float(exact)
+    except OverflowError:
+        nearest = math.inf
+    if math.isinf(value) or math.isinf(nearest):
+        return 0.0 if value == nearest else math.inf
+    return float(abs(Fraction(value) - exact) / Fraction(math.ulp(nearest)))

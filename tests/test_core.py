@@ -34,11 +34,12 @@ import oracles
 class TestScaleRule:
     def test_only_core_chooses_a_scale(self):
         # every other module squares user data through core.to_unit or
-        # core.norm and scales scalar results back through core.scale_back
+        # core.norm and scales results, scalar or array, back through
+        # core.scale_back
         package = Path(__file__).resolve().parents[1] / "src" / "sparseball"
         modules = sorted(package.glob("*.py"))
         assert any(path.name == "core.py" for path in modules)
-        scale = re.compile(r"\bunit_scale\(|\bmath\.ldexp\(")
+        scale = re.compile(r"\bunit_scale\(|ldexp\(")
         callers = [path.name for path in modules
                    if path.name != "core.py" and scale.search(path.read_text())]
         assert callers == []
@@ -55,6 +56,15 @@ class TestScaleRule:
         assert scale_back(0.75, 3) == 6.0 and scale_back(-0.75, -1) == -0.375
         assert scale_back(1.5, 1024) == math.inf and scale_back(-1.5, 1024) == -math.inf
         assert scale_back(0.0, 2000) == 0.0 and scale_back(0.5, -1100) == 0.0
+        # arrays: same rule, shape kept, input unchanged, no warning
+        r = np.array([[1.5, -1.5], [0.5, 0.0]])
+        out = scale_back(r, 1024)
+        assert out.shape == (2, 2) and r.tolist() == [[1.5, -1.5], [0.5, 0.0]]
+        assert out.tolist() == [[math.inf, -math.inf], [2.0 ** 1023, 0.0]]
+        assert scale_back(r, -1100).tolist() == [[0.0, -0.0], [0.0, 0.0]]
+        assert scale_back(r, 3).tolist() == [[12.0, -12.0], [4.0, 0.0]]
+        # an array of exponents, one per entry
+        assert scale_back(np.array([0.5, 0.5, 0.5]), np.array([1, 1025, -1074])).tolist() == [1.0, math.inf, 0.0]
 
 
 class TestSafeDiv:
@@ -210,6 +220,11 @@ class TestIsInX:
 
     def test_norm_violation(self):
         assert not is_in_X(MixedPoint([0.9, 0.9], [1.0, 1.0]), ZFamily.free(2))
+
+    def test_norm_past_the_float_range(self):
+        # x'x is past the float range; it is summed on x / 2**e
+        assert not is_in_X(MixedPoint(np.full(4, 1e308), np.ones(4)), ZFamily.free(4))
+        assert is_in_X(MixedPoint(np.full(4, 0.5), np.ones(4)), ZFamily.free(4))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

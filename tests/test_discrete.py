@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sparseball.core import DEFAULT_TOL, MixedPoint, ProblemInstance, ZFamily, is_in_X
+from sparseball.core import DEFAULT_TOL, MixedPoint, ProblemInstance, ZFamily, is_in_X, scale_back
 from sparseball.discrete import (
     BRUTEFORCE_GUARD,
     discrete_objective,
@@ -391,6 +391,23 @@ class TestPastTheFloatRange:
         fam, alpha = ZFamily.free(2), self.A[:2]
         assert not member(MixedPoint([0.9, 0.9], [1.0, 1.0]), alpha, fam)
         assert member(MixedPoint([0.5, 0.5], [1.0, 1.0]), alpha, fam)
+        # sum |alpha_i x_i| = 4e308 against 2 at alpha = 1
+        assert not member(MixedPoint(np.full(4, 1e308), np.ones(4)), np.ones(4), ZFamily.free(4))
+
+    @pytest.mark.parametrize("mode, infinite", [("heuristic", 9), ("exact", 14910)])
+    def test_separation_past_the_range(self, mode, infinite):
+        # the scores are those at alpha / 2**10 scaled back, +inf past the range
+        p, alpha = MixedPoint(np.full(16, 0.2), np.full(16, 0.1)), np.full(16, 1.5e308)
+        _, violations = violated_cuts(p, alpha, mode)
+        _, small = violated_cuts(p, alpha / 1024.0, mode)
+        assert np.count_nonzero(violations == math.inf) == infinite
+        assert np.array_equal(violations, scale_back(small, 10))
+        cut = separate_submodular(p, alpha, mode)
+        assert cut.rhs == 1.3094750193111253e+308
+        # the cut's own lhs overflows at p; that is its violation, not an error
+        with np.errstate(over="ignore"):
+            assert cut.violation_at(p) == math.inf
+        assert next(reported_cuts(p, alpha, mode)).rhs == cut.rhs
 
     def test_set_function_and_cuts(self):
         alpha = np.full(16, 1.5e308)

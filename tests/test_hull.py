@@ -620,6 +620,29 @@ class TestPerspective:
     def test_feasible_gives_none(self):
         assert find_violating_alpha(MixedPoint([0.5], [0.5])) is None
 
+    def test_subnormal_activation(self):
+        # x^2 = 1.18e-323 is subnormal: squared raw it rounds to 2 z, and the
+        # sum reads 1.0; the exact x^2 / z is 1.1976
+        p = MixedPoint([3.44e-162], [1e-323])
+        exact = oracles.perspective_sum_exact(p.x, p.z)
+        assert oracles.ulps_off(perspective_sum(p.x, p.z), exact) <= 1.0
+        assert float(exact) == pytest.approx(1.1975736523686955, rel=1e-15, abs=0.0)
+        assert not perspective_membership(p, ZFamily.free(1))
+        alpha = find_violating_alpha(p)
+        assert alpha is not None and not c_alpha_membership(p, alpha, ZFamily.free(1))
+
+    @given(st.lists(st.tuples(st.floats(-1.0, 1.0), st.integers(-500, 500),
+                              st.one_of(st.floats(0.0, 1.0), st.integers(1, 2**52 - 1).map(lambda k: k * 5e-324))),
+                    min_size=1, max_size=8))
+    @settings(max_examples=400)
+    def test_sum_is_within_2n_ulps_of_exact(self, terms):
+        # x at scales 2^+-500, z in [0, 1] or subnormal: n live terms are
+        # within 2n ulps of the exact sum (the bound in perspective_sum)
+        x = np.array([math.ldexp(m, s) for m, s, _ in terms])
+        z = np.array([zi for _, _, zi in terms])
+        live = int(np.count_nonzero(z))
+        assert oracles.ulps_off(perspective_sum(x, z), oracles.perspective_sum_exact(x, z)) <= 2 * live
+
     def test_violating_alpha_keeps_x_over_z_finite(self):
         # the sum is about 1e300, but x_0 / z_0 = 4.5e311 would overflow: x is
         # divided by a power of two first, and the certificate still holds

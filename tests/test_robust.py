@@ -133,6 +133,24 @@ class TestTopKSqSum:
             mask = oracles.supports_mask(inst.n, inst.k)
             assert top_k_sq_sum(y, inst) == pytest.approx(float((mask @ r).max()), abs=1e-12)
 
+    def test_square_past_the_float_range_is_inf(self):
+        # (y_i / d_i)^2 = 2.5e319
+        inst = RobustInstance(np.zeros(2), np.full(2, 1e-160), 1e-300, 1, 2)
+        assert top_k_sq_sum(np.array([0.5, 0.5]), inst) == math.inf
+
+    @given(st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(-500, 500),
+                              st.floats(0.5, 1.0), st.integers(-500, 500)), min_size=1, max_size=6),
+           st.integers(1, 6))
+    @settings(max_examples=400)
+    def test_within_k_plus_2_ulps_of_exact(self, entries, k):
+        # y and d at scales 2^+-500: the bound in top_k_sq_sum
+        n, k = len(entries), min(k, len(entries))
+        y = np.array([math.ldexp(m, s) for m, s, _, _ in entries])
+        d = np.array([math.ldexp(m, s) for _, _, m, s in entries])
+        inst = RobustInstance(np.zeros(n), d, 1.0, k, n)
+        exact = oracles.top_k_sq_sum_exact(y, d, k)
+        assert oracles.ulps_off(top_k_sq_sum(y, inst), exact) <= k + 2
+
 
 class TestObjectiveOracles:
     def test_perspective_single_asset(self):
