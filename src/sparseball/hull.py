@@ -23,10 +23,9 @@ Nonlinear side: the perspective inequality ``sum_i x_i^2 / z_i <= 1``
 (under the shared zero-division convention) is exactly the condition for a
 point to satisfy every weighted inequality above; ``find_violating_alpha``
 turns a perspective violation into an explicit violated weight vector.
-Where a term x_i^2 / z_i leaves the normal range, the perspective sum takes
-each term on the powers of two of x_i and z_i (``_perspective_terms``), so
-it is within a few ulps of exact at every finite x and z, subnormal z
-included.
+The perspective sum takes each term x_i^2 / z_i on the powers of two of
+x_i and z_i (``_perspective_terms``), so it is within a few ulps of exact at
+every finite x and z, subnormal z included.
 
 Also included: the natural convex relaxation of the support-reduced problem
 over conv(Z) with edge rounding, and the lifting of a general convex
@@ -460,11 +459,11 @@ def _perspective_terms(x, z) -> np.ndarray:
 def perspective_sum(x, z) -> float:
     """sum_i x_i^2 / z_i under the shared zero-division convention; inf past the float range.
 
-    Only the live terms (z_i != 0) are summed.  Where a square, a quotient or
-    the sum leaves the normal range, the terms are taken by
-    :func:`_perspective_terms` instead, which gives the same bits wherever
-    both stay in it.  For z >= 0 a sum of n live terms is within 2n ulps of
-    its exact value at every finite x and z, subnormal z included.
+    Only the live terms (z_i != 0) are summed, each taken by
+    :func:`_perspective_terms`, which gives the bits of x_i**2 / z_i wherever
+    that stays in the normal range.  For z >= 0 a sum of n live terms is
+    within 2n ulps of its exact value at every finite x and z, subnormal z
+    included.
     """
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -472,14 +471,8 @@ def perspective_sum(x, z) -> float:
     if np.any(zero & (x != 0.0)):
         return math.inf
     live = ~zero
-    x, z = x[live], z[live]
-    with np.errstate(over="raise", under="raise"):
-        try:
-            return float(np.sum(x ** 2 / z))
-        except FloatingPointError:
-            pass
     with np.errstate(over="ignore"):
-        return float(np.sum(_perspective_terms(x, z)))
+        return float(np.sum(_perspective_terms(x[live], z[live])))
 
 
 def perspective_membership(p: MixedPoint, zfam: ZFamily) -> bool:
