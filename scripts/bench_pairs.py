@@ -13,10 +13,10 @@ medians, their IQR over median, how many pairs the change wins and whether
 the medians differ by more than the parent's IQR; each metric's verdict
 under its bound (better, within_bound, worse, or unresolved when the
 parent's own runs spread wider than the bound); each side's median count
-of attempted ops, against which a peak_rss_mb move is read; each side's
-correct runs and failed ops; every run's metrics, correctness and failed
+of attempted ops, against which a peak_rss_mb move is read, and its median
+peak_rss_mb per 1000 attempted ops; each side's correct runs and failed ops; every run's metrics, correctness and failed
 ops; and the machine data that perfbench records.  It prints the verdicts
-with each side's op count, correct runs and failed ops under them, and
+with each side's op count, RSS per 1000 ops, correct runs and failed ops under them, and
 exits 1, after writing the file, when any run was incorrect or had a
 failed op.  When the file was measured against the same parent commit,
 the new pairs join the workload's recorded ones and the summary covers
@@ -152,6 +152,15 @@ def summarize(pairs, metrics, bounds=None) -> dict:
     return out
 
 
+def rss_per_kop(pairs) -> dict:
+    """Each side's median peak_rss_mb per 1000 attempted ops.  perfbench keeps
+    every op's output, so a side that runs more ops peaks higher; this ratio
+    tells an RSS move that follows the op count from one that does not."""
+    return {side: statistics.median(1000.0 * p[side]["peak_rss_mb"] / p[side]["attempted"]
+                                    for p in pairs)
+            for side in ("parent", "change")}
+
+
 def prior_pairs(bench: dict, sha: str, workload: str, seeds) -> list:
     """The recorded pairs that new pairs of workload join in bench, a BENCH
     file's contents: the workload's pairs when bench was measured against
@@ -179,6 +188,7 @@ def workload_entry(pairs, metrics, seconds: float, machine, bounds=None) -> dict
         # perfbench keeps every op's output, so peak_rss_mb moves with the op count
         "attempted_median": {side: statistics.median(p[side]["attempted"] for p in pairs)
                              for side in ("parent", "change")},
+        "rss_mb_per_kop": rss_per_kop(pairs),
         "metrics": summarize(pairs, metrics, bounds),
         "machine": machine,
         "pairs": pairs,
@@ -188,15 +198,18 @@ def workload_entry(pairs, metrics, seconds: float, machine, bounds=None) -> dict
 def summary_lines(entry) -> list:
     """The printed summary of a workload entry: one verdict line per metric,
     then each side's median count of attempted ops, against which a
-    peak_rss_mb move is read, its correct runs and its failed ops."""
+    peak_rss_mb move is read, its peak_rss_mb per 1000 ops, its correct runs
+    and its failed ops."""
     lines = [f"{name:<12} parent {m['parent_median']:.6g}  change {m['change_median']:.6g}  "
              f"ratio {m['ratio_change_over_parent']:.3f}  wins {m['change_wins']}  "
              f"gap>IQR {m['median_gap_exceeds_parent_iqr']}  {m['verdict']}"
              for name, m in entry["metrics"].items()]
     attempted, correct, failed = entry["attempted_median"], entry["correct_runs"], entry["failed_ops"]
+    rss = entry["rss_mb_per_kop"]
     runs = len(entry["pairs"])
     lines.append(f"{'attempted':<12} parent {attempted['parent']:.6g}  "
                  f"change {attempted['change']:.6g}")
+    lines.append(f"{'rss_per_kop':<12} parent {rss['parent']:.4g}  change {rss['change']:.4g}")
     lines.append(f"{'correct':<12} parent {correct['parent']}/{runs}  change {correct['change']}/{runs}")
     lines.append(f"{'failed_ops':<12} parent {failed['parent']}  change {failed['change']}")
     return lines

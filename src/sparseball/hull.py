@@ -9,15 +9,15 @@ coefficients directly, scores them over candidate sets in one place,
 ``separate_submodular`` and ``reported_cuts`` (behind ``sparseball cuts``).
 Every marginal of g(S) = ||alpha_S||_2 is written once, from a set sum
 (``_add_gain``, ``_drop_gain``, ``_rest_sums``).  A score can be off by
-about sqrt(eps) g(N), so the walk reports a cut by its own violation
-(``_walk``).  Heuristic separation scores the nested prefixes by z
-descending through the last positive z from running sums, in
-O(n log n + m^2) for m positive z (``_prefix_violations``); exact
-separation scores every subset from the rows of ``enumerate_Z``, so
-n <= ``core.ENUMERATION_GUARD`` = 16.  Every square of alpha or a here is
-taken on it divided by the power of two of ``core.to_unit``, and every
-result, scalar or array, comes back through ``core.scale_back``, so no
-finite scale over- or underflows.
+about sqrt(eps) g(N), so the walk tests each candidate's own cut, on the
+scorer's scale, and builds only those it yields (``_walk``).
+Heuristic separation scores the nested prefixes by z descending through
+the last positive z from running sums, in O(n log n + m^2) for m positive
+z (``_prefix_violations``); exact separation scores every subset from the
+rows of ``enumerate_Z``, so n <= ``core.ENUMERATION_GUARD`` = 16.  Every
+square of alpha or a here is taken on it divided by the power of two of
+``core.to_unit``, and every result, scalar or array, comes back through
+``core.scale_back``, so no finite scale over- or underflows.
 
 Nonlinear side: the perspective inequality ``sum_i x_i^2 / z_i <= 1``
 (under the shared zero-division convention) is exactly the condition for a
@@ -121,7 +121,16 @@ class LinearCut:
         object.__setattr__(self, "rho_z", rz)
 
     def lhs(self, x, z) -> float:
-        return float(self.pi_abs @ np.abs(x) + self.rho_z @ np.asarray(z, dtype=float))
+        """sum_i pi_abs_i |x_i| + rho_z_i z_i with no warning: the plain sum where finite,
+        else summed on :func:`core.to_unit` scales and scaled back, so +-inf past the
+        float range.  Within n + 1 ulps of sum pi_abs |x| + |rho_z| z of the exact sum."""
+        ax, z = np.abs(x), np.asarray(z, dtype=float)
+        with np.errstate(over="ignore"):
+            total = float(self.pi_abs @ ax) + float(self.rho_z @ z)
+        if math.isfinite(total):
+            return total
+        (e, pi, rz), (f, ax, z) = to_unit(self.pi_abs, self.rho_z), to_unit(ax, z)
+        return scale_back(float(pi @ ax + rz @ z), e + f)
 
     def violation(self, x, z) -> float:
         return self.lhs(x, z) - self.rhs
@@ -184,22 +193,16 @@ def rho(i: int, S, alpha) -> float:
     return scale_back(float(_add_gain(in_S @ (u * u), u[i] * u[i])), e)
 
 
-def _cut(S, alpha, family) -> LinearCut:
-    """The cut of one family on S, with rhs = g(S) - sum of its inside marginals.
+def _cut_terms(idx: np.ndarray, asq: np.ndarray, family):
+    """rho_z and rhs of one family's cut on the sorted index set idx, from asq = u^2.
 
-    Inside S the marginal is rho_i(S - i) (family 2: rho_i(N - i)), the
+    Inside idx the marginal is rho_i(S - i) (family 2: rho_i(N - i)), the
     gain of adding i to the rest of S (family 2: of N) summed by
-    :func:`_rest_sums`; outside S it is rho_i(empty) = |alpha_i| (family 2:
-    rho_i(S); the base inequality drops it).  The set sum q_S = a^2(S) is
-    the dot product of a 0/1 indicator with a^2, as the scorers sum it.
-    The marginals are taken on alpha / 2**e (:func:`core.to_unit`) and
-    rho_z and rhs scaled back, so no square over- or underflows.
+    :func:`_rest_sums`; outside it is rho_i(empty) = |u_i| (family 2:
+    rho_i(S); the base inequality drops it).  The set sum q_S = u^2(S) is
+    the dot product of a 0/1 indicator with asq, as the scorers sum it.
     """
-    a = _alpha_of(alpha)
-    e, u = to_unit(a)
-    asq = u * u
-    idx = as_index_set(S, a.size)
-    in_S = np.zeros(a.size, dtype=bool)
+    in_S = np.zeros(asq.size, dtype=bool)
     in_S[idx] = True
     q_S = in_S @ asq
     if family == 2:
@@ -207,9 +210,17 @@ def _cut(S, alpha, family) -> LinearCut:
         rho_z = -_add_gain(q_S, asq)
     else:
         inside = _add_gain(_rest_sums(asq[idx]), asq[idx])
-        rho_z = -_add_gain(0.0, asq) if family == 1 else np.zeros(a.size)
+        rho_z = -_add_gain(0.0, asq) if family == 1 else np.zeros(asq.size)
     rho_z[idx] = -inside
-    return LinearCut(np.abs(a), scale_back(rho_z, e), scale_back(math.sqrt(q_S) - inside.sum(), e))
+    return rho_z, math.sqrt(q_S) - inside.sum()
+
+
+def _cut(S, alpha, family) -> LinearCut:
+    """The cut of one family on S: :func:`_cut_terms` on alpha / 2**e, scaled back."""
+    a = _alpha_of(alpha)
+    e, u = to_unit(a)
+    rho_z, rhs = _cut_terms(as_index_set(S, a.size), u * u, family)
+    return LinearCut(np.abs(a), scale_back(rho_z, e), scale_back(rhs, e))
 
 
 def submodular_cut_1(S, alpha) -> LinearCut:
@@ -316,33 +327,30 @@ def violated_cuts(p: MixedPoint, alpha, mode: str):
     descending, stable; exact: the rows of ``enumerate_Z(ZFamily.free(n))``,
     so n <= ENUMERATION_GUARD = 16), ``sets(r)`` is its sorted index array,
     and ``violations[r, f]`` is the violation at p of ``submodular_cut_1``
-    (f = 0) or ``submodular_cut_2`` (f = 1) on it.  No cut is built and the
-    heuristic mode builds no matrix of sets: the prefixes are scored from
-    running sums along the z order and two triangles of marginals
-    (:func:`_prefix_violations`), every subset in blocks of 2^11 rows from
-    their set sums q = M a^2, both on alpha / 2**e (:func:`_scores`).
+    (f = 0) or ``submodular_cut_2`` (f = 1) on it, scored without building a
+    cut or a matrix of prefixes (:func:`_prefix_violations`, :func:`_scores`).
     Family 1's dropped marginals are taken from q - a_i^2 and can be off
     by about sqrt(eps) g(N), so a listed violation is a candidate's score,
-    not the built cut's own; :func:`separate_submodular` and
-    :func:`reported_cuts` build the cuts from these scores and keep those
-    violated by their own measure.  Every prefix is listed: the head,
+    not its cut's own, by which :func:`separate_submodular` and
+    :func:`reported_cuts` test it.  Every prefix is listed: the head,
     through the last positive z, with the same bits as separation scores
     it, then the tail, whose rows are never more violated than the head's
     last but by rounding.
     """
-    return _scores(p, _alpha_of(alpha), mode, tail=True)
+    return _scores(p, _alpha_of(alpha), mode, tail=True)[:2]
 
 
 def _scores(p: MixedPoint, a: np.ndarray, mode: str, tail: bool):
     """:func:`violated_cuts`, scored on u = alpha / 2**e (:func:`core.to_unit`)
-    and scaled back by 2**e; heuristic mode lists the tail rows only with tail."""
+    and scaled back, then ``(e, u^2, |u|'|x|)``; tail rows only with tail.  Exact
+    mode scores every subset in blocks of 2^11 rows from their set sums q = M u^2."""
     if p.n != a.size:
         raise ValueError("dimension mismatch between point and alpha")
     e, u = to_unit(a)
     asq, lhs = u * u, float(np.abs(u) @ np.abs(p.x))
     if mode == "heuristic":
         sets, violations = _prefix_violations(p, asq, lhs, tail)
-        return sets, scale_back(violations, e)
+        return sets, scale_back(violations, e), e, asq, lhs
     if mode != "exact":
         raise ValueError(f"unknown separation mode {mode!r}")
     members = enumerate_Z(ZFamily.free(a.size))
@@ -360,16 +368,18 @@ def _scores(p: MixedPoint, a: np.ndarray, mode: str, tail: bool):
         out[:, 1] = lhs - (sq - M @ inside2 + (outside * _add_gain(q, asq)) @ p.z)
         # free this block's arrays before the next block builds its own
         del M, outside
-    return lambda row: np.flatnonzero(members[row]), scale_back(violations, e)
+    return lambda row: np.flatnonzero(members[row]), scale_back(violations, e), e, asq, lhs
 
 
-def _walk(p: MixedPoint, a: np.ndarray, sets, violations: np.ndarray):
-    """The cuts of scored candidates in score order, ties in scan order, family 1 first.
-
-    The top one is always built, the rest where their score exceeds feas_abs,
-    sorted once the top one is passed.  A cut is yielded when its own violation
-    at p exceeds feas_abs and its rho_z and rhs are new as floats (pi_abs = |alpha|).
-    """
+def _walk(p: MixedPoint, a: np.ndarray, sets, violations: np.ndarray, e: int, asq, lhs: float):
+    """The distinct violated cuts of scored candidates in score order, ties in
+    scan order, family 1 first.  The top candidate is always tested, the rest
+    where their score exceeds feas_abs, sorted once the top one is passed.
+    Each is tested on the scorer's scale (e, asq = u^2, lhs = |u|'|x|),
+    u = alpha / 2**e, where nothing overflows: its violation (:func:`_cut_terms`)
+    scaled back must exceed feas_abs: its ``violation_at(p)`` bit for bit in the
+    float range, and past it the sign of that unit-scale sum.  A cut (pi_abs = |alpha|)
+    is built only when it is violated and its scaled-back rho_z and rhs are new."""
     flat, seen = violations.ravel(), set()
     top = int(np.argmax(flat))
 
@@ -379,24 +389,13 @@ def _walk(p: MixedPoint, a: np.ndarray, sets, violations: np.ndarray):
         above = above[np.argsort(-flat[above], kind="stable")]
         yield from above[above != top]
 
-    def violated():
-        for row, family in (divmod(int(index), 2) for index in candidates()):
-            cut = _cut(sets(row), a, family + 1)
-            if cut.violation_at(p) > DEFAULT_TOL.feas_abs:
-                key = (tuple(cut.rho_z.tolist()), cut.rhs)
-                if key not in seen:
-                    seen.add(key)
-                    yield cut
-
-    cuts = violated()
-    while True:
-        # past the float range a cut's lhs overflows, or is inf + (-inf): that NaN
-        # is not violated.  One errstate per cut found, none held across a yield.
-        with np.errstate(over="ignore", invalid="ignore"):
-            cut = next(cuts, None)
-        if cut is None:
-            return
-        yield cut
+    for row, family in (divmod(int(index), 2) for index in candidates()):
+        rho_z, rhs = _cut_terms(sets(row), asq, family + 1)
+        if scale_back(lhs + float(rho_z @ p.z) - rhs, e) > DEFAULT_TOL.feas_abs:
+            rho_z, rhs = scale_back(rho_z, e), scale_back(rhs, e)
+            if (key := (tuple(rho_z.tolist()), rhs)) not in seen:
+                seen.add(key)
+                yield LinearCut(np.abs(a), rho_z, rhs)
 
 
 def separate_submodular(p: MixedPoint, alpha, mode: str = "heuristic"):
@@ -411,7 +410,7 @@ def reported_cuts(p: MixedPoint, alpha, mode: str):
     every candidate of :func:`violated_cuts` is scored now, each cut built as
     the iterator reaches it."""
     a = _alpha_of(alpha)
-    return _walk(p, a, *violated_cuts(p, a, mode))
+    return _walk(p, a, *_scores(p, a, mode, tail=True))
 
 
 # ---------------------------------------------------------------------------

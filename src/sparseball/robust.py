@@ -25,7 +25,9 @@ budgeted objective exactly on each segment it searches, by a cutting-plane
 search over the pieces (``_segment_min``).  The dual solves raise ValueError
 only when the objective overflows the float range at every vertex.  The
 oracles and ``optimal_multipliers`` square y/d only through ``core.norm`` and
-``core.to_unit``, and scale results back through ``core.scale_back``.
+``core.to_unit``, and scale results back through ``core.scale_back``.  They
+take y/d from ``_over_d``, as +-inf with no warning where it is past the
+float range (d near 1e-310).
 """
 
 from __future__ import annotations
@@ -142,6 +144,14 @@ def _yvec(y) -> np.ndarray:
 # objective oracles
 
 
+def _over_d(y, inst: RobustInstance) -> np.ndarray:
+    """y / d, the one quotient the oracles take: the same bits as y / d, and
+    +-inf where that is past the float range (d near 1e-310).  Callers hold
+    ``np.errstate(over="ignore")``, so none warns: each public oracle once
+    per call, the budgeted solve once around its loop."""
+    return y / inst.d
+
+
 def _topk_set(values: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k largest values, smallest index winning ties."""
     return np.argsort(-values, kind="stable")[:k]
@@ -151,7 +161,8 @@ def top_k_sq_sum(y, inst: RobustInstance) -> float:
     """Sum of the k largest values of (y_i / d_i)^2, squared on u = y/d / 2**e
     (:func:`core.to_unit`) and scaled back by 2**(2e); inf past the float range.
     Within k + 2 ulps of the exact sum."""
-    e, u = to_unit(_yvec(y) / inst.d)
+    with np.errstate(over="ignore"):
+        e, u = to_unit(_over_d(_yvec(y), inst))
     r = u * u
     return scale_back(float(r[_topk_set(r, inst.k)].sum()), 2 * e)
 
@@ -164,26 +175,30 @@ def perspective_value(y, inst: RobustInstance) -> float:
     finite objective.
     """
     y = _yvec(y)
-    q = y / inst.d
+    with np.errstate(over="ignore"):
+        q = _over_d(y, inst)
     return float(inst.a_tilde @ y) + math.sqrt(inst.b) * norm(q[_topk_set(np.abs(q), inst.k)])
 
 
 def _budgeted_top(y: np.ndarray, inst: RobustInstance):
     """The budgeted objective at y and the top-k set of y/d that it sums."""
-    r = y / inst.d
+    r = _over_d(y, inst)
     top = _topk_set(r, inst.k)
     return float(inst.a_tilde @ y) + math.sqrt(inst.b) * float(r[top].sum()), top
 
 
 def budgeted_value(y, inst: RobustInstance) -> float:
     """Budgeted baseline objective  a~'y + sqrt(b) * (top-k sum of y_i/d_i); needs y >= 0."""
-    return _budgeted_top(_yvec(y), inst)[0]
+    with np.errstate(over="ignore"):
+        return _budgeted_top(_yvec(y), inst)[0]
 
 
 def ellipsoidal_value(y, inst: RobustInstance) -> float:
     """Ellipsoidal baseline objective  a~'y + sqrt(b) * ||y / d||_2 (:func:`core.norm`)."""
     y = _yvec(y)
-    return float(inst.a_tilde @ y) + math.sqrt(inst.b) * norm(y / inst.d)
+    with np.errstate(over="ignore"):
+        q = _over_d(y, inst)
+    return float(inst.a_tilde @ y) + math.sqrt(inst.b) * norm(q)
 
 
 def nominal_value(y, inst: RobustInstance) -> float:
@@ -275,7 +290,10 @@ def optimal_multipliers(y, inst: RobustInstance) -> DualCertificate:
     over- or underflows; a multiplier past the float range raises ValueError.
     """
     y = _yvec(y)
-    q = y / inst.d
+    with np.errstate(over="ignore"):
+        q = _over_d(y, inst)
+    if not np.all(np.isfinite(q)):
+        raise ValueError("the dual multipliers overflow the float range at this y")
     e, u = to_unit(q)
     s = 0.25 * u ** 2
     order = np.argsort(-s, kind="stable")
@@ -311,7 +329,7 @@ def method_value(method: str, y, inst: RobustInstance) -> float:
 
 def _budgeted_subgradient(y: np.ndarray, inst: RobustInstance) -> np.ndarray:
     """One subgradient of the budgeted objective at y (lexicographic top-k set on ties)."""
-    r = y / inst.d
+    r = _over_d(y, inst)
     g = inst.a_tilde.copy()
     top = _topk_set(r, inst.k)
     g[top] += math.sqrt(inst.b) / inst.d[top]
@@ -566,7 +584,7 @@ def _segment_min(inst: RobustInstance, y: np.ndarray, direction: np.ndarray):
     takes it, and has no tolerance and no cap.
     """
     root_b = math.sqrt(inst.b)
-    y_d, dir_d = y / inst.d, direction / inst.d
+    y_d, dir_d = _over_d(y, inst), _over_d(direction, inst)
     base, rise = float(inst.a_tilde @ y), float(inst.a_tilde @ direction)
 
     def probe(t: float) -> _Line:
@@ -664,36 +682,38 @@ def solve_counterpart(method: str, inst: RobustInstance) -> CounterpartResult:
             bound, y = _dual_solve(inst.a_tilde, inst.d, b)
         return CounterpartResult(PortfolioPoint(y), objective(y, inst), bound, method, 0)
 
-    y = np.full(inst.n, 1.0 / inst.n)
-    y_avg = y.copy()
-    best_y = y.copy()
-    best_f = objective(y, inst)
-    window_best = best_f
-    for t in range(1, _MAX_ITER + 1):
-        g = _budgeted_subgradient(y, inst)
-        y = project_simplex(y - (_ETA0 / math.sqrt(t)) * g)
-        y_avg += (y - y_avg) / t
-        f_y = objective(y, inst)
-        if f_y < best_f:
-            best_f = f_y
-            best_y = y.copy()
-        if t % 32 == 0:
-            f_avg = objective(y_avg, inst)
-            if f_avg < best_f:
-                best_f = f_avg
-                best_y = y_avg.copy()
-        if t % _WINDOW == 0:
-            if window_best - best_f < _RTOL * (abs(best_f) + 1e-9):
-                break
-            window_best = best_f
-            if t % (10 * _WINDOW) == 0:
-                # certificate test: f(y) - min f <= g'y - min_i g_i on the simplex
-                best_y, best_f = _polish(inst, best_y, best_f, rounds=1)
-                g = _budgeted_subgradient(best_y, inst)
-                gap = float(g @ best_y - g.min())
-                if gap <= _GAP_RTOL * (abs(best_f) + 1e-9):
+    # one errstate for the solve's y / d, so each of its oracle calls holds none
+    with np.errstate(over="ignore"):
+        y = np.full(inst.n, 1.0 / inst.n)
+        y_avg = y.copy()
+        best_y = y.copy()
+        best_f = _budgeted_top(y, inst)[0]
+        window_best = best_f
+        for t in range(1, _MAX_ITER + 1):
+            g = _budgeted_subgradient(y, inst)
+            y = project_simplex(y - (_ETA0 / math.sqrt(t)) * g)
+            y_avg += (y - y_avg) / t
+            f_y = _budgeted_top(y, inst)[0]
+            if f_y < best_f:
+                best_f = f_y
+                best_y = y.copy()
+            if t % 32 == 0:
+                f_avg = _budgeted_top(y_avg, inst)[0]
+                if f_avg < best_f:
+                    best_f = f_avg
+                    best_y = y_avg.copy()
+            if t % _WINDOW == 0:
+                if window_best - best_f < _RTOL * (abs(best_f) + 1e-9):
                     break
-    best_y, best_f = _polish(inst, best_y, best_f, _POLISH_ROUNDS)
-    g = _budgeted_subgradient(best_y, inst)
-    gap = float(g @ best_y - g.min())
+                window_best = best_f
+                if t % (10 * _WINDOW) == 0:
+                    # certificate test: f(y) - min f <= g'y - min_i g_i on the simplex
+                    best_y, best_f = _polish(inst, best_y, best_f, rounds=1)
+                    g = _budgeted_subgradient(best_y, inst)
+                    gap = float(g @ best_y - g.min())
+                    if gap <= _GAP_RTOL * (abs(best_f) + 1e-9):
+                        break
+        best_y, best_f = _polish(inst, best_y, best_f, _POLISH_ROUNDS)
+        g = _budgeted_subgradient(best_y, inst)
+        gap = float(g @ best_y - g.min())
     return CounterpartResult(PortfolioPoint(best_y), best_f, best_f - gap, method, t)

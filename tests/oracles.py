@@ -246,6 +246,14 @@ def top_k_sq_sum_exact(y, d, k):
     return sum(squares[len(squares) - k:], Fraction(0))
 
 
+def cut_lhs_exact(cut, x, z):
+    """sum_i pi_abs_i |x_i| + rho_z_i z_i of a LinearCut as an exact Fraction,
+    and the sum of its terms' magnitudes, sum_i pi_abs_i |x_i| + |rho_z_i| z_i."""
+    terms = [Fraction(float(p)) * abs(Fraction(float(xi))) for p, xi in zip(cut.pi_abs, x)]
+    terms += [Fraction(float(r)) * Fraction(float(zi)) for r, zi in zip(cut.rho_z, z)]
+    return sum(terms, Fraction(0)), sum(map(abs, terms), Fraction(0))
+
+
 def ulps_off(value, exact):
     """|value - exact| in ulps of the float nearest exact (a subnormal ulp
     below the normal range); 0 when both are inf, inf when only one is."""

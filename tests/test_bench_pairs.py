@@ -53,8 +53,8 @@ def test_summarize_flags_a_gap_past_the_parent_spread():
 
 def _bench(parent, seeds):
     pairs = [{"seed": seed, "first": "parent",
-              "parent": {"ms": 2.0, "correct": True, "failed": 0, "attempted": 100},
-              "change": {"ms": 1.0, "correct": True, "failed": 1, "attempted": 200}}
+              "parent": {"ms": 2.0, "peak_rss_mb": 40.0, "correct": True, "failed": 0, "attempted": 100},
+              "change": {"ms": 1.0, "peak_rss_mb": 40.0, "correct": True, "failed": 1, "attempted": 200}}
              for seed in seeds]
     return {"parent": parent, "workloads": {"grid": {"seeds": list(seeds), "pairs": pairs}}}
 
@@ -64,8 +64,8 @@ def test_new_pairs_join_the_entry_measured_against_the_same_parent():
     prior = bench_pairs.prior_pairs(bench, "abc", "grid", [3])
     assert [pair["seed"] for pair in prior] == [1, 2]
     new = {"seed": 3, "first": "change",
-           "parent": {"ms": 4.0, "correct": True, "failed": 0, "attempted": 100},
-           "change": {"ms": 1.0, "correct": False, "failed": 0, "attempted": 200}}
+           "parent": {"ms": 4.0, "peak_rss_mb": 40.0, "correct": True, "failed": 0, "attempted": 100},
+           "change": {"ms": 1.0, "peak_rss_mb": 40.0, "correct": False, "failed": 0, "attempted": 200}}
     entry = bench_pairs.workload_entry(prior + [new], {"ms": "lower"}, 30, {"nproc": 2})
     assert entry["seeds"] == [1, 2, 3]
     assert entry["pairs"][:2] == bench["workloads"]["grid"]["pairs"]
@@ -138,6 +138,19 @@ def test_summary_prints_each_sides_op_count_under_the_verdicts():
     assert attempted_line.split() == ["attempted", "parent", "300", "change", "700"]
 
 
+def test_rss_per_1000_ops_tells_an_op_count_move_from_a_change():
+    # the change peaks 10% higher on twice the ops: less RSS per 1000 ops
+    pairs = _pairs(peak_rss_mb=([40.0, 42.0, 41.0], [44.0, 46.0, 45.0]))
+    for seed, pair, (p_ops, c_ops) in zip([1, 2, 3], pairs, [(2000, 4000), (2100, 4000), (2000, 4500)]):
+        pair["seed"] = seed
+        pair["parent"].update(attempted=p_ops, correct=True, failed=0)
+        pair["change"].update(attempted=c_ops, correct=True, failed=0)
+    entry = bench_pairs.workload_entry(pairs, {"peak_rss_mb": "lower"}, 30, {"nproc": 2},
+                                       {"peak_rss_mb": 0.1})
+    assert entry["rss_mb_per_kop"] == {"parent": 20.0, "change": 11.0}
+    assert bench_pairs.summary_lines(entry)[2].split() == ["rss_per_kop", "parent", "20", "change", "11"]
+
+
 def _fake_run(failed_side):
     """A run_once stand-in whose failed_side runs have one failed op."""
     def run_once(tree, workload, seed, seconds):
@@ -169,7 +182,7 @@ def test_prints_correct_runs_and_failed_ops_and_exits_1_on_a_failed_op(
 
 
 def test_an_incorrect_run_is_not_clean():
-    pairs = _pairs(ms=([1.0, 1.0], [1.0, 1.0]))
+    pairs = _pairs(ms=([1.0, 1.0], [1.0, 1.0]), peak_rss_mb=([40.0, 40.0], [40.0, 40.0]))
     for seed, pair, correct in zip((1, 2), pairs, (True, False)):
         pair["seed"] = seed
         pair["parent"].update(correct=True, failed=0, attempted=10)

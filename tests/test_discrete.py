@@ -402,11 +402,11 @@ class TestPastTheFloatRange:
         _, small = violated_cuts(p, alpha / 1024.0, mode)
         assert np.count_nonzero(violations == math.inf) == infinite
         assert np.array_equal(violations, scale_back(small, 10))
+        # the top candidate is the empty set's family-1 cut, sum |alpha_i x_i|
+        # <= sum |alpha_i| z_i, violated by 2.4e308: past the range, not inf - inf
         cut = separate_submodular(p, alpha, mode)
-        assert cut.rhs == 1.3094750193111253e+308
-        # the cut's own lhs overflows at p; that is its violation, not an error
-        with np.errstate(over="ignore"):
-            assert cut.violation_at(p) == math.inf
+        assert cut.rhs == 0.0 and np.array_equal(cut.rho_z, -alpha)
+        assert cut.violation_at(p) == math.inf
         assert next(reported_cuts(p, alpha, mode)).rhs == cut.rhs
 
     def test_set_function_and_cuts(self):

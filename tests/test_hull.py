@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -188,6 +189,38 @@ class TestCutGenerators:
             for i in np.flatnonzero(~in_S):
                 assert abs(rho(i, S, alpha) - oracles.rho_from_g(i, S, alpha)) <= added
 
+    @given(st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+                              st.one_of(st.floats(0.0, 1.0), st.integers(1, 2**52 - 1).map(lambda k: k * 5e-324)),
+                              st.booleans()), min_size=1, max_size=8),
+           st.sampled_from([-600, 0, 600]), st.sampled_from([-600, 0, 600]),
+           st.sampled_from([submodular_cut_1, submodular_cut_2, base_inequality]))
+    @settings(max_examples=400)
+    def test_lhs_is_within_n_plus_1_ulps_of_exact(self, entries, alpha_scale, x_scale, make):
+        # alpha and x at scales 2^+-600, z in [0, 1] or subnormal, S the
+        # flagged entries: the bound in LinearCut.lhs, +-inf past the range,
+        # and no warning (the suite turns warnings into errors)
+        alpha = np.array([math.ldexp(a, alpha_scale) for a, _, _, _ in entries])
+        x = np.array([math.ldexp(xi, x_scale) for _, xi, _, _ in entries])
+        z = np.array([zi for _, _, zi, _ in entries])
+        cut = make([i for i, entry in enumerate(entries) if entry[3]], alpha)
+        lhs = cut.lhs(x, z)
+        exact, magnitude = oracles.cut_lhs_exact(cut, x, z)
+        try:
+            float(exact)
+        except OverflowError:
+            assert lhs == (math.inf if exact > 0 else -math.inf)
+        else:
+            assert abs(Fraction(lhs) - exact) <= (len(entries) + 1) * Fraction(math.ulp(float(magnitude)))
+
+    def test_lhs_past_the_range_in_parts(self):
+        # each part of the sum is past the float range, inf + (-inf) unscaled,
+        # but the sum is not
+        cut = LinearCut([1.5e308, 1.5e308], [-1.5e308, -1.5e308], 0.0)
+        assert cut.lhs([1.0, 1.0], [1.0, 1.0]) == 0.0
+        assert cut.lhs([1.0, 1.0], [0.5, 0.5]) == 1.5e308
+        assert cut.lhs([1.0, 1.0], [0.0, 0.5]) == math.inf
+        assert cut.violation([0.0, 0.0], [1.0, 0.5]) == -math.inf
+
     def test_linear_cut_rejects_negative_pi(self):
         with pytest.raises(ValueError):
             LinearCut([-1.0], [0.0], 0.0)
@@ -368,6 +401,79 @@ class TestSeparation:
                                rng.choice(np.arange(m + 2, n - 1), size=30, replace=False)))
         reference = oracles.cut_violations(p, alpha, [sets(r) for r in rows])
         assert np.all(np.abs(violations[rows] - reference) <= 1e-12 * np.maximum(1.0, np.abs(reference)))
+
+
+def _rebuilt_walk(p, alpha, mode, violated):
+    """``reported_cuts``' walk rebuilt from public pieces: the candidates of
+    ``violated_cuts``, the top score first, then every other one scored above
+    feas_abs by score descending (stable, so family 1 first on a row); each
+    cut built by ``submodular_cut_1``/``_2`` and kept when ``violated(cut, S,
+    family)`` holds and its (rho_z, rhs) is new."""
+    sets, violations = violated_cuts(p, alpha, mode)
+    flat = violations.ravel()
+    top = int(np.argmax(flat))
+    order = [top] + [int(i) for i in np.argsort(-flat, kind="stable")
+                     if flat[i] > DEFAULT_TOL.feas_abs and i != top]
+    cuts, seen = [], set()
+    for row, family in (divmod(index, 2) for index in order):
+        make = (submodular_cut_1, submodular_cut_2)[family]
+        cut = make(sets(row), alpha)
+        key = (tuple(cut.rho_z.tolist()), cut.rhs)
+        if violated(cut, sets(row), make) and key not in seen:
+            seen.add(key)
+            cuts.append(cut)
+    return cuts
+
+
+def _bits(cut):
+    return cut.pi_abs.tobytes(), cut.rho_z.tobytes(), float(cut.rhs).hex()
+
+
+class TestWalk:
+    def test_reported_cuts_are_the_rebuilt_walk(self):
+        # seeded points at n <= 12 with half-integer alpha, x and z (ties),
+        # zero alpha and 0/1 z: the same cuts, bit for bit, in the same order
+        rng = np.random.default_rng(22)
+        for mode in ("heuristic", "exact"):
+            for variant in range(40):
+                n = int(rng.integers(1, 13 if variant % 4 else 9))
+                x, z, alpha = rng.normal(size=n), rng.uniform(size=n), rng.normal(size=n)
+                if variant % 2:
+                    alpha, x, z = np.round(alpha * 2.0) / 2.0, np.round(x * 2.0) / 2.0, np.round(z * 2.0) / 2.0
+                if variant % 5 == 0:
+                    alpha[rng.random(n) < 0.3] = 0.0
+                if variant % 3 == 0:
+                    z = rng.integers(0, 2, size=n).astype(float)
+                p = MixedPoint(x, z)
+                expected = _rebuilt_walk(p, alpha, mode,
+                                         lambda cut, S, make: cut.violation_at(p) > DEFAULT_TOL.feas_abs)
+                assert [_bits(c) for c in reported_cuts(p, alpha, mode)] == [_bits(c) for c in expected]
+
+    def test_past_the_range_the_walk_follows_the_exact_sign(self):
+        # alpha near 1.5e308: each cut is tested as the exact violation of
+        # the same cut at alpha / 2^10 says, where the unscaled lhs can read
+        # inf + (-inf), which was once taken as "not violated"
+        rng = np.random.default_rng(23)
+
+        def exact_sign(p, alpha):
+            def violated(cut, S, make):
+                small = make(S, alpha / 1024.0)
+                lhs, _ = oracles.cut_lhs_exact(small, p.x, p.z)
+                return 1024 * (lhs - Fraction(small.rhs)) > DEFAULT_TOL.feas_abs
+            return violated
+
+        both_parts_past = 0
+        for mode in ("heuristic", "exact"):
+            for _ in range(12):
+                n = int(rng.integers(2, 9))
+                alpha = 1.5e308 * rng.choice([-1.0, -0.5, 0.5, 1.0], n)
+                p = MixedPoint(rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], n), rng.choice([0.0, 0.5, 1.0], n))
+                cuts = list(reported_cuts(p, alpha, mode))
+                assert [_bits(c) for c in cuts] == [_bits(c) for c in _rebuilt_walk(p, alpha, mode, exact_sign(p, alpha))]
+                with np.errstate(over="ignore"):
+                    both_parts_past += sum(math.isinf(float(c.pi_abs @ np.abs(p.x))) and
+                                           math.isinf(float(c.rho_z @ p.z)) for c in cuts)
+        assert both_parts_past > 0
 
 
 def _traced(f, *args, **kwargs):

@@ -226,6 +226,13 @@ class TestObjectiveOracles:
             assert method_value(name, y, inst) == pytest.approx(
                 method_value(name, y[perm], permuted), rel=1e-12, abs=1e-12)
 
+    @pytest.mark.parametrize("oracle", [top_k_sq_sum, perspective_value, budgeted_value, ellipsoidal_value],
+                             ids=lambda oracle: oracle.__name__)
+    def test_quotient_past_the_float_range_is_inf(self, oracle):
+        # y / d = 1e310 overflows: inf, with no warning (the suite turns them into errors)
+        inst = RobustInstance([0.0], [1e-310], 1.0, 1, 1)
+        assert oracle([1.0], inst) == math.inf
+
 
 class TestWorstCase:
     def test_single_asset(self):
@@ -340,6 +347,12 @@ class TestOptimalMultipliers:
         inst = RobustInstance(np.zeros(2), np.full(2, 1e-160), 1e-300, 1, 2)
         with pytest.raises(ValueError, match="multipliers overflow the float range"):
             optimal_multipliers(np.array([0.5, 0.5]), inst)
+
+    def test_quotient_past_the_float_range_raises(self):
+        # y / d = 1e310: no multiplier is finite, and no warning comes first
+        inst = RobustInstance([0.0], [1e-310], 1.0, 1, 1)
+        with pytest.raises(ValueError, match="multipliers overflow the float range"):
+            optimal_multipliers([1.0], inst)
 
     def test_squares_past_the_float_range_still_certify(self):
         # (y_i/d_i)^2 = 2.5e319 overflows, but every multiplier is finite
