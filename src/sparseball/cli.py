@@ -83,8 +83,22 @@ def _vector_arg(arg: str, name: str, key: str | None = None) -> np.ndarray:
 
 
 def _emit(obj) -> None:
-    json.dump(obj, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    """Print obj, a dict or a list, as JSON with one member or entry per line.
+
+    Each line is a ``json.dumps`` without indent, which runs the C encoder; an
+    indented dump runs the pure-Python one, which took half of ``sparseball
+    cuts``' time in exact mode at n = 16.
+    """
+    if isinstance(obj, dict):
+        brackets, lines = "{}", (f"{json.dumps(key)}: {json.dumps(value)}" for key, value in obj.items())
+    else:
+        brackets, lines = "[]", map(json.dumps, obj)
+    sys.stdout.write(brackets[0])
+    opened = False
+    for line in lines:
+        sys.stdout.write((",\n  " if opened else "\n  ") + line)
+        opened = True
+    sys.stdout.write(("\n" if opened else "") + brackets[1] + "\n")
 
 
 def _cmd_solve(args) -> int:

@@ -173,6 +173,24 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
     return arr
 
 
+def freeze_fields(obj, *names: str) -> None:
+    """Set each named field of the frozen dataclass obj to its value as a
+    read-only, finite 1-D float64 array.
+
+    A value that already is one and owns its data is shared as is, since no
+    one can write to it through another array; anything else is copied by
+    :func:`as_vector` (ValueError naming the field when it is not finite or
+    not 1-D) and the copy frozen.
+    """
+    for name in names:
+        v = getattr(obj, name)
+        if not (isinstance(v, np.ndarray) and not v.flags.writeable and v.flags.owndata
+                and v.dtype == np.float64 and v.ndim == 1 and np.all(np.isfinite(v))):
+            v = as_vector(v, name)
+            v.setflags(write=False)
+        object.__setattr__(obj, name, v)
+
+
 @dataclass(frozen=True)
 class Tolerance:
     """The package's one numeric tolerance, DEFAULT_TOL.
@@ -266,22 +284,21 @@ class MixedPoint:
     """A candidate pair (x, z).
 
     z entries are clamped to [0, 1] at construction; non-finite input is
-    rejected.  Arrays are frozen read-only so points can be shared freely.
+    rejected.  Arrays are frozen read-only so points can be shared freely,
+    and a frozen array is kept as is (:func:`freeze_fields`), so a point
+    built on a relaxation's z_bar shares it.
     """
 
     x: np.ndarray
     z: np.ndarray
 
     def __post_init__(self):
-        x = as_vector(self.x, "x")
-        z = as_vector(self.z, "z")
-        if x.shape != z.shape:
+        freeze_fields(self, "x", "z")
+        if self.x.shape != self.z.shape:
             raise ValueError("x and z must have equal length")
-        z = np.clip(z, 0.0, 1.0)
-        x.setflags(write=False)
-        z.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "z", z)
+        if np.any(self.z < 0.0) or np.any(self.z > 1.0):
+            object.__setattr__(self, "z", np.clip(self.z, 0.0, 1.0))
+            freeze_fields(self, "z")
 
     @property
     def n(self) -> int:
@@ -297,14 +314,9 @@ class ProblemInstance:
     zfam: ZFamily
 
     def __post_init__(self):
-        a = as_vector(self.a, "a")
-        c = as_vector(self.c, "c")
-        if a.size != self.zfam.n or c.size != self.zfam.n:
+        freeze_fields(self, "a", "c")
+        if self.a.size != self.zfam.n or self.c.size != self.zfam.n:
             raise ValueError("a and c must have length zfam.n")
-        a.setflags(write=False)
-        c.setflags(write=False)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "c", c)
 
     @property
     def n(self) -> int:

@@ -13,8 +13,9 @@ about sqrt(eps) g(N), so the walk tests each candidate's own cut, on the
 scorer's scale, and builds only those it yields (``_walk``).
 Heuristic separation scores the nested prefixes by z descending through
 the last positive z from running sums, in O(n log n + m^2) for m positive
-z (``_prefix_violations``); exact separation scores every subset from the
-rows of ``enumerate_Z``, so n <= ``core.ENUMERATION_GUARD`` = 16.  Every
+z (``_prefix_violations``); exact separation scores every subset, the rows
+of ``enumerate_Z``, from subset-sum tables (``_subset_sums``), so
+n <= ``core.ENUMERATION_GUARD`` = 16.  Every
 square of alpha or a here is taken on it divided by the power of two of
 ``core.to_unit``, and every result, scalar or array, comes back through
 ``core.scale_back``, so no finite scale over- or underflows.
@@ -55,6 +56,7 @@ from .core import (
     as_int,
     as_vector,
     enumerate_Z,
+    freeze_fields,
     norm,
     safe_div_arr,
     scale_back,
@@ -80,9 +82,7 @@ class CutVector:
     alpha: np.ndarray
 
     def __post_init__(self):
-        alpha = as_vector(self.alpha, "alpha")
-        alpha.setflags(write=False)
-        object.__setattr__(self, "alpha", alpha)
+        freeze_fields(self, "alpha")
 
     @property
     def n(self) -> int:
@@ -109,16 +109,11 @@ class LinearCut:
     rhs: float
 
     def __post_init__(self):
-        pi = as_vector(self.pi_abs, "pi_abs")
-        if np.any(pi < 0.0):
+        freeze_fields(self, "pi_abs", "rho_z")
+        if np.any(self.pi_abs < 0.0):
             raise ValueError("pi_abs coefficients must be nonnegative")
-        rz = as_vector(self.rho_z, "rho_z")
-        if pi.size != rz.size:
+        if self.pi_abs.size != self.rho_z.size:
             raise ValueError("pi_abs and rho_z must have equal length")
-        pi.setflags(write=False)
-        rz.setflags(write=False)
-        object.__setattr__(self, "pi_abs", pi)
-        object.__setattr__(self, "rho_z", rz)
 
     def lhs(self, x, z) -> float:
         """sum_i pi_abs_i |x_i| + rho_z_i z_i with no warning: the plain sum where finite,
@@ -148,16 +143,18 @@ def g_value(S, alpha) -> float:
     return norm(a[as_index_set(S, a.size)])
 
 
-def _drop_gain(q, asq):
+def _drop_gain(q, asq, out=None):
     """rho_i(S - i) = sqrt(q) - sqrt(q - a_i^2) for i in S, from the set sum q = a^2(S).
 
     q and asq = a_i^2 broadcast against each other; rounding can leave
     q - a_i^2 below zero, so it is clipped there.  When a_i^2 is nearly all
     of q the rest of S is lost to cancellation: the gain is then accurate to
     about sqrt(eps) g(S), not eps g(S).  Family 1's inside terms in the
-    scorers use it; everything else starts from :func:`_rest_sums`.
+    scorers use it; everything else starts from :func:`_rest_sums`.  With out, an
+    array of the broadcast shape, every step is taken in it.
     """
-    return np.sqrt(q) - np.sqrt(np.maximum(q - asq, 0.0))
+    rest = np.maximum(np.subtract(q, asq, out=out), 0.0, out=out)
+    return np.subtract(np.sqrt(q), np.sqrt(rest, out=out), out=out)
 
 
 def _rest_sums(asq):
@@ -174,9 +171,11 @@ def _rest_sums(asq):
     return before + after
 
 
-def _add_gain(q, asq):
-    """rho_i(S) = sqrt(q + a_i^2) - sqrt(q) for i outside S, from the set sum q = a^2(S)."""
-    return np.sqrt(q + asq) - np.sqrt(q)
+def _add_gain(q, asq, out=None):
+    """rho_i(S) = sqrt(q + a_i^2) - sqrt(q) for i outside S, from the set sum q = a^2(S);
+    with out, as :func:`_drop_gain`, every step is taken in it."""
+    total = np.sqrt(np.add(q, asq, out=out), out=out)
+    return np.subtract(total, np.sqrt(q), out=out)
 
 
 def rho(i: int, S, alpha) -> float:
@@ -329,46 +328,97 @@ def violated_cuts(p: MixedPoint, alpha, mode: str):
     and ``violations[r, f]`` is the violation at p of ``submodular_cut_1``
     (f = 0) or ``submodular_cut_2`` (f = 1) on it, scored without building a
     cut or a matrix of prefixes (:func:`_prefix_violations`, :func:`_scores`).
-    Family 1's dropped marginals are taken from q - a_i^2 and can be off
-    by about sqrt(eps) g(N), so a listed violation is a candidate's score,
-    not its cut's own, by which :func:`separate_submodular` and
-    :func:`reported_cuts` test it.  Every prefix is listed: the head,
-    through the last positive z, with the same bits as separation scores
-    it, then the tail, whose rows are never more violated than the head's
-    last but by rounding.
+    With s = |alpha|'|x| + ||alpha||_1, which bounds every term, family 2's
+    score is within 2n ulps of s of its cut's exact violation; family 1's
+    dropped marginals are taken from q - a_i^2 (:func:`_drop_gain`), so its
+    score is within that plus, for each member i of S, (1 - z_i)
+    min(sqrt(n eps) g(S), n eps g(S)^2 / g(S - i)), which is about
+    sqrt(eps) g(S) where a_i^2 is nearly all of a^2(S).  So a listed
+    violation is a candidate's score, not its cut's own, by which
+    :func:`separate_submodular` and :func:`reported_cuts` test it.  The tests
+    check these bounds against exact violations at n <= 6, and, at n <= 12,
+    that exact scores are within n ulps of s of the block scorer the
+    subset-sum tables replaced, both with alpha at 2^+-600.  Every prefix
+    is listed: the head, through the last positive z, with the same bits as
+    separation scores it, then the tail, whose rows are never more violated
+    than the head's last but by rounding.
     """
     return _scores(p, _alpha_of(alpha), mode, tail=True)[:2]
 
 
+def _subset_sums(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[r] = the sum of v_i over the members i of row r of
+    ``enumerate_Z(ZFamily.free(v.size))``, built by doubling, T <- [T, T + v_i],
+    from the last coordinate (the lowest bit of the row id) to the first: 2^n
+    additions, no member matrix.  Each entry adds its members in descending
+    index order.  out may be a strided view; written reversed (``out[::-1]``), it
+    holds the sums over each row's non-members instead.
+    """
+    out[0] = 0.0
+    half = 1
+    for vi in v[::-1]:
+        np.add(out[:half], vi, out=out[half:2 * half])
+        half *= 2
+    return out
+
+
 def _scores(p: MixedPoint, a: np.ndarray, mode: str, tail: bool):
-    """:func:`violated_cuts`, scored on u = alpha / 2**e (:func:`core.to_unit`)
-    and scaled back, then ``(e, u^2, |u|'|x|)``; tail rows only with tail.  Exact
-    mode scores every subset in blocks of 2^11 rows from their set sums q = M u^2."""
+    """:func:`violated_cuts`, scored on u = alpha / 2**e and x / 2**f
+    (:func:`core.to_unit`) and scaled back, then ``(e, u^2, |u|'|x|)``, that last
+    one scaled back by 2**f (+inf past the float range); tail rows only with tail.
+
+    Exact mode scores every row of ``enumerate_Z(ZFamily.free(n))``.  Three
+    :func:`_subset_sums` tables, built once, give each row's set sum
+    q = u^2(S) and its two linear terms, family 1's outside sum
+    sum_{i not in S} |u_i| z_i and family 2's inside sum
+    sum_{i in S} rho_i(N - i)(1 - z_i); the two linear tables are built in the
+    violation columns themselves.  Blocks of 2^11 rows then take sqrt(q) and
+    the two nonlinear terms, each only on the coordinates whose weight is
+    nonzero: family 1's inside sum of rho_i(S - i)(1 - z_i) (:func:`_drop_gain`)
+    where z_i < 1, and family 2's outside sum of rho_i(S) z_i where z_i > 0.
+    At a point whose z is 0/1 but for one or two coordinates, as a
+    relaxation's is, that is n columns per block plus one or two, in place
+    of 2n.
+    """
     if p.n != a.size:
         raise ValueError("dimension mismatch between point and alpha")
-    e, u = to_unit(a)
-    asq, lhs = u * u, float(np.abs(u) @ np.abs(p.x))
+    (e, u), (f, w) = to_unit(a), to_unit(p.x)
+    asq, lhs = u * u, scale_back(float(np.abs(u) @ np.abs(w)), f)
     if mode == "heuristic":
         sets, violations = _prefix_violations(p, asq, lhs, tail)
         return sets, scale_back(violations, e), e, asq, lhs
     if mode != "exact":
         raise ValueError(f"unknown separation mode {mode!r}")
     members = enumerate_Z(ZFamily.free(a.size))
-    one_minus_z = 1.0 - p.z
-    outside1 = _add_gain(0.0, asq) * p.z
-    inside2 = _add_gain(_rest_sums(asq), asq) * one_minus_z
-    violations = np.empty((members.shape[0], 2))
-    for start in range(0, members.shape[0], _SCORE_BLOCK):
-        M = members[start:start + _SCORE_BLOCK].astype(float)
-        out = violations[start:start + _SCORE_BLOCK]
-        q = (M @ asq)[:, None]
-        sq = np.sqrt(q[:, 0])
-        outside = 1.0 - M
-        out[:, 0] = lhs - (sq - (M * _drop_gain(q, asq)) @ one_minus_z + outside @ outside1)
-        out[:, 1] = lhs - (sq - M @ inside2 + (outside * _add_gain(q, asq)) @ p.z)
-        # free this block's arrays before the next block builds its own
-        del M, outside
+    violations = _exact_violations(members, asq, p.z, lhs)
     return lambda row: np.flatnonzero(members[row]), scale_back(violations, e), e, asq, lhs
+
+
+def _exact_violations(members: np.ndarray, asq: np.ndarray, z: np.ndarray, lhs: float):
+    """The unit-scale violations of :func:`_scores`' exact mode on the rows of members."""
+    rows, n = members.shape
+    violations = np.empty((rows, 2))
+    q = _subset_sums(asq, np.empty(rows))
+    _subset_sums(_add_gain(0.0, asq) * z, violations[::-1, 0])
+    _subset_sums(_add_gain(_rest_sums(asq), asq) * (1.0 - z), violations[:, 1])
+    # the columns of nonzero weight, a slice when they are all of them
+    drop_at, add_at = (slice(None) if live.all() else np.flatnonzero(live)
+                       for live in (z < 1.0, z > 0.0))
+    drop_asq, drop_w, add_asq, add_w = asq[drop_at], (1.0 - z)[drop_at], asq[add_at], z[add_at]
+    block = min(_SCORE_BLOCK, rows)
+    work = np.empty(block * n)  # both families' gains, each block in turn, in place
+    for start in range(0, rows, block):
+        rows_here = slice(start, start + block)
+        M, qb, out = members[rows_here], q[rows_here, None], violations[rows_here]
+        drop = _drop_gain(qb, drop_asq, out=work[:block * drop_w.size].reshape(block, drop_w.size))
+        drop *= M[:, drop_at]
+        drop = drop @ drop_w
+        add = _add_gain(qb, add_asq, out=work[:block * add_w.size].reshape(block, add_w.size))
+        add *= 1 - M[:, add_at]
+        sq = np.sqrt(qb[:, 0])
+        out[:, 0] = lhs - (sq - drop + out[:, 0])
+        out[:, 1] = lhs - (sq - out[:, 1] + add @ add_w)
+    return violations
 
 
 def _walk(p: MixedPoint, a: np.ndarray, sets, violations: np.ndarray, e: int, asq, lhs: float):
@@ -642,10 +692,13 @@ def solve_relaxation(inst: ProblemInstance) -> RelaxationSolution:
     is always a family member and the solve cannot fail.  The search and
     the rounding run on (a, c) / 2**e (``core.to_unit``) and both
     values are scaled back, so no square of finite data over- or
-    underflows.
+    underflows.  z_bar and rounded_z are read-only arrays of their own, so a
+    :class:`core.MixedPoint` built on z_bar shares it.
     """
     e, a, c = to_unit(inst.a, inst.c)
     z_bar, value, v_lo, v_hi = _relax(a, c, inst.zfam)
+    for v in (z_bar, v_lo, v_hi):
+        v.setflags(write=False)
     rounded_z = min((v_lo, v_hi), key=lambda v: (_objective(v, a, c), v.tolist()))
     return RelaxationSolution(
         z_bar=z_bar,

@@ -43,7 +43,7 @@ from .core import (
     DEFAULT_TOL,
     as_budget,
     as_int,
-    as_vector,
+    freeze_fields,
     loads_strict,
     norm,
     safe_div,
@@ -77,20 +77,15 @@ class RobustInstance:
         n = as_int(self.n, "n")
         if n < 1:
             raise ValueError(f"n must be at least 1, got n={n}")
-        a = as_vector(self.a_tilde, "a_tilde")
-        d = as_vector(self.d, "d")
-        if a.size != n or d.size != n:
+        freeze_fields(self, "a_tilde", "d")
+        if self.a_tilde.size != n or self.d.size != n:
             raise ValueError("a_tilde and d must have length n")
-        if np.any(d <= 0.0):
+        if np.any(self.d <= 0.0):
             raise ValueError("d must be strictly positive")
         b = as_budget(self.b)
         k = as_int(self.k, "k")
         if not 1 <= k <= n:
             raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-        a.setflags(write=False)
-        d.setflags(write=False)
-        object.__setattr__(self, "a_tilde", a)
-        object.__setattr__(self, "d", d)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "n", n)
@@ -124,14 +119,14 @@ class PortfolioPoint:
     y: np.ndarray
 
     def __post_init__(self):
-        y = as_vector(self.y, "y")
-        if np.any(y < -DEFAULT_TOL.feas_abs):
+        freeze_fields(self, "y")
+        if np.any(self.y < -DEFAULT_TOL.feas_abs):
             raise ValueError("y must be nonnegative")
-        y = np.maximum(y, 0.0)
-        if abs(float(y.sum()) - 1.0) > DEFAULT_TOL.feas_abs:
+        if np.any(np.signbit(self.y)):  # negatives within the tolerance, and -0.0, become 0.0
+            object.__setattr__(self, "y", np.maximum(self.y, 0.0))
+            freeze_fields(self, "y")
+        if abs(float(self.y.sum()) - 1.0) > DEFAULT_TOL.feas_abs:
             raise ValueError("y must sum to one")
-        y.setflags(write=False)
-        object.__setattr__(self, "y", y)
 
 
 def _yvec(y) -> np.ndarray:
@@ -268,14 +263,9 @@ class DualCertificate:
     p: np.ndarray
 
     def __post_init__(self):
-        t = as_vector(self.t, "t")
-        p = as_vector(self.p, "p")
-        if self.lam < 0.0 or self.mu < 0.0 or self.gamma < 0.0 or np.any(t < 0.0):
+        freeze_fields(self, "t", "p")
+        if self.lam < 0.0 or self.mu < 0.0 or self.gamma < 0.0 or np.any(self.t < 0.0):
             raise ValueError("multipliers must be nonnegative")
-        t.setflags(write=False)
-        p.setflags(write=False)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "p", p)
 
 
 def optimal_multipliers(y, inst: RobustInstance) -> DualCertificate:

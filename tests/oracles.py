@@ -1,17 +1,24 @@
 """Independent oracles for the test suite: grids, enumerations, line searches,
-and exact twins in ``fractions`` arithmetic.
+and exact twins in ``fractions`` and 60-digit ``decimal`` arithmetic.
 
 These deliberately avoid the library's closed forms so each assertion
-compares two separately derived answers.
+compares two separately derived answers.  The one exception is
+``exact_scores_reference``, the exact-mode block scorer that subset-sum
+tables replaced, kept with the library's marginal helpers as the reference
+for a change that reorders its sums.
 """
 
+import decimal
 import itertools
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 
-from sparseball.hull import submodular_cut_1, submodular_cut_2
+from sparseball.core import ZFamily, enumerate_Z, scale_back, to_unit
+from sparseball.hull import (_SCORE_BLOCK, _add_gain, _drop_gain, _rest_sums, submodular_cut_1,
+                             submodular_cut_2)
 
 
 def min_linear_on_ball(a, offset=0.0, angular_step=0.01):
@@ -186,6 +193,29 @@ def cut_violations(p, alpha, subsets):
                      for S in subsets]).reshape(-1, 2)
 
 
+def exact_scores_reference(p, alpha):
+    """The exact-mode violations of ``violated_cuts`` as the block scorer
+    before subset-sum tables took them: each block of member rows M gives its
+    set sums q = M u^2 and both families' inside and outside sums as matrix
+    products over every coordinate, on u = alpha / 2**e, scaled back."""
+    e, u = to_unit(np.asarray(alpha, dtype=float))
+    asq, lhs = u * u, float(np.abs(u) @ np.abs(p.x))
+    members = enumerate_Z(ZFamily.free(u.size))
+    one_minus_z = 1.0 - p.z
+    outside1 = _add_gain(0.0, asq) * p.z
+    inside2 = _add_gain(_rest_sums(asq), asq) * one_minus_z
+    violations = np.empty((members.shape[0], 2))
+    for start in range(0, members.shape[0], _SCORE_BLOCK):
+        M = members[start:start + _SCORE_BLOCK].astype(float)
+        out = violations[start:start + _SCORE_BLOCK]
+        q = (M @ asq)[:, None]
+        sq = np.sqrt(q[:, 0])
+        outside = 1.0 - M
+        out[:, 0] = lhs - (sq - (M * _drop_gain(q, asq)) @ one_minus_z + outside @ outside1)
+        out[:, 1] = lhs - (sq - M @ inside2 + (outside * _add_gain(q, asq)) @ p.z)
+    return scale_back(violations, e)
+
+
 def prefix_sets(z):
     """The n + 1 nested prefixes of the indices sorted by (-z_i, i), smallest first."""
     order = sorted(range(len(z)), key=lambda i: (-z[i], i))
@@ -264,3 +294,27 @@ def ulps_off(value, exact):
     if math.isinf(value) or math.isinf(nearest):
         return 0.0 if value == nearest else math.inf
     return float(abs(Fraction(value) - exact) / Fraction(math.ulp(nearest)))
+
+
+def cut_violation_exact(p, alpha, S, family):
+    """Violation at p of ``submodular_cut_1`` (family 1) or ``submodular_cut_2``
+    (family 2) on S, as a Fraction: every set sum of alpha_i^2 exact, every g
+    a square root to 60 digits (``decimal``), every marginal a difference of g
+    values, so the only error is the roots' (relative 1e-59 or so)."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        asq = [Fraction(float(a)) ** 2 for a in alpha]
+
+        def g(T):
+            total = sum((asq[i] for i in T), Fraction(0))
+            return Decimal(total.numerator).sqrt() / Decimal(total.denominator).sqrt()
+
+        S, N = set(map(int, S)), set(range(len(asq)))
+        T = N if family == 2 else S
+        inside = {i: g(T) - g(T - {i}) for i in S}
+        terms = [Decimal(abs(float(a))) * Decimal(abs(float(xi))) for a, xi in zip(alpha, p.x)]
+        for i, zi in enumerate(map(float, p.z)):
+            marginal = inside[i] if i in S else g(S | {i}) - g(S) if family == 2 else g({i})
+            terms.append(-marginal * Decimal(zi))
+        terms += [-g(S), *inside.values()]
+        return Fraction(sum(terms, Decimal(0)))

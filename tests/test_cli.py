@@ -101,6 +101,15 @@ class TestCuts:
         code, out = _run(capsys, [*argv, "--top", "3"])
         assert code == EXIT_OK and json.loads(out) == cuts[:3]
 
+    def test_one_cut_per_line(self, capsys):
+        # each cut is one line of json.dumps (the C encoder), not an indented dump
+        _, out = _run(capsys, ["cuts", "--point", '{"x": [0.6, 0.6, 0.5], "z": [0.5, 0.5, 0.5]}',
+                               "--alpha", "[1, 1, 1]", "--mode", "exact"])
+        cuts = json.loads(out)
+        lines = out.splitlines()
+        assert len(cuts) == 8 and lines[0] == "[" and lines[-1] == "]"
+        assert lines[1:-1] == [f"  {json.dumps(cut)}," for cut in cuts[:-1]] + [f"  {json.dumps(cuts[-1])}"]
+
     def test_feasible_point_yields_empty_list(self, capsys):
         code, out = _run(capsys, [
             "cuts", "--point", '{"x": [0.5, 0.0], "z": [1.0, 0.0]}',

@@ -27,6 +27,8 @@ from sparseball.core import (
     scale_back,
     to_unit,
 )
+from sparseball.hull import CutVector, LinearCut, solve_relaxation
+from sparseball.robust import DualCertificate, PortfolioPoint, RobustInstance
 
 import oracles
 
@@ -206,6 +208,63 @@ class TestMixedPoint:
         p = MixedPoint([0.5, 0.0], [1.0, 0.0])
         with pytest.raises(ValueError):
             p.x[0] = 2.0
+
+    def test_shares_the_relaxation_point(self):
+        inst = ProblemInstance([-1.0, -0.5, 0.3], [0.2, 0.9, 0.1], ZFamily.card_le(3, 2))
+        rel = solve_relaxation(inst)
+        assert not rel.z_bar.flags.writeable and not rel.rounded_z.flags.writeable
+        p = MixedPoint(np.zeros(3), rel.z_bar)
+        assert p.z is rel.z_bar
+
+
+def _frozen(values, dtype=np.float64):
+    v = np.array(values, dtype=dtype)
+    v.setflags(write=False)
+    return v
+
+
+# each class that freezes its vectors, built from one vector v of length 2
+_FROZEN_FIELDS = {
+    "MixedPoint.z": (lambda v: MixedPoint([0.1, 0.2], v), "z"),
+    "ProblemInstance.a": (lambda v: ProblemInstance(v, [0.0, 0.0], ZFamily.free(2)), "a"),
+    "RobustInstance.d": (lambda v: RobustInstance([0.0, 0.0], v, 1.0, 1, 2), "d"),
+    "PortfolioPoint.y": (lambda v: PortfolioPoint(v), "y"),
+    "DualCertificate.t": (lambda v: DualCertificate(1.0, 0.0, 0.0, v, [0.0, 0.0]), "t"),
+    "CutVector.alpha": (lambda v: CutVector(v), "alpha"),
+    "LinearCut.pi_abs": (lambda v: LinearCut(v, [0.0, 0.0], 1.0), "pi_abs"),
+}
+
+
+class TestFreezeFields:
+    @pytest.mark.parametrize("name", sorted(_FROZEN_FIELDS))
+    def test_a_frozen_owned_vector_is_shared(self, name):
+        make, field = _FROZEN_FIELDS[name]
+        v = _frozen([0.25, 0.75])
+        assert getattr(make(v), field) is v
+
+    @pytest.mark.parametrize("name", sorted(_FROZEN_FIELDS))
+    def test_anything_else_is_copied_and_frozen(self, name):
+        make, field = _FROZEN_FIELDS[name]
+        writeable = np.array([0.25, 0.75])
+        base = np.array([0.25, 0.75, 0.5])
+        view = base[:2]
+        view.setflags(write=False)  # frozen, but its base is not
+        for v in (writeable, view, [0.25, 0.75], _frozen([0.25, 0.75], np.float32)):
+            obj = make(v)
+            stored = getattr(obj, field)
+            assert stored is not v and not stored.flags.writeable and stored.dtype == np.float64
+            writeable[0] = base[0] = 0.5
+            assert stored.tolist() == [0.25, 0.75]
+            writeable[0] = base[0] = 0.25
+
+    @pytest.mark.parametrize("name", sorted(_FROZEN_FIELDS))
+    def test_non_finite_and_matrix_input_raise(self, name):
+        make, field = _FROZEN_FIELDS[name]
+        for bad in (_frozen([math.nan, 0.5]), _frozen([math.inf, 0.5])):
+            with pytest.raises(ValueError, match=f"{field} must contain only finite entries"):
+                make(bad)
+        with pytest.raises(ValueError, match=f"{field} must be one-dimensional"):
+            make(_frozen([[0.25, 0.75]]))
 
 
 class TestIsInX:

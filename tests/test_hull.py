@@ -338,11 +338,28 @@ class TestSeparation:
             assert np.array_equal(cut.rho_z, first.rho_z) and cut.rhs == first.rhs
 
     def test_exact_at_the_guard_stays_small(self, rng):
+        # 2^16 candidate rows: the member matrix and the violations take 1 MiB
+        # each; the subset-sum table and the block work stay within the 1 MiB
+        # over the 3.1 MiB the block scorer before them peaked at, at a fully
+        # fractional z and at a z of 0/1 entries but one alike
         n = 16
-        p = MixedPoint(rng.normal(size=n) * 0.5, rng.uniform(size=n))
-        cut, peak = _traced(separate_submodular, p, rng.normal(size=n), mode="exact")
-        assert cut is not None
-        assert peak < 16 * 2**20
+        for z in (rng.uniform(size=n), np.concatenate(([0.5], rng.integers(0, 2, size=n - 1)))):
+            p = MixedPoint(rng.normal(size=n), z)
+            cut, peak = _traced(separate_submodular, p, rng.normal(size=n), mode="exact")
+            assert cut is not None
+            assert peak < 4.1 * 2**20
+
+    @pytest.mark.parametrize("mode", ["heuristic", "exact"])
+    def test_x_near_the_float_maximum_scores_without_overflow(self, mode):
+        # |alpha|'|x| is past the float range: every score is +inf, with no
+        # warning (the suite turns warnings into errors), and the top
+        # candidate, the empty set's family-1 cut, is violated by inf
+        p, alpha = MixedPoint(np.full(4, 1e308), np.full(4, 0.5)), np.ones(4)
+        assert np.all(violated_cuts(p, alpha, mode)[1] == math.inf)
+        cut = separate_submodular(p, alpha, mode)
+        first = submodular_cut_1([], alpha)
+        assert np.array_equal(cut.rho_z, first.rho_z) and cut.rhs == first.rhs == 0.0
+        assert cut.violation_at(p) == math.inf
 
     def test_heuristic_at_n_2000_stays_small(self, rng):
         # all-fractional z: both marginal triangles are full, ~2e6 entries each
@@ -633,6 +650,54 @@ class TestViolatedCuts:
             sets, violations = violated_cuts(p, alpha, mode)
             reference = oracles.cut_violations(p, alpha, [sets(r) for r in range(violations.shape[0])])
             assert np.all(np.abs(violations[:, 1] - reference[:, 1]) <= 1e-12 * np.abs(reference[:, 1]))
+
+    def test_exact_scores_match_the_block_reference(self):
+        # the subset-sum tables change only the order of the sums: within n
+        # ulps of |alpha|'|x| + ||alpha||_1 of the block scorer they replaced,
+        # at z fully fractional, z with 0/1 entries and z all 0/1, and at
+        # alpha scales 2^-600, 1 and 2^600
+        rng = np.random.default_rng(23)
+        for n in range(1, 13):
+            for kind in ("fractional", "mixed", "binary"):
+                z = {"fractional": rng.uniform(0.01, 0.99, n),
+                     "mixed": rng.choice([0.0, 1.0, 0.3, 0.5], n),
+                     "binary": rng.integers(0, 2, n).astype(float)}[kind]
+                p = MixedPoint(rng.normal(size=n) * 0.5, z)
+                for scale in (-600, 0, 600):
+                    alpha = np.ldexp(rng.normal(size=n), scale)
+                    violations = violated_cuts(p, alpha, "exact")[1]
+                    reference = oracles.exact_scores_reference(p, alpha)
+                    size = float(np.abs(alpha) @ np.abs(p.x)) + float(np.abs(alpha).sum())
+                    assert np.all(np.abs(violations - reference) <= n * math.ulp(size))
+
+    @pytest.mark.parametrize("mode", ["heuristic", "exact"])
+    def test_scores_within_the_stated_bound_of_exact(self, mode):
+        # the violated_cuts bound against the fractions twin of each cut's
+        # violation, at n <= 6: family 2 within 2n ulps of |alpha|'|x| +
+        # ||alpha||_1, family 1 within that plus its dropped marginals'
+        # cancellation; alpha over 2^+-600 and spread over 8 decades
+        rng = np.random.default_rng(29)
+        eps = 2.0 ** -52
+        for trial in range(60):
+            n = int(rng.integers(1, 7))
+            z = (rng.uniform(0.0, 1.0, n), rng.choice([0.0, 1.0, 0.3, 0.5], n))[trial % 2]
+            p = MixedPoint(rng.normal(size=n) * 0.5, z)
+            unit = rng.normal(size=n) * (10.0 ** rng.integers(-8, 1, n) if trial % 3 == 0 else 1.0)
+            scale = int(rng.choice([-600, 0, 600]))
+            alpha = np.ldexp(unit, scale)
+            size = float(np.abs(alpha) @ np.abs(p.x)) + float(np.abs(alpha).sum())
+            sets, violations = violated_cuts(p, alpha, mode)
+            for row in range(violations.shape[0]):
+                S = sets(row).tolist()
+                g_S = math.sqrt(math.fsum(unit[S] ** 2))
+                cancellation = math.fsum(
+                    (1.0 - p.z[i]) * min(math.sqrt(n * eps) * g_S,
+                                         n * eps * g_S ** 2 / max(oracles.g_fsum(set(S) - {i}, unit), 1e-300))
+                    for i in S)
+                for family, extra in ((1, math.ldexp(cancellation, scale)), (2, 0.0)):
+                    exact = oracles.cut_violation_exact(p, alpha, S, family)
+                    error = abs(Fraction(float(violations[row, family - 1])) - exact)
+                    assert error <= 2 * n * math.ulp(size) + extra
 
     def test_rejects_bad_input(self):
         p = MixedPoint([0.5, 0.5], [0.0, 0.0])
