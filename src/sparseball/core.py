@@ -72,8 +72,13 @@ def unit_scale(*vectors) -> int:
     Dividing by 2**e is exact for normal numbers, so squares and sums taken
     on the scaled data neither over- nor underflow, and they keep the order
     and the ties of the unscaled ones wherever those are representable.
+    Infinite entries are left out of the max: they stay inf on any scale.
     """
-    return math.frexp(max(float(np.abs(v).max(initial=0.0)) for v in vectors))[1]
+    sizes = [np.abs(v) for v in vectors]
+    top = max(float(s.max(initial=0.0)) for s in sizes)
+    if math.isinf(top):
+        top = max(float(s.max(initial=0.0, where=np.isfinite(s))) for s in sizes)
+    return math.frexp(top)[1]
 
 
 def to_unit(*vectors) -> tuple:

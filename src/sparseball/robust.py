@@ -10,8 +10,11 @@ The same closed form evaluates the exact worst case of the discrete inner
 problem, since for a fixed support the inner maximum is a scaled norm and
 the best support is the top-k set.
 
-The perspective, ellipsoidal and nominal counterparts are solved exactly
-through their dual, from one shared start.  Ellipsoidal's dual norm is the
+All four counterparts share one start, the objective a~_i + sqrt(b)/d_i at
+each vertex: they raise ValueError only when it overflows the float range
+at every vertex, and return the cheapest vertex when no budget moves the
+optimum off it.  The perspective, ellipsoidal and nominal counterparts are
+then solved exactly through their dual.  Ellipsoidal's dual norm is the
 l2 norm, whose root comes in closed form from one sort of a~; nominal is
 its b = 0 case, the cheapest vertex.  Perspective's is the k-support norm,
 solved by a search over its pieces, each of which carries a quadratic,
@@ -19,15 +22,15 @@ that ends when a piece's own root lands on that piece.
 
 Objective oracles are pure and thread safe; solver calls are independent of
 each other and deterministic for a fixed instance.  Only the budgeted solve
-iterates; at its iteration cap it returns its best iterate and a certified
-bound like any other exit.  Its polish minimizes the piecewise-linear
-budgeted objective exactly on each segment it searches, by a cutting-plane
-search over the pieces (``_segment_min``).  The dual solves raise ValueError
-only when the objective overflows the float range at every vertex.  The
-oracles and ``optimal_multipliers`` square y/d only through ``core.norm`` and
-``core.to_unit``, and scale results back through ``core.scale_back``.  They
-take y/d from ``_over_d``, as +-inf with no warning where it is past the
-float range (d near 1e-310).
+iterates, on the assets whose vertex objective is finite, with one top-k set
+per iterate.  It stops on a stall test or at its iteration cap, where it
+returns its best iterate and a certified bound like any other exit.  Its
+polish minimizes the piecewise-linear budgeted objective exactly on each
+segment it searches, by a cutting-plane search over the pieces
+(``_segment_min``).  The oracles and ``optimal_multipliers`` square y/d
+only through ``core.norm`` and ``core.to_unit``, and scale results back
+through ``core.scale_back``.  They take y/d from ``_over_d``, as +-inf with
+no warning where it is past the float range (d near 1e-310).
 """
 
 from __future__ import annotations
@@ -59,7 +62,6 @@ _ETA0 = 1.0
 _MAX_ITER = 200_000
 _WINDOW = 500
 _RTOL = 1e-6
-_GAP_RTOL = 1e-4
 _POLISH_ROUNDS = 2
 
 
@@ -167,7 +169,8 @@ def perspective_value(y, inst: RobustInstance) -> float:
 
     The root is taken as sqrt(b) times :func:`core.norm` of the top k of
     y/d, so neither an extreme budget nor a tiny d over- or underflows a
-    finite objective.
+    finite objective.  Within n + 4 ulps of |a~|'|y| plus that root, for
+    b > 0; inf where some y_i/d_i is past the float range.
     """
     y = _yvec(y)
     with np.errstate(over="ignore"):
@@ -183,13 +186,19 @@ def _budgeted_top(y: np.ndarray, inst: RobustInstance):
 
 
 def budgeted_value(y, inst: RobustInstance) -> float:
-    """Budgeted baseline objective  a~'y + sqrt(b) * (top-k sum of y_i/d_i); needs y >= 0."""
+    """Budgeted baseline objective  a~'y + sqrt(b) * (top-k sum of y_i/d_i); needs y >= 0.
+
+    Within n + k + 2 ulps of |a~|'y plus that budget term, for b > 0; inf
+    where some y_i/d_i is past the float range."""
     with np.errstate(over="ignore"):
         return _budgeted_top(_yvec(y), inst)[0]
 
 
 def ellipsoidal_value(y, inst: RobustInstance) -> float:
-    """Ellipsoidal baseline objective  a~'y + sqrt(b) * ||y / d||_2 (:func:`core.norm`)."""
+    """Ellipsoidal baseline objective  a~'y + sqrt(b) * ||y / d||_2 (:func:`core.norm`).
+
+    Within n + 4 ulps of |a~|'|y| plus that budget term, for b > 0; inf
+    where some y_i/d_i is past the float range."""
     y = _yvec(y)
     with np.errstate(over="ignore"):
         q = _over_d(y, inst)
@@ -317,11 +326,10 @@ def method_value(method: str, y, inst: RobustInstance) -> float:
     return _method_oracle(method)(y, inst)
 
 
-def _budgeted_subgradient(y: np.ndarray, inst: RobustInstance) -> np.ndarray:
-    """One subgradient of the budgeted objective at y (lexicographic top-k set on ties)."""
-    r = _over_d(y, inst)
+def _budgeted_subgradient(top: np.ndarray, inst: RobustInstance) -> np.ndarray:
+    """The subgradient a~ + sqrt(b) sum_{i in top} e_i / d_i of the budgeted
+    objective at a y whose top-k set of y/d is top (``_budgeted_top``)."""
     g = inst.a_tilde.copy()
-    top = _topk_set(r, inst.k)
     g[top] += math.sqrt(inst.b) / inst.d[top]
     return g
 
@@ -373,45 +381,62 @@ def _ksupport_probe(t: float, a: np.ndarray, d: np.ndarray, unit: float, span: n
                   float(top @ dtop) + P * D / r, float(top @ top) + P * P / r)
 
 
+def _vertex(n: int, i: int) -> np.ndarray:
+    y = np.zeros(n)
+    y[i] = 1.0
+    return y
+
+
+def _dual_start(a: np.ndarray, d: np.ndarray, b: float):
+    """The start every counterpart solve shares: for an objective
+    a'y + sqrt(b) * N(y/d) with N(e_i) = 1, the vertex e_i costs the end
+    a_i + sqrt(b)/d_i, so the least end hi bounds the optimum from above,
+    as min a bounds it from below.
+
+    Lengths are measured in units of sqrt(b), so that no budget under- or
+    overflows them, and d and the unit are divided by max d; hi does not
+    depend on the scale of d.  Returns (vertex, d, unit, ends, i): the
+    scaled d and unit, every end (inf where it overflows) and the asset i
+    of hi = ends[i], smallest index on ties.  When every end overflows, the
+    objective does too, and it raises ValueError.  When hi does not exceed
+    min a (b = 0, or a budget too small to move t off the cheapest asset),
+    vertex is e_i, the optimum, with the value hi; otherwise it is None.
+    """
+    dmax = float(d.max())
+    d = d / dmax
+    unit = math.sqrt(b) / dmax
+    with np.errstate(over="ignore"):  # an end that overflows is never the least
+        ends = a + unit / d
+    i = int(np.argmin(ends))
+    if math.isinf(ends[i]):
+        raise ValueError("the counterpart objective overflows the float range at every "
+                         "vertex: a~_i + sqrt(b)/d_i is infinite for every asset")
+    return (None if float(a.min()) < ends[i] else _vertex(a.size, i)), d, unit, ends, i
+
+
 def _dual_solve(a: np.ndarray, d: np.ndarray, b: float, k: int | None = None):
     """Exact minimum over the simplex of a'y + sqrt(b) * N(y/d), N the top-k l2 norm.
 
     With k None, N is the l2 norm (``_l2_dual``); otherwise the top-k l2
     norm (``_ksupport_dual``).  Returns (t, y): the dual optimum t =
     max{t : N*(d o (t - a)_+) <= sqrt(b)}, N* the dual norm, and a y at
-    which the objective equals t in exact arithmetic.  This is the start
-    both dual solves share.
-
-    Lengths are measured in units of sqrt(b), so that no budget under- or
-    overflows them, and d and the unit are divided by max d.  w = d o
-    (t - a)_+ / unit then has norm 1 at the sought t.  Its least
-    closed-form upper end is hi = min_i a_i + unit/d_i, where w_i alone
-    reaches 1; hi does not depend on the scale of d.  When every such end
-    overflows, the objective does too, and it raises ValueError.  When hi
-    does not exceed min a (b = 0, or a budget too small to move t off the
-    cheapest asset), the optimum is that asset's vertex.  Otherwise only
-    the live assets, those below hi, can be active, as t <= hi.  When the
-    largest d is not live, d is set to 0 off the live assets, and d and
-    the unit are divided again by the largest live d, unless the unit
-    would then overflow, so that sums of d^2 over the live assets stay
-    near 1 however small their d is next to the rest.  When the end of the
-    asset that sets hi rounds to its own a_i, that asset is not live
-    either; if the live assets' F = N*(w)^2 stays below 1 at hi, t* rounds
-    to hi, and that asset's vertex attains it.
+    which the objective equals t in exact arithmetic.  It starts from
+    ``_dual_start``'s scaled d and unit, in which w = d o (t - a)_+ / unit
+    has norm 1 at the sought t, and its least end hi, where w_i alone
+    reaches 1, or returns the vertex found there.  Otherwise only the live
+    assets, those below hi, can be active, as t <= hi.  When the largest d
+    is not live, d is set to 0 off the live assets, and d and the unit are
+    divided again by the largest live d, unless the unit would then
+    overflow, so that sums of d^2 over the live assets stay near 1 however
+    small their d is next to the rest.  When the end of the asset that sets
+    hi rounds to its own a_i, that asset is not live either; if the live
+    assets' F = N*(w)^2 stays below 1 at hi, t* rounds to hi, and that
+    asset's vertex attains it.
     """
-    top = int(np.argmax(d))
-    dmax = float(d[top])
-    d = d / dmax
-    unit = math.sqrt(b) / dmax
-    with np.errstate(over="ignore"):  # an end that overflows is never the least
-        ends = a + unit / d
-    i = int(np.argmin(ends))
+    vertex, d, unit, ends, i = _dual_start(a, d, b)
     hi = float(ends[i])
-    if math.isinf(hi):
-        raise ValueError("the counterpart objective overflows the float range at every "
-                         "vertex: a~_i + sqrt(b)/d_i is infinite for every asset")
-    if float(a.min()) < hi:
-        if not a[top] < hi:
+    if vertex is None:
+        if not a[int(np.argmax(d))] < hi:
             live = a < hi
             dlive = float(d[live].max())
             if unit / dlive < math.inf:
@@ -420,9 +445,8 @@ def _dual_solve(a: np.ndarray, d: np.ndarray, b: float, k: int | None = None):
         # N* is the k-support norm, which is the l2 norm at k = n
         if a[i] < hi or _ksupport_probe(hi, a, d, unit, np.arange(k or a.size, 0, -1)).F >= 1.0:
             return _l2_dual(a, d, unit, hi) if k is None else _ksupport_dual(a, d, unit, hi, k)
-    y = np.zeros(a.size)
-    y[i] = 1.0
-    return hi, y
+        vertex = _vertex(a.size, i)
+    return hi, vertex
 
 
 def _l2_dual(a: np.ndarray, d: np.ndarray, unit: float, hi: float):
@@ -537,7 +561,7 @@ class CounterpartResult:
     """Solution of one counterpart: the simplex point, its objective (the
     method oracle evaluated at that point), a certified lower bound on the
     optimum, the method tag and the number of subgradient iterations (0 for
-    the closed-form methods)."""
+    the closed-form methods and at a vertex exit)."""
 
     y_star: PortfolioPoint
     objective: float
@@ -638,52 +662,20 @@ def _polish(inst: RobustInstance, y: np.ndarray, value: float, rounds: int):
     return y, value
 
 
-def solve_counterpart(method: str, inst: RobustInstance) -> CounterpartResult:
-    """Minimize the chosen counterpart objective over the unit simplex.
-
-    Nominal, ellipsoidal and perspective are exact finite dual solves of
-    a~'y + sqrt(b) * N(y/d).  Ellipsoidal (N the l2 norm) takes its root in
-    closed form from one sort of a~ (``_l2_dual``); nominal is its b = 0
-    case, the vertex at the smallest nominal cost (smallest index on ties).
-    Perspective (N the top-k l2 norm) searches the pieces of the k-support
-    norm and ends on a piece whose own root lies on it (``_ksupport_dual``).
-    Their bound is the dual optimum; they raise ValueError only when every
-    end a~_i + sqrt(b)/d_i overflows the float range.  The budgeted
-    objective is solved by projected subgradient with eta_t = 1/sqrt(t),
-    iterate averaging and two stop tests: a stall test (the best objective
-    improves by less than 1e-6 * |objective| across a window of 500
-    iterations) and a certificate test every 5000 iterations (the polished
-    incumbent's linearization gap over the simplex falls below
-    1e-4 * |objective|).  The loop ends on either test or at the fixed cap
-    of 200 000 iterations; every exit is the same.  Two rounds of exact
-    segment minimizations (``_segment_min``: a search over the pieces of the
-    objective on the segment, with no tolerance or cap) polish the best
-    iterate, and its bound is its objective minus its simplex linearization
-    gap, so a capped solve returns a certified answer too, with iterations
-    equal to the cap.
-    The solver has no settings.
-    """
-    objective = _method_oracle(method)
-    if method != "budgeted":
-        if method == "perspective":
-            bound, y = _dual_solve(inst.a_tilde, inst.d, inst.b, inst.k)
-        else:
-            b = 0.0 if method == "nominal" else inst.b
-            bound, y = _dual_solve(inst.a_tilde, inst.d, b)
-        return CounterpartResult(PortfolioPoint(y), objective(y, inst), bound, method, 0)
-
+def _budgeted_solve(inst: RobustInstance):
+    """The budgeted loop of ``solve_counterpart``; returns (y, objective,
+    bound, iterations)."""
     # one errstate for the solve's y / d, so each of its oracle calls holds none
     with np.errstate(over="ignore"):
         y = np.full(inst.n, 1.0 / inst.n)
         y_avg = y.copy()
         best_y = y.copy()
-        best_f = _budgeted_top(y, inst)[0]
+        best_f, top = _budgeted_top(y, inst)
         window_best = best_f
         for t in range(1, _MAX_ITER + 1):
-            g = _budgeted_subgradient(y, inst)
-            y = project_simplex(y - (_ETA0 / math.sqrt(t)) * g)
+            y = project_simplex(y - (_ETA0 / math.sqrt(t)) * _budgeted_subgradient(top, inst))
             y_avg += (y - y_avg) / t
-            f_y = _budgeted_top(y, inst)[0]
+            f_y, top = _budgeted_top(y, inst)
             if f_y < best_f:
                 best_f = f_y
                 best_y = y.copy()
@@ -697,13 +689,56 @@ def solve_counterpart(method: str, inst: RobustInstance) -> CounterpartResult:
                     break
                 window_best = best_f
                 if t % (10 * _WINDOW) == 0:
-                    # certificate test: f(y) - min f <= g'y - min_i g_i on the simplex
                     best_y, best_f = _polish(inst, best_y, best_f, rounds=1)
-                    g = _budgeted_subgradient(best_y, inst)
-                    gap = float(g @ best_y - g.min())
-                    if gap <= _GAP_RTOL * (abs(best_f) + 1e-9):
-                        break
         best_y, best_f = _polish(inst, best_y, best_f, _POLISH_ROUNDS)
-        g = _budgeted_subgradient(best_y, inst)
-        gap = float(g @ best_y - g.min())
-    return CounterpartResult(PortfolioPoint(best_y), best_f, best_f - gap, method, t)
+        # f(y) - min f <= g'y - min_i g_i on the simplex
+        g = _budgeted_subgradient(_budgeted_top(best_y, inst)[1], inst)
+    return best_y, best_f, best_f - float(g @ best_y - g.min()), t
+
+
+def solve_counterpart(method: str, inst: RobustInstance) -> CounterpartResult:
+    """Minimize the chosen counterpart objective over the unit simplex.
+
+    Every method starts from the ends a~_i + sqrt(b)/d_i, the objective at
+    each vertex (``_dual_start``): it raises ValueError when every end
+    overflows the float range, and returns the vertex of the least end when
+    no budget moves the optimum off the cheapest asset (b = 0, or a budget
+    too small).  Nominal, ellipsoidal and perspective are then exact finite
+    dual solves of a~'y + sqrt(b) * N(y/d).  Ellipsoidal (N the l2 norm)
+    takes its root in closed form from one sort of a~ (``_l2_dual``);
+    nominal is its b = 0 case, the vertex at the smallest nominal cost
+    (smallest index on ties).  Perspective (N the top-k l2 norm) searches
+    the pieces of the k-support norm and ends on a piece whose own root lies
+    on it (``_ksupport_dual``).  Their bound is the dual optimum.  The
+    budgeted objective is solved by projected subgradient on the assets
+    whose end is finite (the others get y_i = 0), with eta_t = 1/sqrt(t) and
+    iterate averaging; each iterate takes its subgradient from the top-k set
+    of y/d that its objective value sorted, one top-k set per iterate.  The
+    loop stops on a stall test (the best objective improves by less than
+    1e-6 * |objective| across a window of 500 iterations) or at the fixed
+    cap of 200 000 iterations, and one round of exact segment minimizations
+    polishes the best point every 5000 iterations.  Every exit is the same:
+    two rounds of exact segment minimizations (``_segment_min``: a search
+    over the pieces of the objective on the segment, with no tolerance or
+    cap) polish the best point, and its bound is its objective minus its
+    simplex linearization gap, so a capped solve returns a certified answer
+    too, with iterations equal to the cap.
+    The solver has no settings.
+    """
+    objective = _method_oracle(method)
+    a, d, b = inst.a_tilde, inst.d, 0.0 if method == "nominal" else inst.b
+    if method != "budgeted":
+        bound, y = _dual_solve(a, d, b, inst.k if method == "perspective" else None)
+        return CounterpartResult(PortfolioPoint(y), objective(y, inst), bound, method, 0)
+    y, _, _, ends, i = _dual_start(a, d, b)
+    if y is not None:
+        return CounterpartResult(PortfolioPoint(y), objective(y, inst), float(ends[i]), method, 0)
+    live = np.isfinite(ends)
+    m = int(np.count_nonzero(live))
+    sub = inst if m == inst.n else RobustInstance(a[live], d[live], b, min(inst.k, m), m)
+    y_live, value, bound, t = _budgeted_solve(sub)
+    y = np.zeros(inst.n)
+    y[live] = y_live
+    # on the live assets alone, the objective is taken again over every asset
+    return CounterpartResult(PortfolioPoint(y), value if sub is inst else objective(y, inst), bound,
+                             method, t)

@@ -276,6 +276,42 @@ def top_k_sq_sum_exact(y, d, k):
     return sum(squares[len(squares) - k:], Fraction(0))
 
 
+def _root(q):
+    """sqrt of a Fraction to 60 digits (``decimal``), as a Fraction."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        return Fraction(Decimal(q.numerator).sqrt() / Decimal(q.denominator).sqrt())
+
+
+def _counterpart_exact(y, inst, budget_norm):
+    """a~'y + sqrt(b) * budget_norm(y / d) and |a~|'y + sqrt(b) * budget_norm(y / d),
+    the linear part and the quotients y_i / d_i exact (fractions)."""
+    y = [Fraction(float(yi)) for yi in y]
+    linear = [Fraction(float(ai)) * yi for ai, yi in zip(inst.a_tilde, y)]
+    budget = _root(Fraction(float(inst.b))) * budget_norm(
+        [yi / Fraction(float(di)) for yi, di in zip(y, inst.d)], inst.k)
+    return sum(linear, budget), sum(map(abs, linear), budget)
+
+
+def budgeted_value_exact(y, inst):
+    """The budgeted objective at y >= 0 and the sum of its terms' magnitudes:
+    the top-k sum of y/d exact, sqrt(b) to 60 digits."""
+    return _counterpart_exact(y, inst, lambda q, k: sum(sorted(q)[len(q) - k:], Fraction(0)))
+
+
+def ellipsoidal_value_exact(y, inst):
+    """The ellipsoidal objective at y and the sum of its terms' magnitudes: the
+    sum of squares of y/d exact, the root of b times it to 60 digits."""
+    return _counterpart_exact(y, inst, lambda q, k: _root(sum((qi * qi for qi in q), Fraction(0))))
+
+
+def perspective_value_exact(y, inst):
+    """The perspective objective at y and the sum of its terms' magnitudes: the
+    top-k sum of squares of y/d exact, its root to 60 digits."""
+    return _counterpart_exact(y, inst, lambda q, k: _root(sum(sorted(qi * qi for qi in q)[len(q) - k:],
+                                                              Fraction(0))))
+
+
 def cut_lhs_exact(cut, x, z):
     """sum_i pi_abs_i |x_i| + rho_z_i z_i of a LinearCut as an exact Fraction,
     and the sum of its terms' magnitudes, sum_i pi_abs_i |x_i| + |rho_z_i| z_i."""
@@ -284,16 +320,22 @@ def cut_lhs_exact(cut, x, z):
     return sum(terms, Fraction(0)), sum(map(abs, terms), Fraction(0))
 
 
-def ulps_off(value, exact):
-    """|value - exact| in ulps of the float nearest exact (a subnormal ulp
-    below the normal range); 0 when both are inf, inf when only one is."""
+def _nearest(exact):
     try:
-        nearest = float(exact)
+        return float(exact)
     except OverflowError:
-        nearest = math.inf
+        return math.inf if exact > 0 else -math.inf
+
+
+def ulps_off(value, exact, scale=None):
+    """|value - exact| in ulps of the float nearest scale, by default exact (a
+    subnormal ulp below the normal range); 0 when value and exact are both
+    inf, inf when only one is."""
+    nearest = _nearest(exact)
     if math.isinf(value) or math.isinf(nearest):
         return 0.0 if value == nearest else math.inf
-    return float(abs(Fraction(value) - exact) / Fraction(math.ulp(nearest)))
+    unit = math.ulp(_nearest(exact if scale is None else scale))
+    return 0.0 if math.isinf(unit) else float(abs(Fraction(value) - exact) / Fraction(unit))
 
 
 def cut_violation_exact(p, alpha, S, family):

@@ -293,6 +293,18 @@ class TestRobust:
         assert captured.out == ""
         assert "unrecognized arguments" in captured.err
 
+    @pytest.mark.parametrize("method", ["budgeted", "ellipsoidal", "perspective"])
+    def test_overflowing_objective_is_input_error(self, capsys, tmp_path, method):
+        # every end a~_i + sqrt(b)/d_i is about 1e310, past the float range
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps({"n": 2, "a_tilde": [0.0, 0.1], "d": [1e-310, 1e-310],
+                                    "b": 1.0, "k": 1}))
+        code = main(["robust", "--method", method, "--instance", str(path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_IO
+        assert captured.out == ""
+        assert "objective overflows the float range" in captured.err
+
     def test_bad_method_is_usage(self, capsys, robust_file):
         code, _ = _run(capsys, ["robust", "--method", "psychic",
                                 "--instance", str(robust_file)])

@@ -54,6 +54,14 @@ class TestScaleRule:
             assert norm(np.array([3.0, -4.0]) * s) == pytest.approx(5.0 * s, rel=1e-15, abs=0.0)
         assert norm(np.full(3, 1.5e308)) == math.inf
 
+    def test_infinite_entries_leave_the_scale_to_the_finite_ones(self):
+        # y / d past the float range reaches to_unit as inf; the finite
+        # entries are still scaled, so their squares stay finite and warn of nothing
+        e, u = to_unit(np.array([-math.inf, 1e300]))
+        assert e == 997 and u.tolist() == [-math.inf, 1e300 / 2.0 ** 997]
+        assert norm(np.array([1e308, 1e308, math.inf])) == math.inf
+        assert to_unit(np.array([math.inf]))[0] == 0
+
     def test_scale_back_is_inf_past_the_range(self):
         assert scale_back(0.75, 3) == 6.0 and scale_back(-0.75, -1) == -0.375
         assert scale_back(1.5, 1024) == math.inf and scale_back(-1.5, 1024) == -math.inf

@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -234,6 +236,54 @@ class TestObjectiveOracles:
         assert oracle([1.0], inst) == math.inf
 
 
+_MAGNITUDES = st.builds(math.ldexp, st.floats(0.0, 1.0), st.integers(-500, 500))
+_SCALINGS = st.one_of(st.builds(math.ldexp, st.floats(0.5, 1.0), st.integers(-500, 500)),
+                      st.floats(5e-324, 1e-300))
+_OBJECTIVE_CASES = (st.lists(st.tuples(_MAGNITUDES, _SCALINGS, _MAGNITUDES, st.booleans()),
+                             min_size=1, max_size=6),
+                    st.builds(math.ldexp, st.floats(0.5, 1.0), st.integers(-500, 500)),
+                    st.integers(1, 6))
+
+
+def _assert_within_ulps_of_exact(oracle, exact, ulps, entries, b, k):
+    """The oracle within ulps(n, k) ulps of its exact twin, in ulps of the sum
+    of its terms' magnitudes, or inf where some y_i/d_i is past the float
+    range.  y, a~ and d are at scales 2^+-500, d also tiny (subnormal too)."""
+    n, k = len(entries), min(k, len(entries))
+    y = np.array([yi for yi, _, _, _ in entries])
+    d = np.array([di for _, di, _, _ in entries])
+    a = np.array([-ai if negative else ai for _, _, ai, negative in entries])
+    inst = RobustInstance(a, d, b, k, n)
+    if any(Fraction(yi) / Fraction(di) > sys.float_info.max for yi, di in zip(y, d)):
+        assert oracle(y, inst) == math.inf
+    else:
+        value, scale = exact(y, inst)
+        assert oracles.ulps_off(oracle(y, inst), value, scale) <= ulps(n, k)
+
+
+class TestExactObjectives:
+    """Each objective oracle against its exact twin in tests/oracles.py, within
+    the bound its docstring states."""
+
+    @given(*_OBJECTIVE_CASES)
+    @settings(max_examples=300)
+    def test_budgeted_within_n_plus_k_plus_2_ulps(self, entries, b, k):
+        _assert_within_ulps_of_exact(budgeted_value, oracles.budgeted_value_exact,
+                                     lambda n, k: n + k + 2, entries, b, k)
+
+    @given(*_OBJECTIVE_CASES)
+    @settings(max_examples=300)
+    def test_ellipsoidal_within_n_plus_4_ulps(self, entries, b, k):
+        _assert_within_ulps_of_exact(ellipsoidal_value, oracles.ellipsoidal_value_exact,
+                                     lambda n, k: n + 4, entries, b, k)
+
+    @given(*_OBJECTIVE_CASES)
+    @settings(max_examples=300)
+    def test_perspective_within_n_plus_4_ulps(self, entries, b, k):
+        _assert_within_ulps_of_exact(perspective_value, oracles.perspective_value_exact,
+                                     lambda n, k: n + 4, entries, b, k)
+
+
 class TestWorstCase:
     def test_single_asset(self):
         inst = RobustInstance([0.3, 0.7], [0.5, 1.0], 4.0, 1, 2)
@@ -440,10 +490,47 @@ class TestSolveCounterpart:
         assert res.objective == method_value("budgeted", y, inst)
         # the bound is the objective minus the simplex linearization gap at
         # the returned point, a certified lower bound on the optimum
-        g = _budgeted_subgradient(y, inst)
+        g = _budgeted_subgradient(robust._budgeted_top(y, inst)[1], inst)
         assert res.objective - res.bound == pytest.approx(float(g @ y - g.min()), rel=1e-12, abs=1e-15)
         points = np.vstack([np.eye(inst.n), rng.dirichlet(np.ones(inst.n), size=200)])
         assert all(res.bound <= budgeted_value(p, inst) for p in points)
+
+    def test_each_iterate_takes_one_top_k_set(self, rng, monkeypatch):
+        # the loop's own top-k sets, not its polish's: one per iterate, one
+        # per 32 iterates for the average, one each for the start and the gap
+        top_k_set, segment_min = robust._topk_set, robust._segment_min
+        calls, in_segments = [], []
+        monkeypatch.setattr(robust, "_topk_set", lambda *args: calls.append(1) or top_k_set(*args))
+
+        def counted(*args):
+            before = len(calls)
+            found = segment_min(*args)
+            in_segments.append(len(calls) - before)
+            return found
+
+        monkeypatch.setattr(robust, "_segment_min", counted)
+        monkeypatch.setattr(robust, "_MAX_ITER", 200)
+        res = solve_counterpart("budgeted", _random_instance(rng, n=8))
+        assert res.iterations == 200 and in_segments
+        assert len(calls) - sum(in_segments) == 200 + 200 // 32 + 2
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_an_asset_whose_end_overflows_gets_no_weight(self, k):
+        # sqrt(b)/d_0 = 1e310 overflows, so the loop runs on asset 1 alone,
+        # with no warning (the suite turns them into errors)
+        inst = RobustInstance([0.0, 0.1], [1e-310, 1.0], 1.0, k, 2)
+        res = solve_counterpart("budgeted", inst)
+        assert np.array_equal(res.y_star.y, [0.0, 1.0])
+        assert res.objective == budgeted_value(res.y_star, inst) == 1.1
+        assert res.bound == 1.1
+
+    def test_zero_budget_is_the_nominal_vertex_without_iterating(self):
+        config = harness.ExperimentConfig(seed=20260809)
+        inst = harness.generate_instance(config.n, 10, 0.0, harness.instance_seed(config.seed, 0, 0, 0))
+        res, nominal = solve_counterpart("budgeted", inst), solve_counterpart("nominal", inst)
+        assert res.iterations == 0
+        assert np.array_equal(res.y_star.y, nominal.y_star.y)
+        assert (res.objective, res.bound) == (nominal.objective, nominal.bound)
 
     def test_dual_solves_do_not_loop(self, rng, monkeypatch):
         monkeypatch.setattr(robust, "_MAX_ITER", 10)
@@ -784,7 +871,7 @@ class TestDualCertificate:
             assert math.isfinite(res.objective)
             assert res.bound <= res.objective * (1.0 + 4e-15)
 
-    @pytest.mark.parametrize("method", ["ellipsoidal", "perspective"])
+    @pytest.mark.parametrize("method", ["budgeted", "ellipsoidal", "perspective"])
     def test_overflowing_objective_raises(self, method):
         # every bracket end a~_i + sqrt(b)/d_i overflows; the optimum is about 5e309
         inst = RobustInstance(np.zeros(2), np.full(2, 1e-160), 1e300, 1, 2)
