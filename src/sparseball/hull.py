@@ -240,26 +240,23 @@ def base_inequality(S, alpha) -> LinearCut:
     return _cut(S, alpha, "base")
 
 
-def _triangle_sums(rows: np.ndarray, lo: int, hi: int, lower: bool, gain, w: np.ndarray) -> np.ndarray:
-    """Row sums of gain(r, j) * w_j over a triangle of the (r, j) grid.
+def _triangle_sums(rows: np.ndarray, hi: int, lower: bool, gain, w: np.ndarray) -> np.ndarray:
+    """Row sums of gain(r, j) * w_j over a triangle of the (r, j) grid: for
+    each r in rows (in [0, hi]), over j < r when lower, else over j in [r, hi).
 
-    For each r in rows, consecutive and ascending: lower, over j in [lo, r)
-    (r in (lo, hi]); otherwise over j in [r, hi) (r in [lo, hi)).  Rows go
-    in blocks of at most _TRIANGLE_BLOCK entries per array, so the layout
-    depends on rows, lo and hi.  A block's rows all take the columns on the
-    far side of its square on the diagonal, so only that square is masked;
-    gain must be finite on its masked part too.
+    Rows go in blocks of at most _TRIANGLE_BLOCK entries; each block takes
+    gain on the whole column range [0, hi), masks the other side of the
+    diagonal and sums with one matvec, so gain must be finite on its masked
+    part too, and a row's bits depend on the block layout, set by rows and hi.
     """
     sums = np.empty(rows.size)
-    step = max(1, _TRIANGLE_BLOCK // max(hi - lo, 1))
+    cols = np.arange(hi)
+    step = max(1, _TRIANGLE_BLOCK // max(hi, 1))
     for start in range(0, rows.size, step):
         r = rows[start:start + step, None]
-        r0, r1 = int(r[0, 0]), int(r[-1, 0]) + 1
-        full = np.arange(lo, r0) if lower else np.arange(r1, hi)
-        diag = np.arange(r0, r1 - 1) if lower else np.arange(r0, r1)
-        square = gain(r, diag)
-        square *= diag < r if lower else diag >= r
-        sums[start:start + step] = gain(r, full) @ w[full] + square @ w[diag]
+        block = gain(r, cols)
+        block *= cols < r if lower else cols >= r
+        sums[start:start + step] = block @ w[:hi]
     return sums
 
 
@@ -273,13 +270,13 @@ def _prefix_violations(p: MixedPoint, asq: np.ndarray, lhs: float, tail: bool):
     m = #{z > 0}, is always scored; with tail, rows m+1..n follow, so that
     there are n + 1.  Along that order q_r = a^2(S) is a running sum, and
     so are family 1's outside term and family 2's inside term.  Family 1's
-    inside term sums rho_j(S - j)(1 - z_j), zero where z_j = 1, so only the
-    columns past the n1 leading ones count; family 2's outside term sums
-    rho_j(S) z_j, zero where z_j = 0, so only the rows and columns before
-    the m positive ones count.  Those two triangles are summed in row
-    blocks of bounded size; family 1's tail rows are a block of their own,
-    after the head's, so the head rows are the same bits with or without
-    the tail.
+    inside term sums rho_j(S - j)(1 - z_j) over j < r, and family 2's
+    outside term rho_j(S) z_j over j >= r, zero where z_j = 0, so it counts
+    only on the rows and columns before the m positive ones.  Both are
+    triangle sums (:func:`_triangle_sums`) from column 0, where family 1's
+    columns with z_j = 1 add their weight 0; family 1's tail rows are a call
+    of their own, after the head's, so the head rows are the same bits with
+    or without the tail.
 
     Past row m each step adds a j with z_j = 0 and no outside z is
     positive, so by submodularity of g family 1's right-hand side grows by
@@ -294,20 +291,18 @@ def _prefix_violations(p: MixedPoint, asq: np.ndarray, lhs: float, tail: bool):
     z = p.z[order]
     asq = asq[order]
     q = np.concatenate(([0.0], np.cumsum(asq)))
-    n1 = int(np.count_nonzero(z == 1.0))
     m = int(np.count_nonzero(z > 0.0))
     rows = n + 1 if tail else m + 1
 
     def gain1(r, j):
         return _drop_gain(q[r], asq[j])
 
-    inside1 = np.zeros(rows)
-    inside1[n1 + 1:m + 1] = _triangle_sums(np.arange(n1 + 1, m + 1), n1, m, True, gain1, 1.0 - z)
+    inside1 = np.empty(rows)
+    inside1[:m + 1] = _triangle_sums(np.arange(m + 1), m, True, gain1, 1.0 - z)
     if tail:
-        inside1[m + 1:] = _triangle_sums(np.arange(m + 1, n + 1), n1, n, True, gain1, 1.0 - z)
+        inside1[m + 1:] = _triangle_sums(np.arange(m + 1, n + 1), n, True, gain1, 1.0 - z)
     outside2 = np.zeros(rows)
-    outside2[:m] = _triangle_sums(np.arange(m), 0, m, False,
-                                  lambda r, j: _add_gain(q[r], asq[j]), z)
+    outside2[:m] = _triangle_sums(np.arange(m), m, False, lambda r, j: _add_gain(q[r], asq[j]), z)
     outside1 = np.concatenate((np.cumsum((_add_gain(0.0, asq) * z)[::-1])[::-1], [0.0]))[:rows]
     full = _add_gain(_rest_sums(asq), asq)  # rho_j(N - j)
     inside2 = np.concatenate(([0.0], np.cumsum(full * (1.0 - z))))[:rows]
@@ -327,7 +322,8 @@ def violated_cuts(p: MixedPoint, alpha, mode: str):
     so n <= ENUMERATION_GUARD = 16), ``sets(r)`` is its sorted index array,
     and ``violations[r, f]`` is the violation at p of ``submodular_cut_1``
     (f = 0) or ``submodular_cut_2`` (f = 1) on it, scored without building a
-    cut or a matrix of prefixes (:func:`_prefix_violations`, :func:`_scores`).
+    cut or a matrix of prefixes (:func:`_scores`; heuristic, :func:`_prefix_violations`:
+    running sums and marginal triangles, each row block over one masked column range).
     With s = |alpha|'|x| + ||alpha||_1, which bounds every term, family 2's
     score is within 2n ulps of s of its cut's exact violation; family 1's
     dropped marginals are taken from q - a_i^2 (:func:`_drop_gain`), so its
@@ -432,9 +428,12 @@ def _walk(p: MixedPoint, a: np.ndarray, sets, violations: np.ndarray, e: int, as
     Each is tested on the scorer's scale (e, asq = u^2, lhs = |u|'|x|),
     u = alpha / 2**e, where nothing overflows: its violation (:func:`_cut_terms`)
     scaled back must exceed feas_abs: its ``violation_at(p)`` bit for bit in the
-    float range, and past it the sign of that unit-scale sum.  A cut (pi_abs = |alpha|)
-    is built only when it is violated and its scaled-back rho_z and rhs are new."""
+    float range, and past it the sign of that unit-scale sum.  A cut is built only
+    when it is violated and its scaled-back rho_z and rhs are new; its rho_z and
+    pi_abs = |alpha|, frozen once for the whole walk, are shared, not copied."""
     flat, seen = violations.ravel(), set()
+    pi_abs = np.abs(a)
+    pi_abs.setflags(write=False)
     top = int(np.argmax(flat))
 
     def candidates():
@@ -449,7 +448,8 @@ def _walk(p: MixedPoint, a: np.ndarray, sets, violations: np.ndarray, e: int, as
             rho_z, rhs = scale_back(rho_z, e), scale_back(rhs, e)
             if (key := (tuple(rho_z.tolist()), rhs)) not in seen:
                 seen.add(key)
-                yield LinearCut(np.abs(a), rho_z, rhs)
+                rho_z.setflags(write=False)
+                yield LinearCut(pi_abs, rho_z, rhs)
 
 
 def separate_submodular(p: MixedPoint, alpha, mode: str = "heuristic"):

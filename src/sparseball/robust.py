@@ -23,8 +23,9 @@ that ends when a piece's own root lands on that piece.
 Objective oracles are pure and thread safe; solver calls are independent of
 each other and deterministic for a fixed instance.  Only the budgeted solve
 iterates, on the assets whose vertex objective is finite, with one top-k set
-per iterate.  It stops on a stall test or at its iteration cap, where it
-returns its best iterate and a certified bound like any other exit.  Its
+per iterate, and only where the cheapest vertex fails its dual-norm test.
+It stops on a stall test or at its iteration cap, where it returns its
+best iterate and a certified bound like any other exit.  Its
 polish minimizes the piecewise-linear budgeted objective exactly on each
 segment it searches, by a cutting-plane search over the pieces
 (``_segment_min``).  The oracles and ``optimal_multipliers`` square y/d
@@ -206,6 +207,7 @@ def ellipsoidal_value(y, inst: RobustInstance) -> float:
 
 
 def nominal_value(y, inst: RobustInstance) -> float:
+    """Nominal objective a~'y, within n ulps of |a~|'|y| of the exact sum."""
     y = _yvec(y)
     return float(inst.a_tilde @ y)
 
@@ -709,11 +711,22 @@ def solve_counterpart(method: str, inst: RobustInstance) -> CounterpartResult:
     nominal is its b = 0 case, the vertex at the smallest nominal cost
     (smallest index on ties).  Perspective (N the top-k l2 norm) searches
     the pieces of the k-support norm and ends on a piece whose own root lies
-    on it (``_ksupport_dual``).  Their bound is the dual optimum.  The
-    budgeted objective is solved by projected subgradient on the assets
-    whose end is finite (the others get y_i = 0), with eta_t = 1/sqrt(t) and
-    iterate averaging; each iterate takes its subgradient from the top-k set
-    of y/d that its objective value sorted, one top-k set per iterate.  The
+    on it (``_ksupport_dual``).  Their bound is the dual optimum.  Budgeted
+    also returns the vertex e_i of the least end hi, with bound hi and 0
+    iterations, wherever it is optimal: w = d o (hi - a~)_+ has
+    ||w||_inf <= sqrt(b), with equality at i, so under the budgeted dual
+    norm max(||w||_inf, ||w||_1 / k) e_i is optimal exactly when
+    ||w||_1 <= k sqrt(b), at every k at least the number of live assets
+    (those whose end is finite) among others.  The test sums w / sqrt(b)
+    over the live assets on ``_dual_start``'s scale, each term clipped to
+    its exact bound 1, so such a k always passes it.  It is taken at the
+    rounded hi, each term within five roundings, so where it passes wrongly
+    hi exceeds the optimum by at most about (n + 4) eps (hi - min a~) plus
+    two ulps of hi.  Otherwise, with more than k assets live, the budgeted
+    objective is solved by projected subgradient on the live assets (the
+    others get y_i = 0), with eta_t = 1/sqrt(t) and iterate averaging; each
+    iterate takes its subgradient from the top-k set of y/d that its
+    objective value sorted, one top-k set per iterate.  The
     loop stops on a stall test (the best objective improves by less than
     1e-6 * |objective| across a window of 500 iterations) or at the fixed
     cap of 200 000 iterations, and one round of exact segment minimizations
@@ -730,12 +743,17 @@ def solve_counterpart(method: str, inst: RobustInstance) -> CounterpartResult:
     if method != "budgeted":
         bound, y = _dual_solve(a, d, b, inst.k if method == "perspective" else None)
         return CounterpartResult(PortfolioPoint(y), objective(y, inst), bound, method, 0)
-    y, _, _, ends, i = _dual_start(a, d, b)
+    y, scaled_d, unit, ends, i = _dual_start(a, d, b)
+    live = np.isfinite(ends)
+    if y is None:
+        # w_j = d_j (hi - a_j)_+ / unit is at most 1, so each is clipped there against rounding
+        w = np.minimum(scaled_d[live] * np.maximum(ends[i] - a[live], 0.0), unit) / unit
+        if float(w.sum()) <= inst.k:
+            y = _vertex(inst.n, i)
     if y is not None:
         return CounterpartResult(PortfolioPoint(y), objective(y, inst), float(ends[i]), method, 0)
-    live = np.isfinite(ends)
     m = int(np.count_nonzero(live))
-    sub = inst if m == inst.n else RobustInstance(a[live], d[live], b, min(inst.k, m), m)
+    sub = inst if m == inst.n else RobustInstance(a[live], d[live], b, inst.k, m)
     y_live, value, bound, t = _budgeted_solve(sub)
     y = np.zeros(inst.n)
     y[live] = y_live

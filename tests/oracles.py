@@ -312,6 +312,47 @@ def perspective_value_exact(y, inst):
                                                               Fraction(0))))
 
 
+def nominal_value_exact(y, inst):
+    """The nominal objective a~'y and the sum of its terms' magnitudes |a~|'|y|,
+    both exact (fractions)."""
+    terms = [Fraction(float(ai)) * Fraction(float(yi)) for ai, yi in zip(inst.a_tilde, y)]
+    return sum(terms, Fraction(0)), sum(map(abs, terms), Fraction(0))
+
+
+def _square_root(q):
+    """The exact square root of a Fraction that is the square of a rational;
+    ValueError for any other."""
+    root = Fraction(math.isqrt(q.numerator), math.isqrt(q.denominator))
+    if root * root != q:
+        raise ValueError(f"{q} is not the square of a rational")
+    return root
+
+
+def budgeted_optimum(inst):
+    """The budgeted counterpart's optimum t* = min(t_inf, t_1) as an exact
+    Fraction, for a budget b that is the square of a rational, so that
+    sqrt(b) is exact.
+
+    The budgeted dual norm is max(||w||_inf, ||w||_1 / k), so t* is the
+    largest t at which w = d o (t - a~)_+ keeps both terms within sqrt(b):
+    t_inf = min_i a~_i + sqrt(b) / d_i, and t_1 solves
+    sum_i d_i (t - a~_i)_+ = k sqrt(b).  That sum rises piecewise linearly
+    in t, so t_1 is found on the first piece, between consecutive sorted
+    a~, whose own solution does not pass the piece's right end.
+    """
+    root_b = _square_root(Fraction(float(inst.b)))
+    a = [Fraction(float(ai)) for ai in inst.a_tilde]
+    d = [Fraction(float(di)) for di in inst.d]
+    t_inf = min(ai + root_b / di for ai, di in zip(a, d))
+    pairs = sorted(zip(a, d))
+    weight = level = Fraction(0)  # sums of d and of d a~ over the assets below t
+    for m, (am, dm) in enumerate(pairs):
+        weight, level = weight + dm, level + dm * am
+        t_1 = (inst.k * root_b + level) / weight
+        if m + 1 == len(pairs) or t_1 <= pairs[m + 1][0]:
+            return min(t_inf, t_1)
+
+
 def cut_lhs_exact(cut, x, z):
     """sum_i pi_abs_i |x_i| + rho_z_i z_i of a LinearCut as an exact Fraction,
     and the sum of its terms' magnitudes, sum_i pi_abs_i |x_i| + |rho_z_i| z_i."""

@@ -19,6 +19,7 @@ from sparseball.robust import (
     fenchel_identity,
     load_robust_instance,
     method_value,
+    nominal_value,
     optimal_multipliers,
     parse_robust_instance,
     perspective_value,
@@ -283,6 +284,16 @@ class TestExactObjectives:
         _assert_within_ulps_of_exact(perspective_value, oracles.perspective_value_exact,
                                      lambda n, k: n + 4, entries, b, k)
 
+    @given(_OBJECTIVE_CASES[0])
+    @settings(max_examples=300)
+    def test_nominal_within_n_ulps(self, entries):
+        n = len(entries)
+        y = np.array([yi for yi, _, _, _ in entries])
+        a = np.array([-ai if negative else ai for _, _, ai, negative in entries])
+        inst = RobustInstance(a, np.ones(n), 1.0, 1, n)
+        value, scale = oracles.nominal_value_exact(y, inst)
+        assert oracles.ulps_off(nominal_value(y, inst), value, scale) <= n
+
 
 class TestWorstCase:
     def test_single_asset(self):
@@ -482,7 +493,8 @@ class TestSolveCounterpart:
         assert r1.iterations == r2.iterations
 
     def test_iteration_cap_returns_best_iterate_and_bound(self, rng, monkeypatch):
-        inst = _random_instance(rng, n=4)
+        # k = 1: the cheapest vertex is not optimal, so the loop runs
+        inst = _random_instance(rng, n=4, k=1)
         monkeypatch.setattr(robust, "_MAX_ITER", 100)
         res = solve_counterpart("budgeted", inst)
         assert res.iterations == 100
@@ -510,7 +522,7 @@ class TestSolveCounterpart:
 
         monkeypatch.setattr(robust, "_segment_min", counted)
         monkeypatch.setattr(robust, "_MAX_ITER", 200)
-        res = solve_counterpart("budgeted", _random_instance(rng, n=8))
+        res = solve_counterpart("budgeted", _random_instance(rng, n=8, k=1))
         assert res.iterations == 200 and in_segments
         assert len(calls) - sum(in_segments) == 200 + 200 // 32 + 2
 
@@ -523,6 +535,28 @@ class TestSolveCounterpart:
         assert np.array_equal(res.y_star.y, [0.0, 1.0])
         assert res.objective == budgeted_value(res.y_star, inst) == 1.1
         assert res.bound == 1.1
+
+    def test_one_live_asset_is_its_vertex_without_iterating(self):
+        # asset 0's end overflows; asset 1 alone is live, and k = 1 is its count
+        inst = RobustInstance([0.0, 0.1], [1e-310, 1.0], 1.0, 1, 2)
+        res = solve_counterpart("budgeted", inst)
+        assert res.iterations == 0 and np.array_equal(res.y_star.y, [0.0, 1.0])
+        assert res.objective == res.bound == 1.1
+
+    def test_k_equal_n_is_the_cheapest_vertex_without_iterating(self):
+        # at k = n, ||w||_1 / k <= ||w||_inf, so the least end hi is the optimum
+        rng = np.random.default_rng(65)
+        for _ in range(40):
+            n = int(rng.integers(1, 11))
+            inst = RobustInstance(rng.uniform(-1.0, 1.0, n), rng.uniform(0.1, 1.0, n),
+                                  float(rng.uniform(0.1, 20.0)), n, n)
+            ends = inst.a_tilde + math.sqrt(inst.b) / inst.d
+            res = solve_counterpart("budgeted", inst)
+            assert res.iterations == 0
+            assert np.array_equal(res.y_star.y, np.eye(n)[int(np.argmin(ends))])
+            scale = float(np.abs(inst.a_tilde).max() + math.sqrt(inst.b) / inst.d.min())
+            for value in (res.objective, res.bound):
+                assert abs(value - float(ends.min())) <= 4 * math.ulp(scale)
 
     def test_zero_budget_is_the_nominal_vertex_without_iterating(self):
         config = harness.ExperimentConfig(seed=20260809)
@@ -563,6 +597,37 @@ class TestSolveCounterpart:
             # grid resolution limits how far below the grid minimum we can sit
             assert res.objective <= robust_min + 1e-9
             assert robust_min - res.objective <= 0.05 * abs(robust_min)
+
+
+class TestBudgetedOptimum:
+    """The budgeted solve against t* = min(t_inf, t_1) in exact arithmetic
+    (``oracles.budgeted_optimum``), on seeded instances at n <= 10 whose
+    budget is a dyadic square, so that sqrt(b) is exact."""
+
+    def test_bound_and_objective_bracket_the_optimum(self):
+        # objective is within n + k + 2 ulps of its exact value at y
+        # (budgeted_value), which is at least t*; bound is objective minus
+        # g'y - min g, with g rounded, within 2n + k + 9 ulps of a valid lower
+        # bound; both in ulps of s = max |a~| + sqrt(b) / min d, which bounds
+        # every term.  Where the vertex test passes, y attains t* exactly.
+        rng = np.random.default_rng(66)
+        exits = loops = 0
+        for _ in range(60):
+            n = int(rng.integers(1, 11))
+            k = int(rng.integers(1, n + 1))
+            inst = RobustInstance(rng.uniform(-1.0, 1.0, n), rng.uniform(0.1, 1.0, n),
+                                  (int(rng.integers(1, 33)) / 8.0) ** 2, k, n)
+            t_star = oracles.budgeted_optimum(inst)
+            res = solve_counterpart("budgeted", inst)
+            ulp = Fraction(math.ulp(float(np.abs(inst.a_tilde).max() + math.sqrt(inst.b) / inst.d.min())))
+            assert Fraction(res.bound) <= t_star + (2 * n + k + 9) * ulp
+            assert t_star <= Fraction(res.objective) + (n + k + 2) * ulp
+            if res.iterations == 0:
+                exits += 1
+                assert oracles.budgeted_value_exact(res.y_star.y, inst)[0] == t_star
+            else:
+                loops += 1
+        assert exits > 0 and loops > 0
 
 
 def _segments(rng, count):
@@ -885,6 +950,7 @@ class TestDualCertificate:
                 res = solve_counterpart(method, inst)
                 assert res.bound <= res.objective
                 assert all(res.bound <= method_value(method, e, inst) for e in np.eye(inst.n))
-            assert res.iterations > 0
+            # budgeted loops unless its cheapest vertex passes the dual-norm test
+            assert res.iterations > 0 or np.count_nonzero(res.y_star.y) == 1
             nominal = solve_counterpart("nominal", inst)
             assert (nominal.bound, nominal.iterations) == (nominal.objective, 0)
