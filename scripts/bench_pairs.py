@@ -14,9 +14,12 @@ the medians differ by more than the parent's IQR; each metric's verdict
 under its bound (better, within_bound, worse, or unresolved when the
 parent's own runs spread wider than the bound); each side's median count
 of attempted ops, against which a peak_rss_mb move is read, and its median
-peak_rss_mb per 1000 attempted ops; each side's correct runs and failed ops; every run's metrics, correctness and failed
+peak_rss_mb per 1000 attempted ops; the least-squares slope of peak_rss_mb on
+attempted ops over all runs, in KB per extra op, and its intercept in MB;
+each side's correct runs and failed ops; every run's metrics, correctness and failed
 ops; and the machine data that perfbench records.  It prints the verdicts
-with each side's op count, RSS per 1000 ops, correct runs and failed ops under them, and
+with each side's op count, RSS per 1000 ops, the RSS slope and intercept,
+correct runs and failed ops under them, and
 exits 1, after writing the file, when any run was incorrect or had a
 failed op.  When the file was measured against the same parent commit,
 the new pairs join the workload's recorded ones and the summary covers
@@ -161,6 +164,22 @@ def rss_per_kop(pairs) -> dict:
             for side in ("parent", "change")}
 
 
+def rss_slope(pairs) -> dict:
+    """The least-squares line of peak_rss_mb on attempted ops over every run
+    of both sides: its slope in KB per op (peak_rss_mb is ru_maxrss / 1024,
+    so 1024 KB to the MB) and its intercept in MB, the RSS a run holds
+    before its ops add to it.  Both are None when every run attempted as
+    many ops, since no line then fits."""
+    ops = np.array([p[side]["attempted"] for p in pairs for side in ("parent", "change")], dtype=float)
+    rss = np.array([p[side]["peak_rss_mb"] for p in pairs for side in ("parent", "change")])
+    dx = ops - ops.mean()
+    spread = float(dx @ dx)
+    if spread == 0.0:
+        return {"kb_per_op": None, "intercept_mb": None}
+    slope = float(dx @ (rss - rss.mean())) / spread
+    return {"kb_per_op": 1024.0 * slope, "intercept_mb": float(rss.mean()) - slope * float(ops.mean())}
+
+
 def prior_pairs(bench: dict, sha: str, workload: str, seeds) -> list:
     """The recorded pairs that new pairs of workload join in bench, a BENCH
     file's contents: the workload's pairs when bench was measured against
@@ -189,6 +208,7 @@ def workload_entry(pairs, metrics, seconds: float, machine, bounds=None) -> dict
         "attempted_median": {side: statistics.median(p[side]["attempted"] for p in pairs)
                              for side in ("parent", "change")},
         "rss_mb_per_kop": rss_per_kop(pairs),
+        "rss_slope": rss_slope(pairs),
         "metrics": summarize(pairs, metrics, bounds),
         "machine": machine,
         "pairs": pairs,
@@ -198,8 +218,9 @@ def workload_entry(pairs, metrics, seconds: float, machine, bounds=None) -> dict
 def summary_lines(entry) -> list:
     """The printed summary of a workload entry: one verdict line per metric,
     then each side's median count of attempted ops, against which a
-    peak_rss_mb move is read, its peak_rss_mb per 1000 ops, its correct runs
-    and its failed ops."""
+    peak_rss_mb move is read, its peak_rss_mb per 1000 ops, the RSS slope
+    per op and its intercept (when the runs' op counts differ), its correct
+    runs and its failed ops."""
     lines = [f"{name:<12} parent {m['parent_median']:.6g}  change {m['change_median']:.6g}  "
              f"ratio {m['ratio_change_over_parent']:.3f}  wins {m['change_wins']}  "
              f"gap>IQR {m['median_gap_exceeds_parent_iqr']}  {m['verdict']}"
@@ -210,6 +231,10 @@ def summary_lines(entry) -> list:
     lines.append(f"{'attempted':<12} parent {attempted['parent']:.6g}  "
                  f"change {attempted['change']:.6g}")
     lines.append(f"{'rss_per_kop':<12} parent {rss['parent']:.4g}  change {rss['change']:.4g}")
+    slope = entry["rss_slope"]
+    if slope["kb_per_op"] is not None:
+        lines.append(f"{'rss_slope':<12} {slope['kb_per_op']:.3g} KB/op  "
+                     f"intercept {slope['intercept_mb']:.3g} MB")
     lines.append(f"{'correct':<12} parent {correct['parent']}/{runs}  change {correct['change']}/{runs}")
     lines.append(f"{'failed_ops':<12} parent {failed['parent']}  change {failed['change']}")
     return lines

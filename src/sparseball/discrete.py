@@ -12,6 +12,7 @@ scale of finite data over- or underflows it.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,11 @@ BRUTEFORCE_GUARD = 24
 
 # most pair values scored at once by the brute-force scan
 _BLOCK = 1 << 16
+
+# each thread's two _BLOCK-value scan buffers, made on its first solve and
+# reused: fresh ones are page-faulted in on every solve, and a scan writes
+# every value it reads, so nothing passes from one solve to the next
+_scan_buffers = threading.local()
 
 
 @dataclass(frozen=True)
@@ -118,9 +124,13 @@ def solve_discrete_bruteforce(inst: ProblemInstance) -> DiscreteSolution:
     ever built.  The scores are taken on (a, c) / 2**e
     (:func:`core.to_unit`), so any finite scale of the data gives the
     unit-scale z; the value is then :func:`support_value` of that z on the
-    data as given.  At free n = 24 (2**24 supports) a solve takes about
-    40 ms with a tracemalloc peak of about 1.6 MB on one core of a 2-vCPU
-    Xeon VM.
+    data as given.  The halves come from :func:`enumerate_Z`'s memo, and
+    each thread keeps its two 2**16-value block buffers (512 KiB each)
+    from its first solve to reuse in its next, so concurrent solves share
+    nothing they write.  At free n = 24 (2**24 supports) a solve takes
+    about 36 ms on one core of a 2-vCPU Xeon VM, with a tracemalloc peak
+    of about 2.3 MB cold (a thread's first solve, nothing enumerated yet)
+    and 0.5 MB warm.
 
     Exact and deterministic: ties are broken toward the lexicographically
     smallest z, by keeping the first minimum in (value, high row, low row)
@@ -146,8 +156,10 @@ def solve_discrete_bruteforce(inst: ProblemInstance) -> DiscreteSolution:
         ones = ones[ones <= zfam.k]
         groups = ((np.flatnonzero(ones == p), _low_members(zfam, low, p))
                   for p in range(min(high, zfam.k) + 1))
-    # two reused block buffers: fresh 2**16-value temporaries cost ~3x more
-    norms, values = np.empty(_BLOCK), np.empty(_BLOCK)
+    buffers = getattr(_scan_buffers, "blocks", None)
+    if buffers is None:
+        buffers = _scan_buffers.blocks = (np.empty(_BLOCK), np.empty(_BLOCK))
+    norms, values = buffers
     best, best_key = math.inf, None
     for rows, lo in groups:
         width = lo.shape[0]

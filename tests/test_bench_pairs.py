@@ -151,6 +151,27 @@ def test_rss_per_1000_ops_tells_an_op_count_move_from_a_change():
     assert bench_pairs.summary_lines(entry)[2].split() == ["rss_per_kop", "parent", "20", "change", "11"]
 
 
+def test_rss_slope_reads_kb_per_extra_op_and_the_base():
+    # 1 KB per op over a 40 MB base; rss_per_kop divides the base in too
+    pairs = _pairs(peak_rss_mb=([41.0, 42.0, 43.0], [42.0, 44.0, 46.0]))
+    for seed, pair, (p_ops, c_ops) in zip([1, 2, 3], pairs, [(1024, 2048), (2048, 4096), (3072, 6144)]):
+        pair["seed"] = seed
+        pair["parent"].update(attempted=p_ops, correct=True, failed=0)
+        pair["change"].update(attempted=c_ops, correct=True, failed=0)
+    entry = bench_pairs.workload_entry(pairs, {"peak_rss_mb": "lower"}, 30, {"nproc": 2},
+                                       {"peak_rss_mb": 0.1})
+    assert entry["rss_slope"] == {"kb_per_op": pytest.approx(1.0, rel=1e-12, abs=0.0),
+                                  "intercept_mb": pytest.approx(40.0, rel=1e-12, abs=0.0)}
+    assert bench_pairs.summary_lines(entry)[3].split() == ["rss_slope", "1", "KB/op", "intercept", "40", "MB"]
+    # with one op count for every run no line fits, and none is printed
+    for pair in pairs:
+        pair["parent"]["attempted"] = pair["change"]["attempted"] = 100
+    entry = bench_pairs.workload_entry(pairs, {"peak_rss_mb": "lower"}, 30, {"nproc": 2},
+                                       {"peak_rss_mb": 0.1})
+    assert entry["rss_slope"] == {"kb_per_op": None, "intercept_mb": None}
+    assert not any(line.startswith("rss_slope") for line in bench_pairs.summary_lines(entry))
+
+
 def _fake_run(failed_side):
     """A run_once stand-in whose failed_side runs have one failed op."""
     def run_once(tree, workload, seed, seconds):

@@ -347,9 +347,34 @@ class TestEnumerate:
                 theirs = [tuple(int(v) for v in m) for m in oracles.family_members(kind, n, k)]
                 assert ours == theirs
 
+    @pytest.mark.parametrize("fam", [ZFamily.free(5), ZFamily.card_le(5, 2), ZFamily.card_eq(5, 2)],
+                             ids=lambda fam: fam.kind)
+    def test_memoized_and_read_only(self, fam):
+        members = enumerate_Z(fam)
+        assert enumerate_Z(fam) is members
+        assert enumerate_Z(ZFamily(fam.kind, fam.n, fam.k)) is members
+        with pytest.raises(ValueError, match="read-only"):
+            members[0, 0] = 1
+
+    def test_every_family_to_n_12_holds_under_a_mebibyte(self):
+        # brute force's halves up to n = 24: 0.74 MiB of members in all
+        enumerate_Z.cache_clear()
+        tracemalloc.start()
+        try:
+            for n in range(1, 13):
+                enumerate_Z(ZFamily.free(n))
+                for k in range(1, n + 1):
+                    enumerate_Z(ZFamily.card_le(n, k))
+                    enumerate_Z(ZFamily.card_eq(n, k))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_free_at_the_guard_stays_small(self):
-        # the output alone is 1 MB
+        # the output alone is 1 MiB; a cold build, not a cached one
         fam = ZFamily.free(16)
+        enumerate_Z.cache_clear()
         tracemalloc.start()
         try:
             members = enumerate_Z(fam)

@@ -1,11 +1,21 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sparseball.core import DEFAULT_TOL, MixedPoint, ProblemInstance, ZFamily, is_in_X, scale_back
+from sparseball.core import (
+    DEFAULT_TOL,
+    MixedPoint,
+    ProblemInstance,
+    ZFamily,
+    enumerate_Z,
+    is_in_X,
+    scale_back,
+)
 from sparseball.discrete import (
     BRUTEFORCE_GUARD,
     discrete_objective,
@@ -185,12 +195,20 @@ class TestBruteforceScan:
     def test_guard_limit_is_safe_in_memory(self, fam, rng):
         n = fam.n
         a = rng.normal(size=n)
+        inst = _inst(a, rng.normal(size=n), fam)
+        # a cold solve: no cached halves, and a fresh thread makes its own block buffers
+        enumerate_Z.cache_clear()
+        solved = []
+        worker = threading.Thread(target=lambda: solved.append(solve_discrete_bruteforce(inst)))
         tracemalloc.start()
         try:
-            sol = solve_discrete_bruteforce(_inst(a, rng.normal(size=n), fam))
+            worker.start()
+            worker.join(timeout=60)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert not worker.is_alive()
+        (sol,) = solved
         assert peak < 32 * 2**20
         assert is_in_X(MixedPoint(sol.x_opt, sol.z_opt), fam)
         # with zero activation costs the optimum is known in closed form:
@@ -200,6 +218,35 @@ class TestBruteforceScan:
             assert np.array_equal(ref.z_opt, np.ones(n))
         else:
             assert np.array_equal(ref.z_opt, solve_discrete_sort(a, fam.k).z_opt)
+
+    @pytest.mark.parametrize("fam", [ZFamily.free(22), ZFamily.card_eq(24, 5)],
+                             ids=lambda fam: fam.kind)
+    def test_concurrent_solves_match_serial_bits(self, fam, rng):
+        insts = [_inst(rng.normal(size=fam.n), rng.normal(size=fam.n), fam) for _ in range(6)]
+        serial = [solve_discrete_bruteforce(inst) for inst in insts]
+        solved = [[] for _ in range(4)]
+
+        def solve_all(out, shift):
+            for i in range(shift, shift + len(insts)):
+                i %= len(insts)
+                out.append((i, solve_discrete_bruteforce(insts[i])))
+
+        workers = [threading.Thread(target=solve_all, args=(out, shift)) for shift, out in enumerate(solved)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        for out in solved:
+            assert len(out) == len(insts)
+            for i, sol in out:
+                assert np.array_equal(sol.z_opt, serial[i].z_opt)
+                assert sol.value.hex() == serial[i].value.hex()
 
     def test_guard(self):
         n = BRUTEFORCE_GUARD + 1

@@ -983,6 +983,25 @@ class TestSolveRelaxationCardinality:
         best = min(best, float(grid[mask].min()))
         assert sol.value == pytest.approx(best, abs=1e-5)
 
+    @pytest.mark.parametrize("kind", ["card_le", "card_eq"])
+    def test_instance_that_attains_four_fifths(self, kind):
+        # C7's exact/relaxation constant 4/5 is attained here.  C7's free
+        # instances with c <= 0 cannot attain it: z = 1 solves both problems.
+        inst = ProblemInstance([0.0, 3.0], [-3.0, 0.0], ZFamily(kind, 2, 1))
+        exact, relax = solve_discrete_bruteforce(inst), solve_relaxation(inst)
+
+        def ulps_off(value, ref):
+            return abs(value - ref) / math.ulp(ref)
+
+        # z = (1, 0) ties at -3; the tie rule keeps the lexicographically smaller
+        assert np.array_equal(exact.z_opt, [0.0, 1.0])
+        assert ulps_off(exact.value, -3.0) <= 2
+        assert ulps_off(relax.value, -15 / 4) <= 2
+        assert all(ulps_off(v, ref) <= 2 for v, ref in zip(relax.z_bar, (0.75, 0.25)))
+        assert ulps_off(relax.rounded_value, -3.0) <= 2
+        # each value's 2 ulps, and the division's rounding
+        assert ulps_off(exact.value / relax.value, 4 / 5) <= 5
+
     def test_k_equals_n_is_trivial_for_eq(self, rng):
         n = 4
         inst = ProblemInstance(rng.normal(size=n), rng.normal(size=n), ZFamily.card_eq(n, n))
